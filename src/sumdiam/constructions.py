@@ -2,6 +2,8 @@
 
 Every construction re-induces its output and raises if the result does not
 match the promised target, so a returned report is always self-verified.
+Combinators and sd_general check their output by its exact labeled edges;
+the closed-form family labelings check theirs through the family recognizers.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 
 from .core import (
     Domain,
+    InducedResult,
     Labeling,
     SimpleGraph,
     find_isomorphism,
@@ -48,12 +51,11 @@ class ConstructionError(RuntimeError):
 
 
 def _report(
-    lab: Labeling, target: SimpleGraph, claimed: int, exact_isolates: int | None
+    lab: Labeling, target: SimpleGraph, claimed: int, valid: bool
 ) -> ConstructionReport:
-    achieved = label_range(lab)
-    valid = is_valid_labeling(lab, target, exact_isolates=exact_isolates)
     if not valid:
         raise ConstructionError("construction output failed re-induction check")
+    achieved = label_range(lab)
     if achieved > claimed:
         raise ConstructionError("construction exceeded its claimed range bound")
     return ConstructionReport(
@@ -62,6 +64,37 @@ def _report(
         claimed_range_bound=claimed,
         achieved_range=achieved,
         valid=True,
+    )
+
+
+def _family_report(
+    lab: Labeling, kind: FamilyKind, n: int, claimed: int, isolates: int
+) -> ConstructionReport:
+    """Report on a closed-form family labeling, checked by the family recognizers."""
+    target = generate(FamilySpec(kind, n))
+    valid = is_valid_labeling(lab, target, exact_isolates=isolates)
+    return _report(lab, target, claimed, valid)
+
+
+def _label_pairs(result: InducedResult) -> set[tuple[int, int]]:
+    """Induced edges as ascending label pairs."""
+    labels = result.label_of
+    return {(labels[i], labels[j]) for i, j in result.graph.edges}
+
+
+def _induces_exactly(lab: Labeling, target: SimpleGraph, pairs) -> bool:
+    """Does lab induce exactly the edges `pairs`, given as label pairs?
+
+    `pairs` is the image of target's edges under a vertex->label map.  One
+    distinct label per non-isolated target vertex makes that map injective,
+    so equal edge sets prove that lab induces target; every other label is
+    an isolate.  No isomorphism search is involved, so there is no size cap.
+    """
+    expected = {(a, b) if a < b else (b, a) for a, b in pairs}
+    touched = {a for pair in expected for a in pair}
+    return (
+        len(touched) == target.n - len(target.isolated_vertices())
+        and _label_pairs(induce(lab)) == expected
     )
 
 
@@ -200,7 +233,7 @@ def spum_path_even(n: int) -> ConstructionReport:
         raise ValueError("defined for even n >= 4")
     labels = set(range(1, 2 * n - 2, 2)) | {2 * n - 4, 2 * n}
     lab = labeling(sorted(labels), Domain.POSITIVE)
-    return _report(lab, generate(FamilySpec(FamilyKind.PATH, n)), 2 * n - 1, 1)
+    return _family_report(lab, FamilyKind.PATH, n, 2 * n - 1, 1)
 
 
 def sd_path(n: int) -> ConstructionReport:
@@ -209,13 +242,13 @@ def sd_path(n: int) -> ConstructionReport:
         raise ValueError("defined for n >= 3")
     labels = list(range(n - 1, 2 * n - 1)) + [3 * n - 4, 3 * n - 3]
     lab = labeling(labels, Domain.POSITIVE)
-    return _report(lab, generate(FamilySpec(FamilyKind.PATH, n)), 2 * n - 2, 2)
+    return _family_report(lab, FamilyKind.PATH, n, 2 * n - 2, 2)
 
 
 def spum_cycle4() -> ConstructionReport:
     """The 4-cycle at its exact minimum: [3,6] + [8,10], range 7."""
     lab = labeling([3, 4, 5, 6, 8, 9, 10], Domain.POSITIVE)
-    return _report(lab, generate(FamilySpec(FamilyKind.CYCLE, 4)), 7, 3)
+    return _family_report(lab, FamilyKind.CYCLE, 4, 7, 3)
 
 
 def ispum_cycle_odd(n: int) -> ConstructionReport:
@@ -229,7 +262,7 @@ def ispum_cycle_odd(n: int) -> ConstructionReport:
         + [-3 * k, -3 * k + 1, -5 * k, -k - 1, 7 * k - 1, 8 * k]
     )
     lab = labeling(labels, Domain.INTEGRAL)
-    return _report(lab, generate(FamilySpec(FamilyKind.CYCLE, n)), 8 * (n - 9), 0)
+    return _family_report(lab, FamilyKind.CYCLE, n, 8 * (n - 9), 0)
 
 
 def spum_matching(p: int) -> ConstructionReport:
@@ -238,7 +271,7 @@ def spum_matching(p: int) -> ConstructionReport:
         raise ValueError("defined for p >= 1")
     labels = list(range(2 * p - 1, 4 * p - 1)) + [6 * p - 3]
     lab = labeling(labels, Domain.POSITIVE)
-    return _report(lab, generate(FamilySpec(FamilyKind.MATCHING, p)), 4 * p - 2, 1)
+    return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 2, 1)
 
 
 def ispum_matching(p: int) -> ConstructionReport:
@@ -247,7 +280,7 @@ def ispum_matching(p: int) -> ConstructionReport:
         raise ValueError("defined for p >= 3")
     labels = [-1] + list(range(1, 4 * p - 4, 2)) + [4 * p - 4]
     lab = labeling(labels, Domain.INTEGRAL)
-    return _report(lab, generate(FamilySpec(FamilyKind.MATCHING, p)), 4 * p - 3, 0)
+    return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 3, 0)
 
 
 def sd_general(g: SimpleGraph) -> ConstructionReport:
@@ -267,18 +300,10 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
     if len(labels) != g.n + len(g.edges):
         raise ConstructionError("label collision in Sidon construction")
     lab = labeling(labels, Domain.POSITIVE)
-    # exact structural check by label values (no isomorphism search needed)
-    expected = {
-        tuple(sorted((vertex_labels[u], vertex_labels[v]))) for u, v in g.edges
-    }
-    result = induce(lab)
-    got = {
-        tuple(sorted((result.label_of[a], result.label_of[b])))
-        for a, b in result.graph.edges
-    }
+    pairs = {(vertex_labels[u], vertex_labels[v]) for u, v in g.edges}
     claimed = 64 * g.n * g.n - 64 * g.n + 9
     achieved = label_range(lab)
-    if got != expected or result.isolate_count != len(g.edges):
+    if not _induces_exactly(lab, g, pairs):
         raise ConstructionError("Sidon construction failed re-induction check")
     if achieved > claimed:
         raise ConstructionError("Sidon construction exceeded its claimed bound")
@@ -290,29 +315,29 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_positive_valid(lab: Labeling, g: SimpleGraph) -> None:
+def _induce_input(lab: Labeling, g: SimpleGraph) -> InducedResult:
+    """Validate a caller's positive labeling of g and return its induction."""
     if lab.labels[0] < 1:
         raise ValueError("combinators require positive-domain labelings")
     if not is_valid_labeling(lab, g):
         raise ValueError("labeling does not induce the stated graph")
+    return induce(lab)
 
 
-def _split_sets(lab: Labeling) -> tuple[list[int], list[int]]:
-    """Core (vertex) labels and pair-sum labels of a labeling."""
-    result = induce(lab)
-    s = sorted(result.core_label_of)
-    t = sorted(
-        {
-            result.label_of[i] + result.label_of[j]
-            for i, j in result.graph.edges
-        }
-    )
-    return s, t
+def _split_sets(pairs) -> tuple[set[int], set[int]]:
+    """Core (vertex) labels and pair-sum labels of induced label pairs."""
+    return {a for pair in pairs for a in pair}, {a + b for a, b in pairs}
 
 
-def _vertex_label_map(lab: Labeling, g: SimpleGraph) -> dict[int, int]:
+def _translated(pairs, x: int) -> tuple[set[int], set[tuple[int, int]]]:
+    """Labels and label pairs after shifting core labels by x and sums by 2x."""
+    s, t = _split_sets(pairs)
+    labels = {v + x for v in s} | {v + 2 * x for v in t}
+    return labels, {(a + x, b + x) for a, b in pairs}
+
+
+def _vertex_label_map(result: InducedResult, g: SimpleGraph) -> dict[int, int]:
     """Map each g vertex to its core label under a fixed isomorphism."""
-    result = induce(lab)
     phi = find_isomorphism(g, result.core_graph)
     if phi is None:
         raise ValueError("labeling does not induce the stated graph")
@@ -325,15 +350,13 @@ def translate(lab: Labeling, g: SimpleGraph, x: int) -> Labeling:
     Requires x >= range - 1 - min(label); the image induces g again with the
     pair-sum labels as the only isolates.
     """
-    _require_positive_valid(lab, g)
+    pairs = _label_pairs(_induce_input(lab, g))
     threshold = label_range(lab) - 1 - lab.labels[0]
     if x < threshold:
         raise ValueError(f"translation needs x >= {threshold}")
-    s, t = _split_sets(lab)
-    moved = labeling(
-        sorted({v + x for v in s} | {v + 2 * x for v in t}), Domain.POSITIVE
-    )
-    if not is_valid_labeling(moved, g, exact_isolates=len(t)):
+    labels, pairs = _translated(pairs, x)
+    moved = labeling(sorted(labels), Domain.POSITIVE)
+    if not _induces_exactly(moved, g, pairs):
         raise ConstructionError("translated labeling failed re-induction check")
     return moved
 
@@ -348,41 +371,33 @@ def disjoint_union_scaled(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """L1 together with (4*r1-2)*L2; the scale keeps the parts independent."""
-    _require_positive_valid(lab1, g1)
-    _require_positive_valid(lab2, g2)
+    pairs1 = _label_pairs(_induce_input(lab1, g1))
+    pairs2 = _label_pairs(_induce_input(lab2, g2))
     r1, r2 = label_range(lab1), label_range(lab2)
     c = 4 * r1 - 2
     merged = sorted(set(lab1.labels) | {c * v for v in lab2.labels})
     lab = labeling(merged, Domain.POSITIVE)
     target = disjoint_union_graph(g1, g2)
-    iso1 = induce(lab1).isolate_count
-    iso2 = induce(lab2).isolate_count
+    pairs = pairs1 | {(c * a, c * b) for a, b in pairs2}
     claimed = 2 * (2 * r1 - 1) * (2 * r2 - 1) - 1
-    return _report(lab, target, claimed, iso1 + iso2)
+    return _report(lab, target, claimed, _induces_exactly(lab, target, pairs))
 
 
 def disjoint_union_translated(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """Both parts translated into disjoint blocks; range <= 11*r1 + r2 + 2."""
-    _require_positive_valid(lab1, g1)
-    _require_positive_valid(lab2, g2)
+    pairs1 = _label_pairs(_induce_input(lab1, g1))
+    pairs2 = _label_pairs(_induce_input(lab2, g2))
     if label_range(lab2) > label_range(lab1):
-        lab1, g1, lab2, g2 = lab2, g2, lab1, g1
+        lab1, g1, pairs1, lab2, g2, pairs2 = lab2, g2, pairs2, lab1, g1, pairs1
     r1, r2 = label_range(lab1), label_range(lab2)
-    s1, t1 = _split_sets(lab1)
-    s2, t2 = _split_sets(lab2)
-    x1 = r1 + 1 - lab1.labels[0]
-    x2 = 6 * r1 + 2 - lab2.labels[0]
-    merged = sorted(
-        {v + x1 for v in s1}
-        | {v + 2 * x1 for v in t1}
-        | {v + x2 for v in s2}
-        | {v + 2 * x2 for v in t2}
-    )
-    lab = labeling(merged, Domain.POSITIVE)
+    labels1, pairs1 = _translated(pairs1, r1 + 1 - lab1.labels[0])
+    labels2, pairs2 = _translated(pairs2, 6 * r1 + 2 - lab2.labels[0])
+    lab = labeling(sorted(labels1 | labels2), Domain.POSITIVE)
     target = disjoint_union_graph(g1, g2)
-    return _report(lab, target, 11 * r1 + r2 + 2, len(t1) + len(t2))
+    valid = _induces_exactly(lab, target, pairs1 | pairs2)
+    return _report(lab, target, 11 * r1 + r2 + 2, valid)
 
 
 def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
@@ -395,24 +410,21 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     """
     if k < 1:
         raise ValueError("isolate count must be >= 1")
-    _require_positive_valid(lab, g)
+    pairs = _label_pairs(_induce_input(lab, g))
     r = label_range(lab)
     mu = lab.labels[0]
     claimed = max(k, 4 * r) + k - 5
-    current = induce(lab).isolate_count
-    if current >= k:
-        return _report(lab, g, claimed, current)
+    s, t = _split_sets(pairs)
+    if len(lab) - len(s) >= k:
+        return _report(lab, g, claimed, True)  # the input, validated above
     if k <= 2:
         lab2 = labeling(sorted(set(lab.labels) | {4 * r - 2}), Domain.POSITIVE)
-        return _report(lab2, g, claimed, current + 1)
-    s, t = _split_sets(lab)
+        return _report(lab2, g, claimed, _induces_exactly(lab2, g, pairs))
     m = max(r - 1, k + r - 1 - len(t))
-    x = m - mu
+    labels, pairs = _translated(pairs, m - mu)
     filler = range(m + r, 2 * m + 1)
-    merged = sorted({v + x for v in s} | {v + 2 * x for v in t} | set(filler))
-    lab2 = labeling(merged, Domain.POSITIVE)
-    isolates = len(t) + len(filler)
-    return _report(lab2, g, claimed, isolates)
+    lab2 = labeling(sorted(labels | set(filler)), Domain.POSITIVE)
+    return _report(lab2, g, claimed, _induces_exactly(lab2, g, pairs))
 
 
 def add_vertex(
@@ -427,37 +439,24 @@ def add_vertex(
     neighbors = sorted(set(neighbors))
     if any(not 0 <= u < g.n for u in neighbors):
         raise ValueError("neighbor ids must be vertices of the graph")
-    _require_positive_valid(lab, g)
+    result = _induce_input(lab, g)
     r = label_range(lab)
     x = r - lab.labels[0]
-    s, t = _split_sets(lab)
+    labels, pairs = _translated(_label_pairs(result), x)
     b = 2 * r + 1
-    merged = {2 * (v + x) for v in s} | {2 * (v + 2 * x) for v in t} | {b}
+    merged = {2 * v for v in labels} | {b}
+    pairs = {(2 * p, 2 * q) for p, q in pairs}
+    target = graph(g.n + 1, set(g.edges) | {(u, g.n) for u in neighbors})
     if neighbors:
-        label_of_vertex = _vertex_label_map(lab, g)
-        merged |= {
-            b + 2 * (label_of_vertex[u] + x) for u in neighbors
-        }
+        # new edges need vertex identity (a capped isomorphism); the expected
+        # pairs are then the target's edges through that vertex->label map
+        label_of_vertex = _vertex_label_map(result, g)
+        doubled = [2 * (label_of_vertex[v] + x) for v in range(g.n)] + [b]
+        # the new odd edge labels are isolated: nothing sums onto them
+        merged |= {b + doubled[u] for u in neighbors}
+        pairs = {(doubled[u], doubled[v]) for u, v in target.edges}
     lab2 = labeling(sorted(merged), Domain.POSITIVE)
-    if not neighbors:
-        # b never participates in a sum, so it is simply one more isolate
-        achieved = label_range(lab2)
-        if not is_valid_labeling(lab2, g, exact_isolates=len(t) + 1):
-            raise ConstructionError(
-                "construction output failed re-induction check"
-            )
-        if achieved > 4 * r - 1:
-            raise ConstructionError(
-                "construction exceeded its claimed range bound"
-            )
-        return ConstructionReport(
-            lab2, graph(g.n + 1, g.edges), 4 * r - 1, achieved, True
-        )
-    target = graph(
-        g.n + 1, set(g.edges) | {(u, g.n) for u in neighbors}
-    )
-    # the new odd edge labels are isolated too: nothing sums onto them
-    return _report(lab2, target, 4 * r - 1, len(t) + len(neighbors))
+    return _report(lab2, target, 4 * r - 1, _induces_exactly(lab2, target, pairs))
 
 
 def join_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -471,27 +470,20 @@ def join(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """Join labeling: two translated blocks plus a full interval of cross sums."""
-    _require_positive_valid(lab1, g1)
-    _require_positive_valid(lab2, g2)
+    pairs1 = _label_pairs(_induce_input(lab1, g1))
+    pairs2 = _label_pairs(_induce_input(lab2, g2))
     if label_range(lab1) > label_range(lab2):
-        lab1, g1, lab2, g2 = lab2, g2, lab1, g1
+        lab1, g1, pairs1, lab2, g2, pairs2 = lab2, g2, pairs2, lab1, g1, pairs1
     r1, r2 = label_range(lab1), label_range(lab2)
-    s1, t1 = _split_sets(lab1)
-    s2, t2 = _split_sets(lab2)
-    x1 = r1 + r2 - lab1.labels[0]
-    x2 = 6 * r1 + 4 * r2 - 2 - lab2.labels[0]
+    labels1, pairs1 = _translated(pairs1, r1 + r2 - lab1.labels[0])
+    labels2, pairs2 = _translated(pairs2, 6 * r1 + 4 * r2 - 2 - lab2.labels[0])
     cross = range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3)
-    merged = sorted(
-        {v + x1 for v in s1}
-        | {v + 2 * x1 for v in t1}
-        | {v + x2 for v in s2}
-        | {v + 2 * x2 for v in t2}
-        | set(cross)
-    )
-    lab = labeling(merged, Domain.POSITIVE)
+    lab = labeling(sorted(labels1 | labels2 | set(cross)), Domain.POSITIVE)
     target = join_graph(g1, g2)
-    isolates = len(t1) + len(t2) + len(cross)
-    return _report(lab, target, 11 * r1 + 8 * r2 - 5, isolates)
+    s1, s2 = _split_sets(pairs1)[0], _split_sets(pairs2)[0]
+    pairs = pairs1 | pairs2 | {(a, b) for a in s1 for b in s2}
+    valid = _induces_exactly(lab, target, pairs)
+    return _report(lab, target, 11 * r1 + 8 * r2 - 5, valid)
 
 
 MODIFY_OPERATIONS = (
@@ -503,26 +495,13 @@ MODIFY_OPERATIONS = (
 )
 
 
-def _separated(lab: Labeling, g: SimpleGraph):
-    """Minimal translation making vertex and sum labels disjoint blocks."""
-    r = label_range(lab)
-    x = r - 1 - lab.labels[0]
-    s, t = _split_sets(lab)
-    label_of_vertex = _vertex_label_map(lab, g)
-    shifted_vertex = {v: label_of_vertex[v] + x for v in range(g.n)}
-    sums = {v + 2 * x for v in t}
-    return shifted_vertex, sums
-
-
-def _doubled(lab: Labeling, g: SimpleGraph):
-    """Translate by r-mu and double; returns per-vertex labels, sums, odd b."""
-    r = label_range(lab)
-    x = r - lab.labels[0]
-    s, t = _split_sets(lab)
-    label_of_vertex = _vertex_label_map(lab, g)
-    doubled_vertex = {v: 2 * (label_of_vertex[v] + x) for v in range(g.n)}
-    sums = {2 * (v + 2 * x) for v in t}
-    return doubled_vertex, sums, 2 * r + 1
+def _relabeled(
+    target: SimpleGraph, vertex_label: list[int], isolates: set[int], claimed: int
+) -> ConstructionReport:
+    """Report on target vertex i labeled vertex_label[i], plus the isolates."""
+    lab = labeling(sorted(set(vertex_label) | isolates), Domain.POSITIVE)
+    pairs = {(vertex_label[i], vertex_label[j]) for i, j in target.edges}
+    return _report(lab, target, claimed, _induces_exactly(lab, target, pairs))
 
 
 def _checked_target(n: int, edges) -> SimpleGraph:
@@ -544,7 +523,8 @@ def modify(
     """Derive a labeling for g after a small edit; see MODIFY_OPERATIONS."""
     if operation not in MODIFY_OPERATIONS:
         raise ValueError(f"unknown modify operation {operation!r}")
-    _require_positive_valid(lab, g)
+    result = _induce_input(lab, g)
+    _, sums = _split_sets(_label_pairs(result))
     r = label_range(lab)
     adjacency = g.adjacency()
 
@@ -564,10 +544,11 @@ def modify(
             (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
         ]
         target = _checked_target(len(keep), kept_edges)
-        shifted_vertex, sums = _separated(lab, g)
-        merged = sorted({shifted_vertex[v] for v in keep} | sums)
-        lab2 = labeling(merged, Domain.POSITIVE)
-        return _report(lab2, target, 2 * r - 2, None)
+        # the minimal translation making vertex and sum labels disjoint blocks
+        label_of_vertex = _vertex_label_map(result, g)
+        x = r - 1 - lab.labels[0]
+        vertex_label = [label_of_vertex[v] + x for v in keep]
+        return _relabeled(target, vertex_label, {t + 2 * x for t in sums}, 2 * r - 2)
 
     if edge is None or len(edge) != 2:
         raise ValueError(f"{operation} needs an edge as two vertex ids")
@@ -595,7 +576,8 @@ def modify(
         base_edges = set(g.edges)
 
     # vertex u (and v when contracting) is replaced by a fresh vertex whose
-    # neighborhood is new_neighbors, realized by one odd label
+    # neighborhood is new_neighbors, realized by one odd label b after
+    # translating by r-mu and doubling
     rest = [w for w in range(g.n) if w not in removed]
     remap = {w: i for i, w in enumerate(rest)}
     new_id = len(rest)
@@ -606,12 +588,9 @@ def modify(
     } | {(remap[w], new_id) for w in new_neighbors}
     target = _checked_target(len(rest) + 1, target_edges)
 
-    doubled_vertex, sums, b = _doubled(lab, g)
-    merged = sorted(
-        {doubled_vertex[w] for w in rest}
-        | sums
-        | {b}
-        | {b + doubled_vertex[w] for w in new_neighbors}
-    )
-    lab2 = labeling(merged, Domain.POSITIVE)
-    return _report(lab2, target, 4 * r - 1, None)
+    label_of_vertex = _vertex_label_map(result, g)
+    x = r - lab.labels[0]
+    b = 2 * r + 1
+    doubled = {w: 2 * (label_of_vertex[w] + x) for w in range(g.n)}
+    isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in new_neighbors}
+    return _relabeled(target, [doubled[w] for w in rest] + [b], isolates, 4 * r - 1)

@@ -242,7 +242,10 @@ def search_hyper_sd(
             lows = list(range(1, top + 1))
 
             def worker(lo: int, x: int = x):
-                return _hyper_window_first_hit(h, lo, lo + x, node_cap=budget + 1)
+                # examined changes only between batches; an aborted window
+                # reports remaining + 1 nodes, which trips the budget check
+                cap = budget - examined + 1
+                return _hyper_window_first_hit(h, lo, lo + x, node_cap=cap)
 
             for start in range(0, len(lows), jobs):
                 batch = lows[start : start + jobs]

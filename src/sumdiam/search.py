@@ -311,6 +311,8 @@ def _run(
             lows = _window_lows(g.n, x, integral, exact_isolates)
 
             def worker(lo: int, x: int = x):
+                # examined changes only between batches; an aborted window
+                # reports remaining + 1 nodes, which trips the budget check
                 return _window_first_hit(
                     g,
                     lo,
@@ -319,7 +321,7 @@ def _run(
                     min_size=min_size,
                     exact_isolates=exact_isolates,
                     domain=domain,
-                    node_cap=budget + 1,
+                    node_cap=budget - examined,
                 )
 
             for start in range(0, len(lows), jobs):

@@ -633,3 +633,41 @@ class TestHelperGraphs:
         j = join_graph(K2, K2)
         assert j.n == 4
         assert len(j.edges) == 6
+
+
+P30 = generate(FamilySpec(FamilyKind.PATH, 30))
+M15 = generate(FamilySpec(FamilyKind.MATCHING, 15))
+
+
+class TestAboveIsomorphismCap:
+    """Inputs and outputs past the 24-vertex explicit isomorphism cap."""
+
+    @pytest.mark.parametrize(
+        "combiner, combined_graph",
+        [
+            (disjoint_union_scaled, disjoint_union_graph),
+            (disjoint_union_translated, disjoint_union_graph),
+            (join, join_graph),
+        ],
+    )
+    def test_thirty_plus_thirty(self, combiner, combined_graph):
+        report = combiner(sd_path(30).labeling, P30, spum_matching(15).labeling, M15)
+        target = combined_graph(P30, M15)
+        labels = report.labeling.labels
+        edges, _ = naive_induce(labels)
+        degrees, core, isolates, _ = oracle_core(labels)
+        assert report.valid and report.achieved_range <= report.claimed_range_bound
+        assert len(edges) == len(target.edges)
+        assert degrees == sorted(target.degrees())
+        assert core == 60 and isolates == len(labels) - 60
+
+    def test_unary_combinators_on_p30(self):
+        # a family input needs no vertex map, so these stay uncapped
+        lab = sd_path(30).labeling
+        assert_oracle_path(translate(lab, P30, label_range(lab)).labels, 30)
+        for k in (1, 2, 3, 7):
+            report = add_isolated(lab, P30, k)
+            assert assert_oracle_path(report.labeling.labels, 30) >= k
+        report = add_vertex(lab, P30, [])
+        assert report.target.n == 31
+        assert_oracle_path(report.labeling.labels, 30)

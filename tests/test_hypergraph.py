@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from oracles import naive_hyper_induce, naive_hyper_sd
+from sumdiam import hypergraph as hypergraph_module
 from sumdiam.core import induce, labeling
 from sumdiam.hypergraph import (
     Hypergraph,
@@ -221,6 +222,22 @@ class TestSearchHyperSd:
             search_hyper_sd(CHAIN_3, budget=3, jobs=4)
         assert one.value.candidates_examined == 3
         assert four.value.candidates_examined == 3
+
+    def test_budget_caps_nodes_visited(self, monkeypatch):
+        # K4^(3) needs 803 nodes; a budget of 500 used to visit 694
+        visited = []
+        real = hypergraph_module._hyper_window_first_hit
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            visited.append(out[1])
+            return out
+
+        monkeypatch.setattr(hypergraph_module, "_hyper_window_first_hit", counting)
+        k4 = hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        with pytest.raises(BudgetExceededError):
+            search_hyper_sd(k4, budget=500)
+        assert sum(visited) <= 501
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from oracles import naive_search
+from sumdiam import search
 from sumdiam.core import graph, is_valid_labeling
 from sumdiam.families import FamilyKind, FamilySpec, generate, known_values
 from sumdiam.search import (
@@ -247,6 +248,24 @@ class TestDeterminism:
     def test_budget_large_enough_is_harmless(self):
         small = search_spum(P3, 1, budget=10_000)
         assert small == search_spum(P3, 1)
+
+    @pytest.mark.parametrize("budget", [100, 20_000])
+    def test_budget_caps_nodes_visited(self, monkeypatch, budget):
+        # each window is capped at the remaining budget, so an exhausted
+        # search visits at most one node past it (P9 used to visit 22,707
+        # nodes on a budget of 20,000)
+        visited = []
+        real = search._window_first_hit
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            visited.append(out[1])
+            return out
+
+        monkeypatch.setattr(search, "_window_first_hit", counting)
+        with pytest.raises(BudgetExceededError):
+            search_spum(family(FamilyKind.PATH, 9), 1, budget=budget)
+        assert sum(visited) <= budget + 1
 
 
 class TestCertificateFields:
