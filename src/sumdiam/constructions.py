@@ -18,6 +18,7 @@ from .core import (
     find_isomorphism,
     graph,
     induce,
+    induce_if_valid,
     is_valid_labeling,
     label_range,
     labeling,
@@ -319,9 +320,10 @@ def _induce_input(lab: Labeling, g: SimpleGraph) -> InducedResult:
     """Validate a caller's positive labeling of g and return its induction."""
     if lab.labels[0] < 1:
         raise ValueError("combinators require positive-domain labelings")
-    if not is_valid_labeling(lab, g):
+    result = induce_if_valid(lab, g)
+    if result is None:
         raise ValueError("labeling does not induce the stated graph")
-    return induce(lab)
+    return result
 
 
 def _split_sets(pairs) -> tuple[set[int], set[int]]:

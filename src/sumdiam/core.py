@@ -387,20 +387,27 @@ def isomorphic(g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT) -> bo
 # ---------------------------------------------------------------------------
 
 
-def is_valid_labeling(
+def induce_if_valid(
     lab: Labeling, g: SimpleGraph, exact_isolates: int | None = None
-) -> bool:
-    """Does lab induce g (as the core) with the required isolate count?"""
+) -> InducedResult | None:
+    """The induction of lab if it induces g with the isolate count, else None."""
     if g.n == 0:
         raise ValueError("target graph must have at least one vertex")
     if g.isolated_vertices():
         raise ValueError("target graph must not contain isolated vertices")
     result = induce(lab)
     if exact_isolates is not None and result.isolate_count != exact_isolates:
-        return False
-    if result.core_graph.n != g.n:
-        return False
-    return isomorphic(result.core_graph, g)
+        return None
+    if result.core_graph.n != g.n or not isomorphic(result.core_graph, g):
+        return None
+    return result
+
+
+def is_valid_labeling(
+    lab: Labeling, g: SimpleGraph, exact_isolates: int | None = None
+) -> bool:
+    """Does lab induce g (as the core) with the required isolate count?"""
+    return induce_if_valid(lab, g, exact_isolates) is not None
 
 
 def sd_lower_bound(g: SimpleGraph) -> int:
@@ -433,9 +440,9 @@ class OptimalityReport:
 
 def optimality_witness_check(lab: Labeling, g: SimpleGraph) -> OptimalityReport:
     """Check necessary optimality structure; lab must validly induce g."""
-    if not is_valid_labeling(lab, g):
+    result = induce_if_valid(lab, g)
+    if result is None:
         raise ValueError("labeling does not induce the target graph")
-    result = induce(lab)
     core = set(result.core_label_of)
     min_is_vertex = lab.labels[0] in core
     equality = label_range(lab) == sd_lower_bound(g)

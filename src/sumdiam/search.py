@@ -1,7 +1,6 @@
 """Exact minimum-range search by pruned enumeration over proven label windows."""
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -84,10 +83,6 @@ class ConjectureReport:
     witness: Labeling
 
 
-class _Abort(Exception):
-    """Internal signal: per-window node cap crossed."""
-
-
 def _degree_capacity(g: SimpleGraph) -> list[int]:
     """capacity[d] = number of vertices of g with degree >= d."""
     degrees = g.degrees()
@@ -117,109 +112,140 @@ def _window_first_hit(
     ascending values emits candidates in ascending lexicographic order, so the
     first full hit is the window minimum; no candidate is a prefix of another
     because all of them contain hi.
+
+    The DFS is one loop over Python-int bitmasks, so its depth is not bounded
+    by the recursion limit. Bit i of `mask` is set when label lo + i is
+    chosen, and bit top - i of `rev` mirrors it; levels[d - 1] holds the chosen
+    labels of degree >= d. Each include pushes (offset, levels before it,
+    edges it added), and backtracking pops to the deepest live exclude.
     """
     capacity = _degree_capacity(g)
     delta = len(capacity) - 1
     edge_cap = len(g.edges)
-    isolate_cap = exact_isolates if exact_isolates is not None else None
+    top = hi - lo
+    # offsets of the negative labels, and of label 0 when the window holds it
+    negative = (1 << -lo) - 1 if lo < 0 else 0
+    zero_bit = 1 << -lo if lo <= 0 <= hi else 0
 
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    deg: dict[int, int] = {}
-    count_ge = [0] * (delta + 1)
-    state = {"edges": 0, "nodes": 0}
-    track_sub_v_sums = lo <= 0
-
-    def hopeless(a: int, nxt: int) -> bool:
-        # a can still gain an edge three ways: a pending pair whose sum is a
-        # yet-undecided value, a future partner whose sum is undecided, or a
-        # future partner whose sum is an already-chosen label
-        left = bisect_left(chosen, nxt - a)
-        right = bisect_right(chosen, hi - a)
-        if right - left > 1 or (right - left == 1 and chosen[left] != a):
-            return False
-        if a + hi >= nxt and a + nxt <= hi:
-            return False
-        left = bisect_left(chosen, a + nxt)
-        right = bisect_right(chosen, min(a + hi, nxt - 1))
-        return left >= right
-
-    def visit(v: int) -> tuple[int, ...] | None:
-        state["nodes"] += 1
-        if state["nodes"] > node_cap:
-            raise _Abort
-        if v > hi:
-            if len(chosen) >= min_size and (
-                exact_size is None or len(chosen) == exact_size
-            ):
+    mask = rev = 0
+    levels = [0] * delta
+    count = edges = nodes = 0
+    stack: list[tuple[int, list[int], int]] = []
+    o = 0  # offset of the value decided next, v = lo + o
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            return None, nodes, True
+        if o > top:
+            if count >= min_size and (exact_size is None or count == exact_size):
+                chosen = [lo + i for i in range(top + 1) if mask >> i & 1]
                 candidate = labeling(chosen, domain)
                 if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
-                    return tuple(chosen)
-            return None
-        reserve = 0 if v == hi else 1
-        if exact_size is None or len(chosen) + 1 + reserve <= exact_size:
-            new_pairs = []
-            for a in chosen:
-                b = v - a
-                if a < b and b in chosen_set:
-                    new_pairs.append((a, b))
-            if track_sub_v_sums:
-                for a in chosen:
-                    s = a + v
-                    if s <= v and (s == v or s in chosen_set):
-                        new_pairs.append((a, v))
-            chosen.append(v)
-            chosen_set.add(v)
-            deg[v] = 0
-            state["edges"] += len(new_pairs)
-            touched = []
-            ok = state["edges"] <= edge_cap
+                    return tuple(chosen), nodes, False
+            o = top  # hi is always chosen and has no exclude branch
+        elif exact_size is None or count + (1 if o == top else 2) <= exact_size:
+            v = lo + o
+            vbit = 1 << o
+            # endpoints of the pairs a < b of chosen labels with a + b = v:
+            # b's bit in rev, shifted onto a's bit in mask
+            t = v - 2 * lo
+            ends = 0
+            if t >= 0:
+                shift = top - t
+                ends = mask & (rev >> shift if shift >= 0 else rev << -shift)
+                if not t & 1:  # v / 2 is not its own partner
+                    ends &= ~(1 << (t >> 1))
+            added = ends.bit_count() // 2
+            # pairs (a, v) with a <= 0 whose sum a + v is a chosen label:
+            # a + v's bit shifted onto a's, and a chosen 0 (0 + v = v)
+            k = 0
+            if lo <= 0:
+                sums = mask >> v if v >= 0 else mask << -v
+                sub = mask & (negative & sums | zero_bit)
+                if sub:
+                    ends |= sub
+                    k = sub.bit_count()
+                    added += k
+            ok = edges + added <= edge_cap
+            new_levels = levels
+            if ok and ends:
+                # thermometer increment: each endpoint gains one degree
+                # and v gains k; degrees only grow within one include, so
+                # checking the final counts is exact
+                new_levels = levels.copy()
+                carry = ends
+                d = 0
+                while carry and d < delta:
+                    below = new_levels[d]
+                    new_levels[d] = below | carry
+                    carry &= below
+                    d += 1
+                if carry or k > delta:
+                    ok = False
+                else:
+                    for e in range(k):
+                        new_levels[e] |= vbit
+                    for e in range(max(d, k)):
+                        if new_levels[e].bit_count() > capacity[e + 1]:
+                            ok = False
+                            break
+            if ok and exact_isolates is not None:
+                chosen = mask | vbit
+                idle = chosen & ~new_levels[0]
+                # labels in [nxt - hi, hi - nxt] can still pair with an
+                # undecided partner for an undecided sum
+                last = top - o - 1 - lo
+                if last >= 0:
+                    first = o + 1 - top - lo
+                    if first < 0:
+                        first = 0
+                    if first <= last:
+                        idle &= ~((1 << (last + 1)) - (1 << first))
+                if idle.bit_count() > exact_isolates:
+                    # the rest are hopeless unless a chosen partner b != a
+                    # has an undecided sum, b in [nxt - a, hi - a], or,
+                    # for a < 0, an undecided partner has a chosen sum,
+                    # in [a + nxt, a + hi]; both ranges are top - o wide
+                    width = (1 << (top - o)) - 1
+                    hopeless = 0
+                    while idle:
+                        bit = idle & -idle
+                        idle ^= bit
+                        i = bit.bit_length() - 1
+                        first = o + 1 - lo - i
+                        others = chosen ^ bit
+                        near = others >> first if first >= 0 else others << -first
+                        if near & width:
+                            continue
+                        if i < -lo:
+                            first = i + lo + o + 1
+                            near = chosen >> first if first >= 0 else chosen << -first
+                            if near & width:
+                                continue
+                        hopeless += 1
+                        if hopeless > exact_isolates:
+                            ok = False
+                            break
             if ok:
-                for p, q in new_pairs:
-                    for t in (p, q):
-                        d = deg[t] + 1
-                        deg[t] = d
-                        touched.append(t)
-                        if d > delta:
-                            ok = False
-                            break
-                        count_ge[d] += 1
-                        if count_ge[d] > capacity[d]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and isolate_cap is not None:
-                idle = 0
-                nxt = v + 1
-                for a in chosen:
-                    if deg[a] == 0 and hopeless(a, nxt):
-                        idle += 1
-                        if idle > isolate_cap:
-                            ok = False
-                            break
-            if ok:
-                hit = visit(v + 1)
-                if hit is not None:
-                    return hit
-            for t in touched:
-                d = deg[t]
-                deg[t] = d - 1
-                if d <= delta:
-                    count_ge[d] -= 1
-            state["edges"] -= len(new_pairs)
-            del deg[v]
-            chosen_set.discard(v)
-            chosen.pop()
-        if v != lo and v != hi and len(chosen) + (hi - v) >= min_size:
-            return visit(v + 1)
-        return None
-
-    try:
-        hit = visit(lo)
-    except _Abort:
-        return None, state["nodes"], True
-    return hit, state["nodes"], False
+                stack.append((o, levels, added))
+                mask |= vbit
+                rev |= 1 << (top - o)
+                levels = new_levels
+                edges += added
+                count += 1
+                o += 1
+                continue
+        # o's include branch is done: take its exclude branch if it is live,
+        # else undo includes back to the deepest one whose exclude is
+        while o == 0 or o == top or count + (top - o) < min_size:
+            if not stack:
+                return None, nodes, False
+            o, levels, added = stack.pop()
+            mask ^= 1 << o
+            rev ^= 1 << (top - o)
+            edges -= added
+            count -= 1
+        o += 1
 
 
 def _window_lows(n: int, x: int, integral: bool, exact_isolates: int | None):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_bk_oracle, is_sidon_oracle, naive_induce, power_coefficients
+from sumdiam import constructions, core
 from sumdiam.constructions import (
     add_isolated,
     add_vertex,
@@ -329,6 +330,19 @@ class TestTranslate:
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):
             translate(LAB_P3, P3, 0)
+
+    def test_input_and_output_each_induced_once(self, monkeypatch):
+        induced = []
+        real = core.induce
+
+        def counting(lab):
+            induced.append(lab.labels)
+            return real(lab)
+
+        monkeypatch.setattr(core, "induce", counting)
+        monkeypatch.setattr(constructions, "induce", counting)
+        translate(LAB_P3, P3, 2)
+        assert induced == [(1, 2, 3, 4), (3, 4, 5, 7, 8)]
 
     def test_idle_isolates_are_dropped(self):
         lab = labeling([1, 2, 3, 17])

@@ -16,6 +16,7 @@ from sumdiam.core import (
     graph_to_json,
     identify_structure,
     induce,
+    induce_if_valid,
     is_valid_labeling,
     isd_lower_bound,
     isomorphic,
@@ -322,6 +323,13 @@ class TestValidity:
         assert is_valid_labeling(
             labeling([-2, -1, 1, 2]), matching_graph(2), exact_isolates=0
         )
+
+    def test_induce_if_valid_hands_back_the_induction(self):
+        lab = labeling([1, 2, 3, 4])
+        assert induce_if_valid(lab, path_graph(3), exact_isolates=1) == induce(lab)
+        assert induce_if_valid(lab, path_graph(3)) == induce(lab)
+        assert induce_if_valid(lab, path_graph(3), exact_isolates=2) is None
+        assert induce_if_valid(lab, matching_graph(2)) is None
 
 
 class TestBounds:

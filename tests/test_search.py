@@ -1,11 +1,14 @@
 """Search tests: oracle equivalence, frozen optima, determinism, budgets."""
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
-from oracles import naive_search
+from oracles import naive_induce, naive_isomorphic, naive_search
 from sumdiam import search
-from sumdiam.core import graph, is_valid_labeling
+from sumdiam.core import Domain, graph, is_valid_labeling, labeling
 from sumdiam.families import FamilyKind, FamilySpec, generate, known_values
 from sumdiam.search import (
     BudgetExceededError,
@@ -364,3 +367,159 @@ class TestConjectures:
             check_conjecture("sd-paths", 2)
         with pytest.raises(ValueError):
             check_conjecture("isd-paths", 5)
+
+
+def cycle_zeta(n):
+    return known_values(FamilySpec(FamilyKind.CYCLE, n)).zeta
+
+
+def count_leaves(monkeypatch):
+    """Count the leaves the search validates through search.is_valid_labeling."""
+    leaves = []
+    real = search.is_valid_labeling
+
+    def counting(*args, **kwargs):
+        leaves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "is_valid_labeling", counting)
+    return leaves
+
+
+def literal_first_hit(g, lo, hi, exact_size, min_size, exact_isolates):
+    """Lexicographically first label set in [lo, hi] holding both ends whose
+    induced core is g, by enumerating every such set."""
+    hits = []
+    for size in range(max(min_size, 2), hi - lo + 2):
+        if exact_size is not None and size != exact_size:
+            continue
+        for interior in combinations(range(lo + 1, hi), size - 2):
+            labels = (lo, *interior, hi)
+            edges, isolated = naive_induce(labels)
+            if exact_isolates is not None and len(isolated) != exact_isolates:
+                continue
+            core = [i for i in range(size) if i not in isolated]
+            if len(core) != g.n:
+                continue
+            remap = {old: new for new, old in enumerate(core)}
+            core_edges = {(remap[u], remap[v]) for u, v in edges}
+            if naive_isomorphic(g.n, core_edges, g.n, g.edges):
+                hits.append(labels)
+    return min(hits, default=None)
+
+
+class TestKernel:
+    """The window DFS: wide windows, the pinned search tree, mixed signs."""
+
+    def test_wide_window_needs_no_recursion(self):
+        # one DFS level per label: 1200 levels, past the default recursion
+        # limit of 1000
+        hit, nodes, aborted = search._window_first_hit(
+            P3,
+            1,
+            1200,
+            exact_size=None,
+            min_size=4,
+            exact_isolates=None,
+            domain=Domain.POSITIVE,
+            node_cap=200_000,
+        )
+        assert not aborted
+        assert nodes == 1204
+        assert (hit[0], hit[-1]) == (1, 1200)
+        assert is_valid_labeling(labeling(hit), P3)
+
+    # nodes and leaves from perfbench/golden/tables.json; a kernel change
+    # that keeps results but walks a different tree fails here
+    @pytest.mark.parametrize(
+        ("run", "nodes", "leaves"),
+        [
+            pytest.param(
+                lambda: search_spum(family(FamilyKind.PATH, 7), 1), 223, 5, id="spum-P7"
+            ),
+            pytest.param(
+                lambda: search_spum(family(FamilyKind.PATH, 8), 1),
+                17_834,
+                10,
+                id="spum-P8",
+            ),
+            pytest.param(
+                lambda: search_ispum(C4, cycle_zeta(4)), 109, 3, id="ispum-C4"
+            ),
+            pytest.param(
+                lambda: search_ispum(family(FamilyKind.CYCLE, 8), cycle_zeta(8)),
+                37_916,
+                148,
+                id="ispum-C8",
+            ),
+            pytest.param(
+                lambda: search_sd(family(FamilyKind.PATH, 7)), 3_343, 203, id="sd-P7"
+            ),
+            pytest.param(
+                lambda: search_isd(family(FamilyKind.PATH, 7)), 5_086, 286, id="isd-P7"
+            ),
+            # a jobs=2 batch validates the leaves of both its windows
+            pytest.param(
+                lambda: search_spum(family(FamilyKind.PATH, 8), 1, jobs=2),
+                17_834,
+                17,
+                id="spum-P8-jobs2",
+            ),
+        ],
+    )
+    def test_search_tree_pinned(self, monkeypatch, run, nodes, leaves):
+        validated = count_leaves(monkeypatch)
+        cert = run()
+        assert (cert.candidates_examined, len(validated)) == (nodes, leaves)
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["exact", "open"])
+    def test_first_hit_matches_enumeration(self, pinned):
+        # mixed-sign and all-negative windows, v = 0 and label 0 are where
+        # the kernel's mask shifts change direction
+        rng = random.Random(6)
+        seen = {"crosses 0": 0, "negative": 0, "positive": 0}
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            pairs = list(combinations(range(n), 2))
+            while True:
+                g = graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+                if not g.isolated_vertices():
+                    break
+            x = rng.randint(1, 8)
+            lo = rng.randint(-2 * x, x)
+            isolates = rng.randint(0, 2) if pinned else None
+            size = n + isolates if pinned else None
+            min_size = size if pinned else n
+            hit, _nodes, aborted = search._window_first_hit(
+                g,
+                lo,
+                lo + x,
+                exact_size=size,
+                min_size=min_size,
+                exact_isolates=isolates,
+                domain=Domain.POSITIVE if lo >= 1 else Domain.INTEGRAL,
+                node_cap=10**9,
+            )
+            assert not aborted
+            assert hit == literal_first_hit(g, lo, lo + x, size, min_size, isolates)
+            if hit is not None and lo >= 1:
+                seen["positive"] += 1
+            elif hit is not None:
+                seen["negative" if lo + x < 0 else "crosses 0"] += 1
+        assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.slow
+class TestSlowInstances:
+    """Costly searches beyond the tier-1 run: ``python3 -m pytest -m slow``."""
+
+    def test_spum_path_11(self):
+        cert = search_spum(family(FamilyKind.PATH, 11), 1)
+        assert cert.value == 23
+        assert cert.witness.labels == (1, 3, 5, 7, 9, 11, 13, 15, 16, 17, 19, 24)
+        assert cert.candidates_examined == 2_583_624
+
+    def test_ispum_cycle_11(self):
+        cert = search_ispum(family(FamilyKind.CYCLE, 11), cycle_zeta(11))
+        assert cert.value == 21
+        assert cert.candidates_examined == 1_595_414
