@@ -148,17 +148,24 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _budget() -> int:
     raw = os.environ.get("SUMDIAM_BUDGET")
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise UsageError("SUMDIAM_BUDGET must be a positive integer")
-    return value
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError("SUMDIAM_BUDGET must be a positive integer") from exc
 
 
 def _range_json(vr) -> list | None:
@@ -536,14 +543,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=None)
     p.add_argument("--zeta", type=int, default=None)
     p.add_argument("--max-range", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_format(p)
     p.set_defaults(handler=_cmd_search)
 
     p = verbs.add_parser("table", help="reproduce an initial-values table")
     p.add_argument("--name", required=True, choices=TABLE_NAMES)
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_format(p)
     p.set_defaults(handler=_cmd_table)
 
@@ -570,7 +577,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--name", required=True, choices=CONJECTURE_NAMES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_format(p)
     p.set_defaults(handler=_cmd_check_conjecture)
 

@@ -127,19 +127,16 @@ def _smallest_prime_at_least(n: int) -> int:
 
 
 def _fields_within(value: int, max_index: int, limit: int) -> bool:
-    """Check that every 64-bit little-endian field of value stays <= limit."""
-    buf = value.to_bytes(8 * (max_index + 1), "little")
-    if limit < 256:
-        # admissible coefficients fit one byte: the 7 high bytes of every
-        # field must be zero and the low byte must stay within limit
-        for offset in range(1, 8):
-            if max(buf[offset::8], default=0) > 0:
-                return False
-        return max(buf[0::8], default=0) <= limit
-    return all(
-        int.from_bytes(buf[8 * i : 8 * i + 8], "little") <= limit
-        for i in range(max_index + 1)
-    )
+    """Check that every 64-bit little-endian field of value stays <= limit.
+
+    Adding 2**63 - 1 - limit to a field sets its top bit exactly when the
+    field exceeds limit. The callers' overflow guards keep every field below
+    2**63, so the sum never carries into the next field.
+    """
+    width = _BK_FIELD_BITS
+    ones = ((1 << (width * (max_index + 1))) - 1) // ((1 << width) - 1)
+    top_bits = ones << (width - 1)
+    return (value + ((1 << (width - 1)) - 1 - limit) * ones) & top_bits == 0
 
 
 def is_bk_set(elements, k: int) -> bool:

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 
 from .constructions import ConstructionError, ConstructionReport, bk_set
 from .core import Domain, Labeling, label_range, labeling
-from .search import DEFAULT_NODE_BUDGET, BudgetExceededError, SearchCertificate
+from .search import DEFAULT_NODE_BUDGET, SearchCertificate, ascend
 
 SEARCH_MAX_N = 5
 SEARCH_MAX_RANGE = 16
@@ -189,7 +189,7 @@ def _hyper_window_first_hit(
         return _isomorphic_hyper(result.core_hypergraph, h)
 
     def visit(idx: int, chosen: list[int]) -> tuple[int, ...] | None | str:
-        if state["nodes"] >= node_cap:
+        if state["nodes"] > node_cap:
             return "abort"
         if len(chosen) + (len(interior) - idx) + 1 < min_size:
             return None
@@ -225,58 +225,18 @@ def search_hyper_sd(
         raise ValueError(f"exhaustive hypergraph search is capped at n <= {SEARCH_MAX_N}")
     if max_range > SEARCH_MAX_RANGE:
         raise ValueError(f"max_range is capped at {SEARCH_MAX_RANGE}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     k, n = h.k, h.n
     pad = (k - 2) * (k - 1) // 2
     floor = max(hyper_sd_lower_bound(h), 1)
-    bound_text = (
-        f"|L| >= {n + 1}; min L in [1, (x-{n}+1-{pad})/{k - 1}]; "
-        f"range ascent from x={floor}"
+    return ascend(
+        range(floor, max_range + 1),
+        lambda x: range(1, (x - n + 1 - pad) // (k - 1) + 1),
+        partial(_hyper_window_first_hit, h),
+        jobs=jobs,
+        budget=budget,
+        domain=Domain.POSITIVE,
+        bound_text=(
+            f"|L| >= {n + 1}; min L in [1, (x-{n}+1-{pad})/{k - 1}]; "
+            f"range ascent from x={floor}"
+        ),
     )
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    examined = 0
-    try:
-        for x in range(floor, max_range + 1):
-            top = (x - n + 1 - pad) // (k - 1)
-            lows = list(range(1, top + 1))
-
-            def worker(lo: int, x: int = x):
-                # examined changes only between batches; an aborted window
-                # reports remaining + 1 nodes, which trips the budget check
-                cap = budget - examined + 1
-                return _hyper_window_first_hit(h, lo, lo + x, node_cap=cap)
-
-            for start in range(0, len(lows), jobs):
-                batch = lows[start : start + jobs]
-                if pool is not None and len(batch) > 1:
-                    results = list(pool.map(worker, batch))
-                else:
-                    results = [worker(lo) for lo in batch]
-                # serial-order reduction keeps value, witness, and counts
-                # identical for every jobs setting
-                for hit, nodes, _aborted in results:
-                    if examined + nodes > budget:
-                        raise BudgetExceededError(
-                            f"budget of {budget} candidates exhausted at range {x}",
-                            candidates_examined=budget,
-                        )
-                    examined += nodes
-                    if hit is not None:
-                        return SearchCertificate(
-                            value=x,
-                            witness=labeling(hit, Domain.POSITIVE),
-                            window_bound_used=bound_text,
-                            candidates_examined=examined,
-                            exhausted_below=True,
-                        )
-        return SearchCertificate(
-            value=None,
-            witness=None,
-            window_bound_used=bound_text,
-            candidates_examined=examined,
-            exhausted_below=True,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)

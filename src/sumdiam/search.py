@@ -1,9 +1,11 @@
 """Exact minimum-range search by pruned enumeration over proven label windows."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .core import (
     Domain,
@@ -303,6 +305,64 @@ def _require_searchable(g: SimpleGraph) -> None:
         raise ValueError("search targets must be isolate-free with an edge")
 
 
+def ascend(
+    xs: Iterable[int],
+    lows: Callable[[int], Sequence[int]],
+    window: Callable[..., tuple[tuple[int, ...] | None, int, bool]],
+    *,
+    jobs: int,
+    budget: int,
+    domain: Domain,
+    bound_text: str,
+) -> SearchCertificate:
+    """Certificate for the first range x in xs at which a label window hits.
+
+    lows(x) lists the window minima of range x in search order, and
+    window(lo, hi, node_cap=cap) searches [lo, hi] within cap + 1 nodes,
+    returning (labels or None, nodes visited, aborted). Each window is capped
+    at the budget still left when it starts, so an exhausted search visits at
+    most budget + 1 nodes. Windows run in batches of jobs: every window of a
+    batch runs, and the first hit in serial order wins, so the certificate is
+    the same for every jobs value.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    examined = 0
+    for x in xs:
+        row = lows(x)
+        for start in range(0, len(row), jobs):
+            results = []
+            spent = examined
+            for lo in row[start : start + jobs]:
+                if spent > budget:  # an aborted window ends its batch
+                    break
+                hit, nodes, _aborted = window(lo, lo + x, node_cap=budget - spent)
+                spent += nodes
+                results.append((hit, nodes))
+            for hit, nodes in results:
+                if examined + nodes > budget:
+                    raise BudgetExceededError(
+                        f"budget of {budget} candidates exhausted at range {x}",
+                        candidates_examined=budget,
+                    )
+                examined += nodes
+                if hit is not None:
+                    return SearchCertificate(
+                        value=x,
+                        witness=labeling(hit, domain),
+                        window_bound_used=bound_text,
+                        candidates_examined=examined,
+                        exhausted_below=True,
+                    )
+    return SearchCertificate(
+        value=None,
+        witness=None,
+        window_bound_used=bound_text,
+        candidates_examined=examined,
+        exhausted_below=True,
+    )
+
+
 def _run(
     g: SimpleGraph,
     *,
@@ -317,8 +377,6 @@ def _run(
 ) -> SearchCertificate:
     integral = invariant in (Invariant.ISPUM, Invariant.ISD)
     domain = Domain.INTEGRAL if integral else Domain.POSITIVE
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     floor = max(floor, 1)
     sizes = (
         f"|L| = {exact_size}" if exact_size is not None else f"|L| >= {min_size}"
@@ -328,62 +386,22 @@ def _run(
         if integral
         else f"min L in [1, x-{g.n}+1]"
     )
-    bound_text = f"{sizes}; {span}; range ascent from x={floor}"
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    examined = 0
-    try:
-        x = floor
-        while max_range is None or x <= max_range:
-            lows = _window_lows(g.n, x, integral, exact_isolates)
-
-            def worker(lo: int, x: int = x):
-                # examined changes only between batches; an aborted window
-                # reports remaining + 1 nodes, which trips the budget check
-                return _window_first_hit(
-                    g,
-                    lo,
-                    lo + x,
-                    exact_size=exact_size,
-                    min_size=min_size,
-                    exact_isolates=exact_isolates,
-                    domain=domain,
-                    node_cap=budget - examined,
-                )
-
-            for start in range(0, len(lows), jobs):
-                batch = lows[start : start + jobs]
-                if pool is not None and len(batch) > 1:
-                    results = list(pool.map(worker, batch))
-                else:
-                    results = [worker(lo) for lo in batch]
-                # serial-order reduction keeps value, witness, and counts
-                # identical for every jobs setting
-                for hit, nodes, _aborted in results:
-                    if examined + nodes > budget:
-                        raise BudgetExceededError(
-                            f"budget of {budget} candidates exhausted at range {x}",
-                            candidates_examined=budget,
-                        )
-                    examined += nodes
-                    if hit is not None:
-                        return SearchCertificate(
-                            value=x,
-                            witness=labeling(hit, domain),
-                            window_bound_used=bound_text,
-                            candidates_examined=examined,
-                            exhausted_below=True,
-                        )
-            x += 1
-        return SearchCertificate(
-            value=None,
-            witness=None,
-            window_bound_used=bound_text,
-            candidates_examined=examined,
-            exhausted_below=True,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    return ascend(
+        itertools.count(floor) if max_range is None else range(floor, max_range + 1),
+        lambda x: _window_lows(g.n, x, integral, exact_isolates),
+        partial(
+            _window_first_hit,
+            g,
+            exact_size=exact_size,
+            min_size=min_size,
+            exact_isolates=exact_isolates,
+            domain=domain,
+        ),
+        jobs=jobs,
+        budget=budget,
+        domain=domain,
+        bound_text=f"{sizes}; {span}; range ascent from x={floor}",
+    )
 
 
 def search_spum(

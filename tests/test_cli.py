@@ -386,6 +386,18 @@ class TestDeterminism:
         parallel, _ = run(capsys, *base, "--jobs", "4")
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--invariant", "sd", "--target", "path:3"),
+            ("table", "--name", "spum-paths", "--to", "3"),
+            ("check-conjecture", "--name", "sd-paths", "--n", "3"),
+        ],
+        ids=["search", "table", "check-conjecture"],
+    )
+    def test_jobs_below_one_usage_error(self, capsys, argv):
+        run(capsys, *argv, "--jobs", "0", expect=2)
+
     def test_unknown_verb_usage_error(self, capsys):
         assert main(["transmogrify"]) == 2
         capsys.readouterr()

@@ -1,6 +1,8 @@
 """Construction and combinator tests with brute-force cross-checks."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +181,23 @@ class TestBkSets:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             is_bk_set(range(1, 65540), 4)
+
+    def test_field_check_matches_per_field_reference(self):
+        rng = random.Random(20211)
+        for _ in range(2000):
+            count = rng.randint(1, 6)
+            limit = rng.choice([0, 1, 2, 6, 24, 120, 255, 256, 720, rng.randrange(2**63)])
+            fields = [
+                rng.choice(
+                    [0, limit, limit + 1, max(limit - 1, 0), 255, 256, 2**63 - 1]
+                    + [rng.randrange(2**63)]
+                )
+                for _ in range(count)
+            ]
+            fields = [min(f, 2**63 - 1) for f in fields]
+            value = sum(f << (64 * i) for i, f in enumerate(fields))
+            want = all(f <= limit for f in fields)
+            assert constructions._fields_within(value, count - 1, limit) == want
 
 
 class TestFamilyConstructions:

@@ -223,7 +223,8 @@ class TestSearchHyperSd:
         assert one.value.candidates_examined == 3
         assert four.value.candidates_examined == 3
 
-    def test_budget_caps_nodes_visited(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 4], ids=["jobs1", "jobs4"])
+    def test_budget_caps_nodes_visited(self, monkeypatch, jobs):
         # K4^(3) needs 803 nodes; a budget of 500 used to visit 694
         visited = []
         real = hypergraph_module._hyper_window_first_hit
@@ -236,7 +237,7 @@ class TestSearchHyperSd:
         monkeypatch.setattr(hypergraph_module, "_hyper_window_first_hit", counting)
         k4 = hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         with pytest.raises(BudgetExceededError):
-            search_hyper_sd(k4, budget=500)
+            search_hyper_sd(k4, budget=500, jobs=jobs)
         assert sum(visited) <= 501
 
     def test_input_validation(self):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import naive_induce, naive_isomorphic, naive_search
 from sumdiam import search
 from sumdiam.core import Domain, graph, is_valid_labeling, labeling
 from sumdiam.families import FamilyKind, FamilySpec, generate, known_values
+from sumdiam.hypergraph import hypergraph, search_hyper_sd
 from sumdiam.search import (
     BudgetExceededError,
     ConjectureReport,
@@ -215,6 +217,18 @@ class TestDeterminism:
         ):
             assert runner(jobs) == runner(1)
 
+    def test_jobs_start_no_thread(self, monkeypatch):
+        # windows run on the calling thread at every jobs value
+        p6 = family(FamilyKind.PATH, 6)
+        chain = hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
+        serial = (search_spum(p6, 1), search_hyper_sd(chain))
+
+        def refuse(thread):
+            raise AssertionError(f"search started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert (search_spum(p6, 1, jobs=4), search_hyper_sd(chain, jobs=4)) == serial
+
     def test_monotone_soundness(self):
         for cert, rerun in (
             (
@@ -252,11 +266,19 @@ class TestDeterminism:
         small = search_spum(P3, 1, budget=10_000)
         assert small == search_spum(P3, 1)
 
-    @pytest.mark.parametrize("budget", [100, 20_000])
-    def test_budget_caps_nodes_visited(self, monkeypatch, budget):
-        # each window is capped at the remaining budget, so an exhausted
-        # search visits at most one node past it (P9 used to visit 22,707
-        # nodes on a budget of 20,000)
+    @pytest.mark.parametrize(
+        "budget, jobs",
+        [
+            pytest.param(100, 1, id="100"),
+            pytest.param(20_000, 1, id="20000"),
+            pytest.param(100, 2, id="100-jobs2"),
+            pytest.param(20_000, 2, id="20000-jobs2"),
+        ],
+    )
+    def test_budget_caps_nodes_visited(self, monkeypatch, budget, jobs):
+        # each window is capped at the budget left when it starts, so an
+        # exhausted search visits at most one node past it at any jobs value
+        # (P9 on a budget of 20,000 used to visit 22,707 nodes)
         visited = []
         real = search._window_first_hit
 
@@ -267,7 +289,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(search, "_window_first_hit", counting)
         with pytest.raises(BudgetExceededError):
-            search_spum(family(FamilyKind.PATH, 9), 1, budget=budget)
+            search_spum(family(FamilyKind.PATH, 9), 1, budget=budget, jobs=jobs)
         assert sum(visited) <= budget + 1
 
 
