@@ -120,7 +120,7 @@ def _resolve_graph(value: str) -> tuple[SimpleGraph, FamilySpec | None]:
         raise UsageError(f"cannot read graph file {value!r}: {exc}") from exc
     try:
         return graph_from_json(text), None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad graph JSON in {value!r}: {exc}") from exc
 
 

@@ -206,8 +206,8 @@ def sidon_set(n: int) -> SidonSet:
         raise ValueError("Sidon set size must be >= 1")
     p = _smallest_prime_at_least(n)
     elements = tuple(sorted(2 * p * i + (i * i) % p for i in range(1, p + 1)))[:n]
-    if not is_bk_set(elements, 2):  # unreachable; greedy kept as a safety net
-        elements = _greedy_bk_elements(n, 2)
+    if not is_bk_set(elements, 2):
+        raise ConstructionError("Erdos-Turan set failed its Sidon check")
     return SidonSet(elements, 2)
 
 

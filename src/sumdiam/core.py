@@ -462,13 +462,21 @@ def optimality_witness_check(lab: Labeling, g: SimpleGraph) -> OptimalityReport:
 # ---------------------------------------------------------------------------
 
 
+def load_json(text: str):
+    """json.loads, reporting nesting too deep for the decoder as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON is nested too deeply") from exc
+
+
 def parse_labels(text: str) -> tuple[int, ...]:
     """Parse a comma-separated integer list or a JSON array of integers."""
     text = text.strip()
     if not text:
         raise ValueError("empty label list")
     if text.startswith("["):
-        data = json.loads(text)
+        data = load_json(text)
         if not isinstance(data, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in data
         ):
@@ -489,7 +497,7 @@ def graph_to_json(g: SimpleGraph) -> str:
 
 def graph_from_json(text: str) -> SimpleGraph:
     """Parse the canonical graph JSON form."""
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be {"n": ..., "edges": [...]}')
     return graph(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])

@@ -7,7 +7,7 @@ from functools import partial
 from itertools import combinations, permutations
 
 from .constructions import ConstructionError, ConstructionReport, bk_set
-from .core import Domain, Labeling, label_range, labeling
+from .core import Domain, Labeling, label_range, labeling, load_json
 from .search import DEFAULT_NODE_BUDGET, SearchCertificate, ascend
 
 SEARCH_MAX_N = 5
@@ -66,7 +66,7 @@ def hyper_to_json(h: Hypergraph) -> str:
 
 def hyper_from_json(text: str) -> Hypergraph:
     """Parse the canonical hypergraph JSON form."""
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or not {"n", "k", "edges"} <= set(data):
         raise ValueError('hypergraph JSON must be {"n": ..., "k": ..., "edges": [...]}')
     return hypergraph(

@@ -272,32 +272,43 @@ def _window_lows(n: int, x: int, integral: bool, exact_isolates: int | None):
     return lows
 
 
-def _family_floors(g: SimpleGraph) -> dict[str, int]:
-    """Theorem-backed ascent floors; never seeded from searched table data."""
-    floors = {"spum": 0, "ispum": 0, "sd": 0, "isd": 0}
+# each invariant is at least the one it maps to: spum >= sd >= isd, ispum >= isd
+_AT_LEAST = {
+    Invariant.SPUM: Invariant.SD,
+    Invariant.SD: Invariant.ISD,
+    Invariant.ISPUM: Invariant.ISD,
+}
+
+# the paper's lower bounds on family members as identify names them,
+# (kind, invariant) -> bound(n); identify calls P_2 and the one-edge
+# matching K_2, so paths here have 3 or more vertices, matchings 2 or more edges
+_STATED_FLOORS = {
+    (FamilyKind.PATH, Invariant.SPUM): lambda p: 2 * p - 3 if p <= 6 else 2 * p - 2,
+    (FamilyKind.PATH, Invariant.SD): lambda p: 2 * p - 3,
+    (FamilyKind.PATH, Invariant.ISD): lambda p: 2 * p - 5,
+    (FamilyKind.CYCLE, Invariant.SD): lambda p: 6 if p == 3 else 2 * p - 2,
+    (FamilyKind.CYCLE, Invariant.ISD): lambda p: 2 if p == 3 else 2 * p - 5,
+    (FamilyKind.COMPLETE, Invariant.SD): lambda p: 4 * p - 6,
+    (FamilyKind.COMPLETE, Invariant.ISD): lambda p: p - 1 if p <= 3 else 4 * p - 6,
+    (FamilyKind.MATCHING, Invariant.SPUM): lambda p: 4 * p - 2,
+    (FamilyKind.MATCHING, Invariant.ISPUM): lambda p: 4 if p == 2 else 4 * p - 3,
+}
+
+
+def _theorem_floor(g: SimpleGraph, invariant: Invariant) -> int:
+    """Theorem-backed ascent floor; never seeded from searched table data.
+
+    A bound stated for one invariant also bounds every invariant that is at
+    least it, so the floor is the largest bound along the _AT_LEAST chain.
+    """
     spec = identify(g)
-    if spec is None:
-        return floors
-    kind, p = spec.kind, spec.n
-    if kind is FamilyKind.PATH and p >= 3:
-        floors["spum"] = 2 * p - 3 if p <= 6 else 2 * p - 2
-        floors["sd"] = 2 * p - 3
-        floors["ispum"] = 2 * p - 5
-        floors["isd"] = 2 * p - 5
-    elif kind is FamilyKind.CYCLE:
-        if p == 3:
-            floors["spum"] = floors["sd"] = 6
-            floors["ispum"] = floors["isd"] = 2
-        else:
-            floors["sd"] = 2 * p - 2
-            floors["isd"] = 2 * p - 5
-    elif kind is FamilyKind.COMPLETE and p >= 2:
-        floors["spum"] = floors["sd"] = 4 * p - 6
-        floors["ispum"] = floors["isd"] = p - 1 if p <= 3 else 4 * p - 6
-    elif kind is FamilyKind.MATCHING:
-        floors["spum"] = 4 * p - 2
-        floors["ispum"] = 4 if p == 2 else 4 * p - 3
-    return floors
+    floor = 0
+    while spec is not None and invariant is not None:
+        stated = _STATED_FLOORS.get((spec.kind, invariant))
+        if stated is not None:
+            floor = max(floor, stated(spec.n))
+        invariant = _AT_LEAST.get(invariant)
+    return floor
 
 
 def _require_searchable(g: SimpleGraph) -> None:
@@ -363,24 +374,34 @@ def ascend(
     )
 
 
-def _run(
+def _search(
     g: SimpleGraph,
-    *,
     invariant: Invariant,
-    exact_isolates: int | None,
-    exact_size: int | None,
-    min_size: int,
-    floor: int,
+    isolates: int | None,
+    *,
     max_range: int | None,
     jobs: int,
     budget: int,
 ) -> SearchCertificate:
+    """One cell of the domain x isolate-count grid.
+
+    spum and sd are positive, ispum and isd integral; spum and ispum fix the
+    isolate count to isolates, sd and isd (isolates None) leave it free. A
+    positive labeling isolates its maximum, so it has at least n + 1 labels.
+    A range-x labeling has at most x + 1 labels, so the ascent starts at
+    min_size - 1 or at a degree or theorem bound, whichever is largest.
+    """
     integral = invariant in (Invariant.ISPUM, Invariant.ISD)
     domain = Domain.INTEGRAL if integral else Domain.POSITIVE
-    floor = max(floor, 1)
-    sizes = (
-        f"|L| = {exact_size}" if exact_size is not None else f"|L| >= {min_size}"
-    )
+    if isolates is None:
+        exact_size = None
+        min_size = g.n if integral else g.n + 1
+        sizes = f"|L| >= {min_size}"
+    else:
+        exact_size = min_size = g.n + isolates
+        sizes = f"|L| = {exact_size}"
+    degree_bound = isd_lower_bound(g) if integral else sd_lower_bound(g)
+    floor = max(min_size - 1, degree_bound, _theorem_floor(g, invariant), 1)
     span = (
         f"min L in [{g.n}-1-2x, x-{g.n}+1] over negative/mixed/positive blocks"
         if integral
@@ -388,13 +409,13 @@ def _run(
     )
     return ascend(
         itertools.count(floor) if max_range is None else range(floor, max_range + 1),
-        lambda x: _window_lows(g.n, x, integral, exact_isolates),
+        lambda x: _window_lows(g.n, x, integral, isolates),
         partial(
             _window_first_hit,
             g,
             exact_size=exact_size,
             min_size=min_size,
-            exact_isolates=exact_isolates,
+            exact_isolates=isolates,
             domain=domain,
         ),
         jobs=jobs,
@@ -416,18 +437,8 @@ def search_spum(
     _require_searchable(g)
     if sigma < 1:
         raise ValueError("positive labelings isolate their maximum; sigma >= 1")
-    fam = _family_floors(g)
-    floor = max(g.n + sigma - 1, sd_lower_bound(g), fam["spum"], fam["sd"], fam["isd"])
-    return _run(
-        g,
-        invariant=Invariant.SPUM,
-        exact_isolates=sigma,
-        exact_size=g.n + sigma,
-        min_size=g.n + sigma,
-        floor=floor,
-        max_range=max_range,
-        jobs=jobs,
-        budget=budget,
+    return _search(
+        g, Invariant.SPUM, sigma, max_range=max_range, jobs=jobs, budget=budget
     )
 
 
@@ -443,18 +454,8 @@ def search_ispum(
     _require_searchable(g)
     if zeta < 0:
         raise ValueError("zeta must be non-negative")
-    fam = _family_floors(g)
-    floor = max(g.n + zeta - 1, isd_lower_bound(g), fam["ispum"], fam["isd"])
-    return _run(
-        g,
-        invariant=Invariant.ISPUM,
-        exact_isolates=zeta,
-        exact_size=g.n + zeta,
-        min_size=g.n + zeta,
-        floor=floor,
-        max_range=max_range,
-        jobs=jobs,
-        budget=budget,
+    return _search(
+        g, Invariant.ISPUM, zeta, max_range=max_range, jobs=jobs, budget=budget
     )
 
 
@@ -467,18 +468,8 @@ def search_sd(
 ) -> SearchCertificate:
     """Minimum range over positive labelings of g with any isolate count."""
     _require_searchable(g)
-    fam = _family_floors(g)
-    floor = max(g.n, sd_lower_bound(g), fam["sd"], fam["isd"])
-    return _run(
-        g,
-        invariant=Invariant.SD,
-        exact_isolates=None,
-        exact_size=None,
-        min_size=g.n + 1,
-        floor=floor,
-        max_range=max_range,
-        jobs=jobs,
-        budget=budget,
+    return _search(
+        g, Invariant.SD, None, max_range=max_range, jobs=jobs, budget=budget
     )
 
 
@@ -491,18 +482,8 @@ def search_isd(
 ) -> SearchCertificate:
     """Minimum range over integral labelings of g with any isolate count."""
     _require_searchable(g)
-    fam = _family_floors(g)
-    floor = max(g.n - 1, isd_lower_bound(g), fam["isd"])
-    return _run(
-        g,
-        invariant=Invariant.ISD,
-        exact_isolates=None,
-        exact_size=None,
-        min_size=g.n,
-        floor=floor,
-        max_range=max_range,
-        jobs=jobs,
-        budget=budget,
+    return _search(
+        g, Invariant.ISD, None, max_range=max_range, jobs=jobs, budget=budget
     )
 
 
@@ -511,30 +492,23 @@ def run_search(problem: SearchProblem, *, budget: int = DEFAULT_NODE_BUDGET) -> 
     target = problem.target
     spec = target if isinstance(target, FamilySpec) else None
     g = generate(spec) if spec is not None else target
+    limits = dict(max_range=problem.max_range, jobs=problem.jobs, budget=budget)
     if problem.invariant is Invariant.SD:
-        return search_sd(g, max_range=problem.max_range, jobs=problem.jobs, budget=budget)
+        return search_sd(g, **limits)
     if problem.invariant is Invariant.ISD:
-        return search_isd(g, max_range=problem.max_range, jobs=problem.jobs, budget=budget)
-    if spec is None:
-        spec = identify(g)
-    values = known_values(spec) if spec is not None else None
+        return search_isd(g, **limits)
+    name = "sigma" if problem.invariant is Invariant.SPUM else "zeta"
+    count = getattr(problem, name)
+    if count is None:
+        if spec is None:
+            spec = identify(g)
+        values = known_values(spec) if spec is not None else None
+        count = getattr(values, name) if values is not None else None
+    if count is None:
+        raise ValueError(f"{name} is unknown for this target; supply it")
     if problem.invariant is Invariant.SPUM:
-        sigma = problem.sigma if problem.sigma is not None else (
-            values.sigma if values is not None else None
-        )
-        if sigma is None:
-            raise ValueError("sigma is unknown for this target; supply it")
-        return search_spum(
-            g, sigma, max_range=problem.max_range, jobs=problem.jobs, budget=budget
-        )
-    zeta = problem.zeta if problem.zeta is not None else (
-        values.zeta if values is not None else None
-    )
-    if zeta is None:
-        raise ValueError("zeta is unknown for this target; supply it")
-    return search_ispum(
-        g, zeta, max_range=problem.max_range, jobs=problem.jobs, budget=budget
-    )
+        return search_spum(g, count, **limits)
+    return search_ispum(g, count, **limits)
 
 
 def reproduce_table(
@@ -547,22 +521,18 @@ def reproduce_table(
     """Recompute the initial-values tables row by row via search."""
     if name not in TABLE_NAMES:
         raise ValueError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
+    kind, first = (FamilyKind.PATH, 3) if name == "spum-paths" else (FamilyKind.CYCLE, 4)
+    if n_max < first:
+        raise ValueError(f"{name} starts at n={first}")
     rows = []
-    if name == "spum-paths":
-        if n_max < 3:
-            raise ValueError("spum-paths starts at n=3")
-        for n in range(3, n_max + 1):
-            g = generate(FamilySpec(FamilyKind.PATH, n))
+    for n in range(first, n_max + 1):
+        spec = FamilySpec(kind, n)
+        g = generate(spec)
+        if kind is FamilyKind.PATH:
             cert = search_spum(g, 1, jobs=jobs, budget=budget)
-            rows.append(TableRow(n, cert.witness.labels, cert.value))
-    else:
-        if n_max < 4:
-            raise ValueError("ispum-cycles starts at n=4")
-        for n in range(4, n_max + 1):
-            g = generate(FamilySpec(FamilyKind.CYCLE, n))
-            zeta = known_values(FamilySpec(FamilyKind.CYCLE, n)).zeta
-            cert = search_ispum(g, zeta, jobs=jobs, budget=budget)
-            rows.append(TableRow(n, cert.witness.labels, cert.value))
+        else:
+            cert = search_ispum(g, known_values(spec).zeta, jobs=jobs, budget=budget)
+        rows.append(TableRow(n, cert.witness.labels, cert.value))
     return tuple(rows)
 
 

@@ -47,6 +47,11 @@ class TestInduce:
         run(capsys, "induce", "--labels", "1,two,3", expect=2)
         run(capsys, "induce", "--labels", "1,1,2", expect=2)
 
+    def test_deeply_nested_labels_usage_error(self, capsys):
+        # past the JSON decoder's recursion depth
+        _, err = run(capsys, "induce", "--labels", "[" * 200_000, expect=2)
+        assert err.startswith("error: JSON is nested too deeply\n")
+
 
 class TestVerify:
     def test_valid_exit_zero(self, capsys):
@@ -231,6 +236,15 @@ class TestTable:
 
 
 class TestBounds:
+    @pytest.mark.parametrize(
+        "text", ["[" * 200_000, '{"n": 1e400, "edges": []}'], ids=["deep", "infinite-n"]
+    )
+    def test_bad_graph_file_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        _, err = run(capsys, "bounds", "--graph", str(path), expect=2)
+        assert err.startswith(f"error: bad graph JSON in {str(path)!r}: ")
+
     def test_family_json_bytes(self, capsys):
         out, _ = run(capsys, "bounds", "--target", "cycle:5", "--format", "json")
         assert out == (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import is_bk_oracle, is_sidon_oracle, naive_induce, power_coefficients
 from sumdiam import constructions, core
 from sumdiam.constructions import (
+    ConstructionError,
     add_isolated,
     add_vertex,
     bk_set,
@@ -124,6 +125,11 @@ class TestSidonSets:
     def test_rejects_size_zero(self):
         with pytest.raises(ValueError):
             sidon_set(0)
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(constructions, "is_bk_set", lambda elements, k: False)
+        with pytest.raises(ConstructionError):
+            sidon_set(5)
 
 
 class TestBkSets:

@@ -399,6 +399,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             graph_from_json('{"vertices": 3}')
 
+    def test_deep_json_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_labels("[" * 200_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            graph_from_json("[" * 200_000)
+
     @settings(max_examples=100, deadline=None)
     @given(label_sets)
     def test_text_round_trip_random(self, values):

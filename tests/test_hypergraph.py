@@ -66,6 +66,10 @@ class TestHypergraphType:
         with pytest.raises(ValueError):
             hyper_from_json('{"n": 3, "edges": []}')
 
+    def test_deep_json_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            hyper_from_json("[" * 200_000)
+
 
 class TestInduceHyper:
     def test_single_forced_edge(self):

@@ -332,6 +332,135 @@ class TestCertificateFields:
             search_sd(K2, jobs=0)
 
 
+START_GRAPHS = {
+    **{
+        f"{kind.name}-{p}": family(kind, p)
+        for kind, sizes in (
+            (FamilyKind.PATH, (3, 6, 7)),
+            (FamilyKind.CYCLE, (3, 5)),
+            (FamilyKind.COMPLETE, (2, 3, 4)),
+            (FamilyKind.MATCHING, (2, 3)),
+            (FamilyKind.STAR, (4,)),
+            (FamilyKind.COMPLETE_BIPARTITE_BALANCED, (3,)),
+        )
+        for p in sizes
+    },
+    "paw": PAW,
+    "diamond": DIAMOND,
+}
+
+# (graph, invariant, sigma or zeta) -> (label-count rule, first range searched)
+START_PINS = {
+    ("PATH-3", "spum", 1): ("|L| = 4", 3),
+    ("PATH-3", "spum", 2): ("|L| = 5", 4),
+    ("PATH-3", "ispum", 0): ("|L| = 3", 2),
+    ("PATH-3", "ispum", 2): ("|L| = 5", 4),
+    ("PATH-3", "sd", None): ("|L| >= 4", 3),
+    ("PATH-3", "isd", None): ("|L| >= 3", 2),
+    ("PATH-6", "spum", 1): ("|L| = 7", 9),
+    ("PATH-6", "spum", 2): ("|L| = 8", 9),
+    ("PATH-6", "ispum", 0): ("|L| = 6", 7),
+    ("PATH-6", "ispum", 2): ("|L| = 8", 7),
+    ("PATH-6", "sd", None): ("|L| >= 7", 9),
+    ("PATH-6", "isd", None): ("|L| >= 6", 7),
+    ("PATH-7", "spum", 1): ("|L| = 8", 12),
+    ("PATH-7", "spum", 2): ("|L| = 9", 12),
+    ("PATH-7", "ispum", 0): ("|L| = 7", 9),
+    ("PATH-7", "ispum", 2): ("|L| = 9", 9),
+    ("PATH-7", "sd", None): ("|L| >= 8", 11),
+    ("PATH-7", "isd", None): ("|L| >= 7", 9),
+    ("CYCLE-3", "spum", 1): ("|L| = 4", 6),
+    ("CYCLE-3", "spum", 2): ("|L| = 5", 6),
+    ("CYCLE-3", "ispum", 0): ("|L| = 3", 2),
+    ("CYCLE-3", "ispum", 2): ("|L| = 5", 4),
+    ("CYCLE-3", "sd", None): ("|L| >= 4", 6),
+    ("CYCLE-3", "isd", None): ("|L| >= 3", 2),
+    ("CYCLE-5", "spum", 1): ("|L| = 6", 8),
+    ("CYCLE-5", "spum", 2): ("|L| = 7", 8),
+    ("CYCLE-5", "ispum", 0): ("|L| = 5", 5),
+    ("CYCLE-5", "ispum", 2): ("|L| = 7", 6),
+    ("CYCLE-5", "sd", None): ("|L| >= 6", 8),
+    ("CYCLE-5", "isd", None): ("|L| >= 5", 5),
+    ("COMPLETE-2", "spum", 1): ("|L| = 3", 2),
+    ("COMPLETE-2", "spum", 2): ("|L| = 4", 3),
+    ("COMPLETE-2", "ispum", 0): ("|L| = 2", 1),
+    ("COMPLETE-2", "ispum", 2): ("|L| = 4", 3),
+    ("COMPLETE-2", "sd", None): ("|L| >= 3", 2),
+    ("COMPLETE-2", "isd", None): ("|L| >= 2", 1),
+    ("COMPLETE-3", "spum", 1): ("|L| = 4", 6),
+    ("COMPLETE-3", "spum", 2): ("|L| = 5", 6),
+    ("COMPLETE-3", "ispum", 0): ("|L| = 3", 2),
+    ("COMPLETE-3", "ispum", 2): ("|L| = 5", 4),
+    ("COMPLETE-3", "sd", None): ("|L| >= 4", 6),
+    ("COMPLETE-3", "isd", None): ("|L| >= 3", 2),
+    ("COMPLETE-4", "spum", 1): ("|L| = 5", 10),
+    ("COMPLETE-4", "spum", 2): ("|L| = 6", 10),
+    ("COMPLETE-4", "ispum", 0): ("|L| = 4", 10),
+    ("COMPLETE-4", "ispum", 2): ("|L| = 6", 10),
+    ("COMPLETE-4", "sd", None): ("|L| >= 5", 10),
+    ("COMPLETE-4", "isd", None): ("|L| >= 4", 10),
+    ("MATCHING-2", "spum", 1): ("|L| = 5", 6),
+    ("MATCHING-2", "spum", 2): ("|L| = 6", 6),
+    ("MATCHING-2", "ispum", 0): ("|L| = 4", 4),
+    ("MATCHING-2", "ispum", 2): ("|L| = 6", 5),
+    ("MATCHING-2", "sd", None): ("|L| >= 5", 6),
+    ("MATCHING-2", "isd", None): ("|L| >= 4", 4),
+    ("MATCHING-3", "spum", 1): ("|L| = 7", 10),
+    ("MATCHING-3", "spum", 2): ("|L| = 8", 10),
+    ("MATCHING-3", "ispum", 0): ("|L| = 6", 9),
+    ("MATCHING-3", "ispum", 2): ("|L| = 8", 9),
+    ("MATCHING-3", "sd", None): ("|L| >= 7", 10),
+    ("MATCHING-3", "isd", None): ("|L| >= 6", 8),
+    ("STAR-4", "spum", 1): ("|L| = 6", 5),
+    ("STAR-4", "spum", 2): ("|L| = 7", 6),
+    ("STAR-4", "ispum", 0): ("|L| = 5", 4),
+    ("STAR-4", "ispum", 2): ("|L| = 7", 6),
+    ("STAR-4", "sd", None): ("|L| >= 6", 5),
+    ("STAR-4", "isd", None): ("|L| >= 5", 4),
+    ("COMPLETE_BIPARTITE_BALANCED-3", "spum", 1): ("|L| = 7", 10),
+    ("COMPLETE_BIPARTITE_BALANCED-3", "spum", 2): ("|L| = 8", 10),
+    ("COMPLETE_BIPARTITE_BALANCED-3", "ispum", 0): ("|L| = 6", 6),
+    ("COMPLETE_BIPARTITE_BALANCED-3", "ispum", 2): ("|L| = 8", 7),
+    ("COMPLETE_BIPARTITE_BALANCED-3", "sd", None): ("|L| >= 7", 10),
+    ("COMPLETE_BIPARTITE_BALANCED-3", "isd", None): ("|L| >= 6", 6),
+    ("paw", "spum", 1): ("|L| = 5", 4),
+    ("paw", "spum", 2): ("|L| = 6", 5),
+    ("paw", "ispum", 0): ("|L| = 4", 3),
+    ("paw", "ispum", 2): ("|L| = 6", 5),
+    ("paw", "sd", None): ("|L| >= 5", 4),
+    ("paw", "isd", None): ("|L| >= 4", 3),
+    ("diamond", "spum", 1): ("|L| = 5", 5),
+    ("diamond", "spum", 2): ("|L| = 6", 5),
+    ("diamond", "ispum", 0): ("|L| = 4", 3),
+    ("diamond", "ispum", 2): ("|L| = 6", 5),
+    ("diamond", "sd", None): ("|L| >= 5", 5),
+    ("diamond", "isd", None): ("|L| >= 4", 3),
+}
+
+
+class TestStartingRange:
+    """Each search's window_bound_used at max_range=0, where the ascent is
+    empty: pins the label-count rule, the window span and the floor."""
+
+    @pytest.mark.parametrize(
+        ("name", "invariant", "count"),
+        list(START_PINS),
+        ids=[f"{n}-{i}{'' if c is None else c}" for n, i, c in START_PINS],
+    )
+    def test_window_bound_pinned(self, name, invariant, count):
+        g = START_GRAPHS[name]
+        run = getattr(search, f"search_{invariant}")
+        cert = run(g, max_range=0) if count is None else run(g, count, max_range=0)
+        sizes, start = START_PINS[name, invariant, count]
+        span = (
+            f"min L in [{g.n}-1-2x, x-{g.n}+1] over negative/mixed/positive blocks"
+            if invariant in ("ispum", "isd")
+            else f"min L in [1, x-{g.n}+1]"
+        )
+        assert cert.window_bound_used == f"{sizes}; {span}; range ascent from x={start}"
+        assert (cert.value, cert.candidates_examined) == (None, 0)
+
+
 class TestTables:
     def test_spum_paths_prefix(self):
         rows = reproduce_table("spum-paths", 5)
@@ -529,6 +658,31 @@ class TestKernel:
             elif hit is not None:
                 seen["negative" if lo + x < 0 else "crosses 0"] += 1
         assert min(seen.values()) > 0, seen
+
+
+class TestSpumCycles:
+    """spum(C_n) past C_8, searched from the sd floor 2n-2 up to the stated
+    2n-1; witness and node count pin the search tree."""
+
+    @pytest.mark.parametrize(
+        ("n", "labels", "nodes"),
+        [
+            (9, (6, 7, 8, 9, 10, 11, 12, 13, 14, 21, 23), 72_664),
+            (10, (8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25, 27), 249_683),
+            (11, (8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 27, 29), 596_735),
+            pytest.param(
+                12,
+                (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 31, 33),
+                1_875_014,
+                marks=pytest.mark.slow,
+            ),
+        ],
+    )
+    def test_spum_cycle(self, n, labels, nodes):
+        cert = search_spum(family(FamilyKind.CYCLE, n), 2)
+        assert cert.value == 2 * n - 1
+        assert cert.witness.labels == labels
+        assert cert.candidates_examined == nodes
 
 
 @pytest.mark.slow
