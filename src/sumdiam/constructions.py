@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# find_isomorphism is not called here; it stays bound because
+# perfbench/tracing.py wraps constructions.find_isomorphism
 from .core import (
     Domain,
-    InducedResult,
     Labeling,
     SimpleGraph,
     find_isomorphism,
@@ -51,11 +52,7 @@ class ConstructionError(RuntimeError):
     """A construction's self-verification failed (indicates an internal bug)."""
 
 
-def _report(
-    lab: Labeling, target: SimpleGraph, claimed: int, valid: bool
-) -> ConstructionReport:
-    if not valid:
-        raise ConstructionError("construction output failed re-induction check")
+def _report(lab: Labeling, target: SimpleGraph, claimed: int) -> ConstructionReport:
     achieved = label_range(lab)
     if achieved > claimed:
         raise ConstructionError("construction exceeded its claimed range bound")
@@ -73,30 +70,30 @@ def _family_report(
 ) -> ConstructionReport:
     """Report on a closed-form family labeling, checked by the family recognizers."""
     target = generate(FamilySpec(kind, n))
-    valid = is_valid_labeling(lab, target, exact_isolates=isolates)
-    return _report(lab, target, claimed, valid)
+    if not is_valid_labeling(lab, target, exact_isolates=isolates):
+        raise ConstructionError("construction output failed re-induction check")
+    return _report(lab, target, claimed)
 
 
-def _label_pairs(result: InducedResult) -> set[tuple[int, int]]:
-    """Induced edges as ascending label pairs."""
-    labels = result.label_of
-    return {(labels[i], labels[j]) for i, j in result.graph.edges}
+def _relabeled(target: SimpleGraph, vertex_label, isolates) -> Labeling:
+    """Labels vertex_label[i] on target vertex i plus the isolates, checked.
 
-
-def _induces_exactly(lab: Labeling, target: SimpleGraph, pairs) -> bool:
-    """Does lab induce exactly the edges `pairs`, given as label pairs?
-
-    `pairs` is the image of target's edges under a vertex->label map.  One
-    distinct label per non-isolated target vertex makes that map injective,
-    so equal edge sets prove that lab induces target; every other label is
-    an isolate.  No isomorphism search is involved, so there is no size cap.
+    Distinct vertex labels and an induced edge set equal to the image of
+    target's edges prove that the labeling induces target, with every other
+    label isolated.  No isomorphism search is involved, so there is no size
+    cap.
     """
-    expected = {(a, b) if a < b else (b, a) for a, b in pairs}
-    touched = {a for pair in expected for a in pair}
-    return (
-        len(touched) == target.n - len(target.isolated_vertices())
-        and _label_pairs(induce(lab)) == expected
-    )
+    lab = labeling(sorted(set(vertex_label) | isolates), Domain.POSITIVE)
+    result = induce(lab)
+    labels = result.label_of
+    induced = {(labels[i], labels[j]) for i, j in result.graph.edges}
+    expected = {
+        (a, b) if a < b else (b, a)
+        for a, b in ((vertex_label[i], vertex_label[j]) for i, j in target.edges)
+    }
+    if len(set(vertex_label)) != target.n or induced != expected:
+        raise ConstructionError("construction output failed re-induction check")
+    return lab
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +289,12 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
     if g.isolated_vertices():
         raise ValueError("target must be isolate-free")
     s = sidon_set(g.n).elements
-    vertex_labels = {v: 4 * s[v] + 1 for v in range(g.n)}
+    vertex_label = [4 * s[v] + 1 for v in range(g.n)]
     edge_labels = {4 * s[u] + 4 * s[v] + 2 for u, v in g.edges}
-    labels = sorted(set(vertex_labels.values()) | edge_labels)
-    if len(labels) != g.n + len(g.edges):
+    if len(set(vertex_label) | edge_labels) != g.n + len(g.edges):
         raise ConstructionError("label collision in Sidon construction")
-    lab = labeling(labels, Domain.POSITIVE)
-    pairs = {(vertex_labels[u], vertex_labels[v]) for u, v in g.edges}
     claimed = 64 * g.n * g.n - 64 * g.n + 9
-    achieved = label_range(lab)
-    if not _induces_exactly(lab, g, pairs):
-        raise ConstructionError("Sidon construction failed re-induction check")
-    if achieved > claimed:
-        raise ConstructionError("Sidon construction exceeded its claimed bound")
-    return ConstructionReport(lab, g, claimed, achieved, True)
+    return _report(_relabeled(g, vertex_label, edge_labels), g, claimed)
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +302,19 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def _induce_input(lab: Labeling, g: SimpleGraph) -> InducedResult:
-    """Validate a caller's positive labeling of g and return its induction."""
+def _input_labels(lab: Labeling, g: SimpleGraph) -> tuple[int, ...]:
+    """Validate a caller's positive labeling of g; the label of each vertex."""
     if lab.labels[0] < 1:
         raise ValueError("combinators require positive-domain labelings")
-    result = induce_if_valid(lab, g)
-    if result is None:
+    vertex_label = induce_if_valid(lab, g)
+    if vertex_label is None:
         raise ValueError("labeling does not induce the stated graph")
-    return result
+    return vertex_label
 
 
-def _split_sets(pairs) -> tuple[set[int], set[int]]:
-    """Core (vertex) labels and pair-sum labels of induced label pairs."""
-    return {a for pair in pairs for a in pair}, {a + b for a, b in pairs}
-
-
-def _translated(pairs, x: int) -> tuple[set[int], set[tuple[int, int]]]:
-    """Labels and label pairs after shifting core labels by x and sums by 2x."""
-    s, t = _split_sets(pairs)
-    labels = {v + x for v in s} | {v + 2 * x for v in t}
-    return labels, {(a + x, b + x) for a, b in pairs}
-
-
-def _vertex_label_map(result: InducedResult, g: SimpleGraph) -> dict[int, int]:
-    """Map each g vertex to its core label under a fixed isomorphism."""
-    phi = find_isomorphism(g, result.core_graph)
-    if phi is None:
-        raise ValueError("labeling does not induce the stated graph")
-    return {v: result.core_label_of[phi[v]] for v in range(g.n)}
+def _sums(vertex_label, g: SimpleGraph) -> set[int]:
+    """The labels summed over g's edges: the pair-sum labels of the input."""
+    return {vertex_label[u] + vertex_label[v] for u, v in g.edges}
 
 
 def translate(lab: Labeling, g: SimpleGraph, x: int) -> Labeling:
@@ -349,15 +323,13 @@ def translate(lab: Labeling, g: SimpleGraph, x: int) -> Labeling:
     Requires x >= range - 1 - min(label); the image induces g again with the
     pair-sum labels as the only isolates.
     """
-    pairs = _label_pairs(_induce_input(lab, g))
+    vertex_label = _input_labels(lab, g)
     threshold = label_range(lab) - 1 - lab.labels[0]
     if x < threshold:
         raise ValueError(f"translation needs x >= {threshold}")
-    labels, pairs = _translated(pairs, x)
-    moved = labeling(sorted(labels), Domain.POSITIVE)
-    if not _induces_exactly(moved, g, pairs):
-        raise ConstructionError("translated labeling failed re-induction check")
-    return moved
+    return _relabeled(
+        g, [a + x for a in vertex_label], {t + 2 * x for t in _sums(vertex_label, g)}
+    )
 
 
 def disjoint_union_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -370,33 +342,31 @@ def disjoint_union_scaled(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """L1 together with (4*r1-2)*L2; the scale keeps the parts independent."""
-    pairs1 = _label_pairs(_induce_input(lab1, g1))
-    pairs2 = _label_pairs(_induce_input(lab2, g2))
+    vl1, vl2 = _input_labels(lab1, g1), _input_labels(lab2, g2)
     r1, r2 = label_range(lab1), label_range(lab2)
     c = 4 * r1 - 2
-    merged = sorted(set(lab1.labels) | {c * v for v in lab2.labels})
-    lab = labeling(merged, Domain.POSITIVE)
     target = disjoint_union_graph(g1, g2)
-    pairs = pairs1 | {(c * a, c * b) for a, b in pairs2}
+    vertex_label = list(vl1) + [c * a for a in vl2]
+    isolates = set(lab1.labels).difference(vl1)
+    isolates |= {c * v for v in set(lab2.labels).difference(vl2)}
     claimed = 2 * (2 * r1 - 1) * (2 * r2 - 1) - 1
-    return _report(lab, target, claimed, _induces_exactly(lab, target, pairs))
+    return _report(_relabeled(target, vertex_label, isolates), target, claimed)
 
 
 def disjoint_union_translated(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """Both parts translated into disjoint blocks; range <= 11*r1 + r2 + 2."""
-    pairs1 = _label_pairs(_induce_input(lab1, g1))
-    pairs2 = _label_pairs(_induce_input(lab2, g2))
+    vl1, vl2 = _input_labels(lab1, g1), _input_labels(lab2, g2)
     if label_range(lab2) > label_range(lab1):
-        lab1, g1, pairs1, lab2, g2, pairs2 = lab2, g2, pairs2, lab1, g1, pairs1
+        lab1, g1, vl1, lab2, g2, vl2 = lab2, g2, vl2, lab1, g1, vl1
     r1, r2 = label_range(lab1), label_range(lab2)
-    labels1, pairs1 = _translated(pairs1, r1 + 1 - lab1.labels[0])
-    labels2, pairs2 = _translated(pairs2, 6 * r1 + 2 - lab2.labels[0])
-    lab = labeling(sorted(labels1 | labels2), Domain.POSITIVE)
+    x1 = r1 + 1 - lab1.labels[0]
+    x2 = 6 * r1 + 2 - lab2.labels[0]
     target = disjoint_union_graph(g1, g2)
-    valid = _induces_exactly(lab, target, pairs1 | pairs2)
-    return _report(lab, target, 11 * r1 + r2 + 2, valid)
+    vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
+    isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
+    return _report(_relabeled(target, vertex_label, isolates), target, 11 * r1 + r2 + 2)
 
 
 def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
@@ -409,21 +379,20 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     """
     if k < 1:
         raise ValueError("isolate count must be >= 1")
-    pairs = _label_pairs(_induce_input(lab, g))
+    vertex_label = _input_labels(lab, g)
     r = label_range(lab)
     mu = lab.labels[0]
     claimed = max(k, 4 * r) + k - 5
-    s, t = _split_sets(pairs)
-    if len(lab) - len(s) >= k:
-        return _report(lab, g, claimed, True)  # the input, validated above
+    if len(lab) - g.n >= k:
+        return _report(lab, g, claimed)  # the input, validated above
     if k <= 2:
-        lab2 = labeling(sorted(set(lab.labels) | {4 * r - 2}), Domain.POSITIVE)
-        return _report(lab2, g, claimed, _induces_exactly(lab2, g, pairs))
-    m = max(r - 1, k + r - 1 - len(t))
-    labels, pairs = _translated(pairs, m - mu)
-    filler = range(m + r, 2 * m + 1)
-    lab2 = labeling(sorted(labels | set(filler)), Domain.POSITIVE)
-    return _report(lab2, g, claimed, _induces_exactly(lab2, g, pairs))
+        isolates = set(lab.labels).difference(vertex_label) | {4 * r - 2}
+        return _report(_relabeled(g, vertex_label, isolates), g, claimed)
+    sums = _sums(vertex_label, g)
+    m = max(r - 1, k + r - 1 - len(sums))
+    x = m - mu
+    isolates = {t + 2 * x for t in sums} | set(range(m + r, 2 * m + 1))
+    return _report(_relabeled(g, [a + x for a in vertex_label], isolates), g, claimed)
 
 
 def add_vertex(
@@ -438,24 +407,16 @@ def add_vertex(
     neighbors = sorted(set(neighbors))
     if any(not 0 <= u < g.n for u in neighbors):
         raise ValueError("neighbor ids must be vertices of the graph")
-    result = _induce_input(lab, g)
+    vertex_label = _input_labels(lab, g)
     r = label_range(lab)
     x = r - lab.labels[0]
-    labels, pairs = _translated(_label_pairs(result), x)
     b = 2 * r + 1
-    merged = {2 * v for v in labels} | {b}
-    pairs = {(2 * p, 2 * q) for p, q in pairs}
+    doubled = [2 * (a + x) for a in vertex_label] + [b]
+    # the new odd edge labels are isolated: nothing sums onto them
+    isolates = {2 * (t + 2 * x) for t in _sums(vertex_label, g)}
+    isolates |= {b + doubled[u] for u in neighbors}
     target = graph(g.n + 1, set(g.edges) | {(u, g.n) for u in neighbors})
-    if neighbors:
-        # new edges need vertex identity (a capped isomorphism); the expected
-        # pairs are then the target's edges through that vertex->label map
-        label_of_vertex = _vertex_label_map(result, g)
-        doubled = [2 * (label_of_vertex[v] + x) for v in range(g.n)] + [b]
-        # the new odd edge labels are isolated: nothing sums onto them
-        merged |= {b + doubled[u] for u in neighbors}
-        pairs = {(doubled[u], doubled[v]) for u, v in target.edges}
-    lab2 = labeling(sorted(merged), Domain.POSITIVE)
-    return _report(lab2, target, 4 * r - 1, _induces_exactly(lab2, target, pairs))
+    return _report(_relabeled(target, doubled, isolates), target, 4 * r - 1)
 
 
 def join_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -469,20 +430,19 @@ def join(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """Join labeling: two translated blocks plus a full interval of cross sums."""
-    pairs1 = _label_pairs(_induce_input(lab1, g1))
-    pairs2 = _label_pairs(_induce_input(lab2, g2))
+    vl1, vl2 = _input_labels(lab1, g1), _input_labels(lab2, g2)
     if label_range(lab1) > label_range(lab2):
-        lab1, g1, pairs1, lab2, g2, pairs2 = lab2, g2, pairs2, lab1, g1, pairs1
+        lab1, g1, vl1, lab2, g2, vl2 = lab2, g2, vl2, lab1, g1, vl1
     r1, r2 = label_range(lab1), label_range(lab2)
-    labels1, pairs1 = _translated(pairs1, r1 + r2 - lab1.labels[0])
-    labels2, pairs2 = _translated(pairs2, 6 * r1 + 4 * r2 - 2 - lab2.labels[0])
-    cross = range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3)
-    lab = labeling(sorted(labels1 | labels2 | set(cross)), Domain.POSITIVE)
+    x1 = r1 + r2 - lab1.labels[0]
+    x2 = 6 * r1 + 4 * r2 - 2 - lab2.labels[0]
     target = join_graph(g1, g2)
-    s1, s2 = _split_sets(pairs1)[0], _split_sets(pairs2)[0]
-    pairs = pairs1 | pairs2 | {(a, b) for a in s1 for b in s2}
-    valid = _induces_exactly(lab, target, pairs)
-    return _report(lab, target, 11 * r1 + 8 * r2 - 5, valid)
+    vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
+    isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
+    isolates |= set(range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3))
+    return _report(
+        _relabeled(target, vertex_label, isolates), target, 11 * r1 + 8 * r2 - 5
+    )
 
 
 MODIFY_OPERATIONS = (
@@ -492,15 +452,6 @@ MODIFY_OPERATIONS = (
     "contract-edge",
     "add-edge",
 )
-
-
-def _relabeled(
-    target: SimpleGraph, vertex_label: list[int], isolates: set[int], claimed: int
-) -> ConstructionReport:
-    """Report on target vertex i labeled vertex_label[i], plus the isolates."""
-    lab = labeling(sorted(set(vertex_label) | isolates), Domain.POSITIVE)
-    pairs = {(vertex_label[i], vertex_label[j]) for i, j in target.edges}
-    return _report(lab, target, claimed, _induces_exactly(lab, target, pairs))
 
 
 def _checked_target(n: int, edges) -> SimpleGraph:
@@ -522,8 +473,8 @@ def modify(
     """Derive a labeling for g after a small edit; see MODIFY_OPERATIONS."""
     if operation not in MODIFY_OPERATIONS:
         raise ValueError(f"unknown modify operation {operation!r}")
-    result = _induce_input(lab, g)
-    _, sums = _split_sets(_label_pairs(result))
+    vertex_label = _input_labels(lab, g)
+    sums = _sums(vertex_label, g)
     r = label_range(lab)
     adjacency = g.adjacency()
 
@@ -544,10 +495,10 @@ def modify(
         ]
         target = _checked_target(len(keep), kept_edges)
         # the minimal translation making vertex and sum labels disjoint blocks
-        label_of_vertex = _vertex_label_map(result, g)
         x = r - 1 - lab.labels[0]
-        vertex_label = [label_of_vertex[v] + x for v in keep]
-        return _relabeled(target, vertex_label, {t + 2 * x for t in sums}, 2 * r - 2)
+        kept = [vertex_label[v] + x for v in keep]
+        lab2 = _relabeled(target, kept, {t + 2 * x for t in sums})
+        return _report(lab2, target, 2 * r - 2)
 
     if edge is None or len(edge) != 2:
         raise ValueError(f"{operation} needs an edge as two vertex ids")
@@ -587,9 +538,9 @@ def modify(
     } | {(remap[w], new_id) for w in new_neighbors}
     target = _checked_target(len(rest) + 1, target_edges)
 
-    label_of_vertex = _vertex_label_map(result, g)
     x = r - lab.labels[0]
     b = 2 * r + 1
-    doubled = {w: 2 * (label_of_vertex[w] + x) for w in range(g.n)}
+    doubled = [2 * (a + x) for a in vertex_label]
     isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in new_neighbors}
-    return _relabeled(target, [doubled[w] for w in rest] + [b], isolates, 4 * r - 1)
+    lab2 = _relabeled(target, [doubled[w] for w in rest] + [b], isolates)
+    return _report(lab2, target, 4 * r - 1)

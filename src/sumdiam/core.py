@@ -320,14 +320,52 @@ def _joint_colors(
     return tuple(colors[: g.n]), tuple(colors[g.n :])
 
 
+def _bfs_order(g: SimpleGraph) -> list[int]:
+    """Breadth-first order, each component started at its lowest (degree, id)."""
+    adj = g.adjacency()
+    deg = g.degrees()
+    seen = [False] * g.n
+    order: list[int] = []
+    for root in sorted(range(g.n), key=lambda v: (deg[v], v)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for w in sorted(adj[order[head]]):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    return order
+
+
 def find_isomorphism(
     g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT
 ) -> dict[int, int] | None:
-    """Vertex map g -> h witnessing isomorphism, or None; errors above cap."""
+    """Vertex map g -> h witnessing isomorphism, or None.
+
+    Recognized families are matched at any size: two members of one family
+    pair up along their breadth-first orders, and that map is returned once
+    it carries every edge onto an edge. Other graphs go to a backtracking
+    search that refuses more than cap vertices.
+    """
     if g.n != h.n or len(g.edges) != len(h.edges):
         return None
     if sorted(g.degrees()) != sorted(h.degrees()):
         return None
+    gid = identify_structure(g)
+    hid = identify_structure(h)
+    if gid != hid:
+        return None
+    if gid is not None:
+        paired = dict(zip(_bfs_order(g), _bfs_order(h)))
+        if all(
+            (paired[u], paired[v]) in h.edges or (paired[v], paired[u]) in h.edges
+            for u, v in g.edges
+        ):
+            return paired
     if g.n > cap:
         raise ValueError(f"explicit isomorphism search capped at {cap} vertices")
     gc, hc = _joint_colors(g, h)
@@ -370,15 +408,7 @@ def find_isomorphism(
 
 
 def isomorphic(g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT) -> bool:
-    """Isomorphism test with a family fast path and capped backtracking."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    gid = identify_structure(g)
-    hid = identify_structure(h)
-    if gid is not None or hid is not None:
-        return gid == hid
+    """Is g isomorphic to h? See find_isomorphism for the cap."""
     return find_isomorphism(g, h, cap=cap) is not None
 
 
@@ -389,8 +419,8 @@ def isomorphic(g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT) -> bo
 
 def induce_if_valid(
     lab: Labeling, g: SimpleGraph, exact_isolates: int | None = None
-) -> InducedResult | None:
-    """The induction of lab if it induces g with the isolate count, else None."""
+) -> tuple[int, ...] | None:
+    """The label of each vertex of g if lab induces g with the isolate count."""
     if g.n == 0:
         raise ValueError("target graph must have at least one vertex")
     if g.isolated_vertices():
@@ -398,9 +428,12 @@ def induce_if_valid(
     result = induce(lab)
     if exact_isolates is not None and result.isolate_count != exact_isolates:
         return None
-    if result.core_graph.n != g.n or not isomorphic(result.core_graph, g):
+    if result.core_graph.n != g.n:
         return None
-    return result
+    mapping = find_isomorphism(g, result.core_graph)
+    if mapping is None:
+        return None
+    return tuple(result.core_label_of[mapping[v]] for v in range(g.n))
 
 
 def is_valid_labeling(
@@ -440,10 +473,10 @@ class OptimalityReport:
 
 def optimality_witness_check(lab: Labeling, g: SimpleGraph) -> OptimalityReport:
     """Check necessary optimality structure; lab must validly induce g."""
-    result = induce_if_valid(lab, g)
-    if result is None:
+    vertex_label = induce_if_valid(lab, g)
+    if vertex_label is None:
         raise ValueError("labeling does not induce the target graph")
-    core = set(result.core_label_of)
+    core = set(vertex_label)
     min_is_vertex = lab.labels[0] in core
     equality = label_range(lab) == sd_lower_bound(g)
     interval: bool | None = None

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -258,18 +258,16 @@ def _window_lows(n: int, x: int, integral: bool, exact_isolates: int | None):
     must stay within max = min+x. Integral searches add mixed windows and,
     unless the isolate count is pinned to zero, the all-negative mirror block
     (a positive labeling always isolates its maximum, so zero-isolate
-    solutions are mixed-sign only).
+    solutions are mixed-sign only). The minima are produced lazily, so a
+    range of any size costs nothing until its windows run.
     """
     top = x - n + 1
     if not integral:
-        return list(range(1, top + 1))
-    lows = []
-    if exact_isolates != 0:
-        lows.extend(range(n - 1 - 2 * x, -x))
-    lows.extend(range(-x, min(0, top) + 1))
-    if exact_isolates != 0:
-        lows.extend(range(1, top + 1))
-    return lows
+        return range(1, top + 1)
+    mixed = range(-x, min(0, top) + 1)
+    if exact_isolates == 0:
+        return mixed
+    return itertools.chain(range(n - 1 - 2 * x, -x), mixed, range(1, top + 1))
 
 
 # each invariant is at least the one it maps to: spum >= sd >= isd, ispum >= isd
@@ -318,7 +316,7 @@ def _require_searchable(g: SimpleGraph) -> None:
 
 def ascend(
     xs: Iterable[int],
-    lows: Callable[[int], Sequence[int]],
+    lows: Callable[[int], Iterable[int]],
     window: Callable[..., tuple[tuple[int, ...] | None, int, bool]],
     *,
     jobs: int,
@@ -328,7 +326,7 @@ def ascend(
 ) -> SearchCertificate:
     """Certificate for the first range x in xs at which a label window hits.
 
-    lows(x) lists the window minima of range x in search order, and
+    lows(x) yields the window minima of range x in search order, and
     window(lo, hi, node_cap=cap) searches [lo, hi] within cap + 1 nodes,
     returning (labels or None, nodes visited, aborted). Each window is capped
     at the budget still left when it starts, so an exhausted search visits at
@@ -340,11 +338,11 @@ def ascend(
         raise ValueError("jobs must be at least 1")
     examined = 0
     for x in xs:
-        row = lows(x)
-        for start in range(0, len(row), jobs):
+        row = iter(lows(x))
+        while batch := list(itertools.islice(row, jobs)):
             results = []
             spent = examined
-            for lo in row[start : start + jobs]:
+            for lo in batch:
                 if spent > budget:  # an aborted window ends its batch
                     break
                 hit, nodes, _aborted = window(lo, lo + x, node_cap=budget - spent)
@@ -402,6 +400,15 @@ def _search(
         sizes = f"|L| = {exact_size}"
     degree_bound = isd_lower_bound(g) if integral else sd_lower_bound(g)
     floor = max(min_size - 1, degree_bound, _theorem_floor(g, invariant), 1)
+    if isolates is not None and isolates > budget and (
+        max_range is None or max_range >= floor
+    ):
+        # range floor has at least `isolates` windows, each visits a node and
+        # a hit visits more than exact_size, so the ascent ends right here
+        raise BudgetExceededError(
+            f"budget of {budget} candidates exhausted at range {floor}",
+            candidates_examined=budget,
+        )
     span = (
         f"min L in [{g.n}-1-2x, x-{g.n}+1] over negative/mixed/positive blocks"
         if integral

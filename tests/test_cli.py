@@ -176,6 +176,16 @@ class TestSearch:
         )
         assert "budget of 100" in err
 
+    @pytest.mark.parametrize(
+        "invariant, flag", [("spum", "--sigma"), ("ispum", "--zeta")]
+    )
+    def test_huge_isolate_count_exits_three(self, capsys, invariant, flag):
+        _, err = run(
+            capsys, "search", "--invariant", invariant, "--target", "cycle:3",
+            flag, str(10**20), expect=3,
+        )
+        assert err.startswith("error: budget of ")
+
     def test_bad_budget_env_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMDIAM_BUDGET", "zero")
         run(capsys, "search", "--invariant", "spum", "--target", "path:3", expect=2)

@@ -676,6 +676,70 @@ class TestHelperGraphs:
 
 P30 = generate(FamilySpec(FamilyKind.PATH, 30))
 M15 = generate(FamilySpec(FamilyKind.MATCHING, 15))
+C40 = generate(FamilySpec(FamilyKind.CYCLE, 40))
+
+
+def edited_graph(g, operation, vertex=None, vertices=None, edge=None):
+    """The graph an edit should give, built straight from its definition."""
+    if operation in ("delete-vertex", "induced-subgraph"):
+        keep = sorted(vertices) if vertices else [v for v in range(g.n) if v != vertex]
+        index = {v: i for i, v in enumerate(keep)}
+        return graph(
+            len(keep),
+            [(index[a], index[b]) for a, b in g.edges if a in index and b in index],
+        )
+    u, v = sorted(edge)
+    if operation == "add-edge":
+        return graph(g.n, set(g.edges) | {(u, v)})
+    if operation == "delete-edge":
+        return graph(g.n, set(g.edges) - {(u, v)})
+    # contract-edge: v merges into u
+    index = {w: i for i, w in enumerate(w for w in range(g.n) if w != v)}
+    return graph(
+        len(index),
+        {
+            tuple(sorted((index[u if a == v else a], index[u if b == v else b])))
+            for a, b in g.edges
+            if (a, b) != (u, v)
+        },
+    )
+
+
+# (operation, arguments) per input: every modify operation, and a pendant
+# and a three-neighbor add-vertex
+CAP_EDITS = {
+    "P30": [
+        ("delete-vertex", {"vertex": 5}),
+        ("induced-subgraph", {"vertices": list(range(3, 23))}),
+        ("delete-edge", {"edge": (10, 11)}),
+        ("contract-edge", {"edge": (10, 11)}),
+        ("add-edge", {"edge": (0, 29)}),
+    ],
+    "C40": [
+        ("delete-vertex", {"vertex": 0}),
+        ("induced-subgraph", {"vertices": list(range(10, 35))}),
+        ("delete-edge", {"edge": (0, 39)}),
+        ("contract-edge", {"edge": (7, 8)}),
+        ("add-edge", {"edge": (0, 20)}),
+    ],
+}
+CAP_NEIGHBORS = {"P30": [[0], [0, 5, 29]], "C40": [[17], [0, 13, 39]]}
+
+
+def cap_input(name):
+    if name == "P30":
+        return sd_path(30).labeling, P30
+    return sd_general(C40).labeling, C40
+
+
+def assert_oracle_graph(labels, target):
+    """Edge count, sorted degrees and isolates of labels match target."""
+    edges, isolated = naive_induce(labels)
+    degrees, core, isolates, _ = oracle_core(labels)
+    assert len(edges) == len(target.edges)
+    assert degrees == sorted(d for d in target.degrees() if d)
+    assert core == target.n - len(target.isolated_vertices())
+    assert isolates == len(isolated) == len(labels) - core
 
 
 class TestAboveIsomorphismCap:
@@ -700,8 +764,33 @@ class TestAboveIsomorphismCap:
         assert degrees == sorted(target.degrees())
         assert core == 60 and isolates == len(labels) - 60
 
+    @pytest.mark.parametrize(
+        "name, operation, edit",
+        [(name, op, edit) for name, edits in CAP_EDITS.items() for op, edit in edits],
+        ids=[f"{name}-{op}" for name, edits in CAP_EDITS.items() for op, _ in edits],
+    )
+    def test_modify_above_cap(self, name, operation, edit):
+        lab, g = cap_input(name)
+        report = modify(lab, g, operation, **edit)
+        target = edited_graph(g, operation, **edit)
+        assert report.valid and report.achieved_range <= report.claimed_range_bound
+        assert report.target.n == target.n
+        assert sorted(report.target.degrees()) == sorted(target.degrees())
+        assert_oracle_graph(report.labeling.labels, target)
+
+    @pytest.mark.parametrize(
+        "name, neighbors",
+        [(name, nbrs) for name, options in CAP_NEIGHBORS.items() for nbrs in options],
+    )
+    def test_add_vertex_above_cap(self, name, neighbors):
+        lab, g = cap_input(name)
+        report = add_vertex(lab, g, neighbors)
+        target = graph(g.n + 1, set(g.edges) | {(u, g.n) for u in neighbors})
+        assert report.valid and report.achieved_range <= report.claimed_range_bound
+        assert report.target == target
+        assert_oracle_graph(report.labeling.labels, target)
+
     def test_unary_combinators_on_p30(self):
-        # a family input needs no vertex map, so these stay uncapped
         lab = sd_path(30).labeling
         assert_oracle_path(translate(lab, P30, label_range(lab)).labels, 30)
         for k in (1, 2, 3, 7):

@@ -1,6 +1,8 @@
 """Core module tests: induction, validity, isomorphism, bounds, serialization."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from sumdiam.core import (
     sd_lower_bound,
     structure_matches,
 )
+from sumdiam.families import FamilyKind, FamilySpec, generate
 
 
 def path_graph(n):
@@ -240,6 +243,24 @@ small_graphs = st.integers(min_value=2, max_value=6).flatmap(
 )
 
 
+# every member of every family on at most 30 vertices
+FAMILY_MEMBERS = [
+    FamilySpec(kind, n)
+    for kind in FamilyKind
+    for n in range(3 if kind is FamilyKind.CYCLE else 1, 31)
+    if generate(FamilySpec(kind, n)).n <= 30
+]
+
+
+def carries_edges(mapping, g, h):
+    """Is mapping a bijection of vertices that carries every g edge onto an h edge?"""
+    if mapping is None or sorted(mapping) != list(range(g.n)):
+        return False
+    if sorted(mapping.values()) != list(range(h.n)):
+        return False
+    return {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges} == h.edges
+
+
 class TestIsomorphism:
     def test_path_relabelings(self):
         g = path_graph(4)
@@ -273,6 +294,42 @@ class TestIsomorphism:
         h = graph(n, [((i * 3) % n, ((i + 1) * 3) % n) for i in range(n)])
         assert isomorphic(g, h)
         assert not isomorphic(g, path_graph(n))
+        assert carries_edges(find_isomorphism(g, h), g, h)
+        two_halves = graph(n, [(i, (i + 1) % 5000) for i in range(5000)]
+                           + [(5000 + i, 5000 + (i + 1) % 5000) for i in range(5000)])
+        assert find_isomorphism(g, two_halves) is None
+
+    @pytest.mark.parametrize("spec", FAMILY_MEMBERS, ids=FamilySpec.text)
+    def test_family_members_map_without_backtracking(self, spec):
+        # cap=0 refuses the backtracking search, so the map comes from the
+        # family fast path
+        g = generate(spec)
+        rng = random.Random(f"{spec.kind.value}:{spec.n}")
+        for _ in range(3):
+            perm = rng.sample(range(g.n), g.n)
+            h = graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert carries_edges(find_isomorphism(g, h, cap=0), g, h)
+            assert carries_edges(find_isomorphism(h, g, cap=0), h, g)
+
+    def test_different_families_have_no_map(self):
+        # members that identify differently are not isomorphic (P3 is also
+        # the star on two leaves, and identifies as the path)
+        by_size = {}
+        for spec in FAMILY_MEMBERS:
+            by_size.setdefault(generate(spec).n, []).append(generate(spec))
+        for members in by_size.values():
+            for g in members:
+                for h in members:
+                    if identify_structure(g) != identify_structure(h):
+                        assert find_isomorphism(g, h, cap=0) is None
+        # same size, edge count and degrees as a family member, but no member
+        two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        prism = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                          (0, 3), (1, 4), (2, 5)])
+        k33 = generate(FamilySpec(FamilyKind.COMPLETE_BIPARTITE_BALANCED, 3))
+        assert find_isomorphism(cycle_graph(6), two_triangles, cap=0) is None
+        assert find_isomorphism(two_triangles, cycle_graph(6), cap=0) is None
+        assert find_isomorphism(k33, prism, cap=0) is None
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs, st.randoms(use_true_random=False))
@@ -325,9 +382,10 @@ class TestValidity:
         )
 
     def test_induce_if_valid_hands_back_the_induction(self):
+        # the path 0-1-2 is induced with 1 in the middle (2+1 and 1+3 are labels)
         lab = labeling([1, 2, 3, 4])
-        assert induce_if_valid(lab, path_graph(3), exact_isolates=1) == induce(lab)
-        assert induce_if_valid(lab, path_graph(3)) == induce(lab)
+        assert induce_if_valid(lab, path_graph(3), exact_isolates=1) == (2, 1, 3)
+        assert induce_if_valid(lab, path_graph(3)) == (2, 1, 3)
         assert induce_if_valid(lab, path_graph(3), exact_isolates=2) is None
         assert induce_if_valid(lab, matching_graph(2)) is None
 

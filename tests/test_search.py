@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import random
 import threading
-from itertools import combinations
+import sys
+from itertools import combinations, islice
 
 import pytest
 
@@ -38,6 +39,8 @@ P4 = family(FamilyKind.PATH, 4)
 K3 = family(FamilyKind.COMPLETE, 3)
 K4 = family(FamilyKind.COMPLETE, 4)
 C4 = family(FamilyKind.CYCLE, 4)
+# a range whose window count does not fit in a machine-sized integer
+X_HUGE = sys.maxsize + 10
 M2 = family(FamilyKind.MATCHING, 2)
 STAR4 = graph(4, [(0, 1), (0, 2), (0, 3)])
 PAW = graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -291,6 +294,29 @@ class TestDeterminism:
         with pytest.raises(BudgetExceededError):
             search_spum(family(FamilyKind.PATH, 9), 1, budget=budget, jobs=jobs)
         assert sum(visited) <= budget + 1
+
+    @pytest.mark.parametrize("runner", [search_spum, search_ispum])
+    def test_isolate_count_above_budget_ends_at_the_first_range(self, runner):
+        # the first range of C3 with 51 isolates is 53 and holds at least 51
+        # windows, so a budget of 50 runs out there
+        with pytest.raises(BudgetExceededError) as exc:
+            runner(K3, 51, budget=50)
+        assert str(exc.value) == "budget of 50 candidates exhausted at range 53"
+        assert exc.value.candidates_examined == 50
+
+    def test_isolate_count_above_budget_with_empty_ascent(self):
+        cert = search_spum(K3, 51, budget=50, max_range=52)
+        assert cert.value is None and cert.candidates_examined == 0
+
+    @pytest.mark.parametrize(
+        "integral, isolates, first",
+        [(False, 1, [1, 2, 3]), (True, 1, [2 - 2 * X_HUGE, 3 - 2 * X_HUGE]),
+         (True, 0, [-X_HUGE, 1 - X_HUGE])],
+        ids=["positive", "integral", "integral-no-isolates"],
+    )
+    def test_window_lows_are_lazy(self, integral, isolates, first):
+        lows = search._window_lows(3, X_HUGE, integral, isolates)
+        assert list(islice(lows, len(first))) == first
 
 
 class TestCertificateFields:
