@@ -13,6 +13,7 @@ from dataclasses import dataclass
 # find_isomorphism is not called here; it stays bound because
 # perfbench/tracing.py wraps constructions.find_isomorphism
 from .core import (
+    MAX_LABEL,
     Domain,
     Labeling,
     SimpleGraph,
@@ -222,10 +223,17 @@ def bk_set(n: int, k: int) -> SidonSet:
 # ---------------------------------------------------------------------------
 
 
+def _check_label(extreme: int) -> None:
+    """Refuse a closed form whose largest label does not fit, before building it."""
+    if abs(extreme) > MAX_LABEL:
+        raise ValueError(f"label {extreme} exceeds the 64-bit signed range")
+
+
 def spum_path_even(n: int) -> ConstructionReport:
     """Even-path labeling {1,3,...,2n-3} + {2n-4, 2n}: range 2n-1, one isolate."""
     if n < 4 or n % 2:
         raise ValueError("defined for even n >= 4")
+    _check_label(2 * n)
     labels = set(range(1, 2 * n - 2, 2)) | {2 * n - 4, 2 * n}
     lab = labeling(sorted(labels), Domain.POSITIVE)
     return _family_report(lab, FamilyKind.PATH, n, 2 * n - 1, 1)
@@ -235,6 +243,7 @@ def sd_path(n: int) -> ConstructionReport:
     """Path labeling [n-1, 2n-2] + {3n-4, 3n-3}: range 2n-2, two isolates."""
     if n < 3:
         raise ValueError("defined for n >= 3")
+    _check_label(3 * n - 3)
     labels = list(range(n - 1, 2 * n - 1)) + [3 * n - 4, 3 * n - 3]
     lab = labeling(labels, Domain.POSITIVE)
     return _family_report(lab, FamilyKind.PATH, n, 2 * n - 2, 2)
@@ -251,6 +260,7 @@ def ispum_cycle_odd(n: int) -> ConstructionReport:
     if n < 15 or n % 2 == 0:
         raise ValueError("defined for odd n >= 15")
     k = (n - 9) // 2
+    _check_label(-8 * k)
     labels = (
         list(range(-8 * k, -7 * k + 2))
         + list(range(4 * k, 5 * k + 1))
@@ -264,6 +274,7 @@ def spum_matching(p: int) -> ConstructionReport:
     """Matching labeling [2p-1, 4p-2] + {6p-3}: range 4p-2, one isolate."""
     if p < 1:
         raise ValueError("defined for p >= 1")
+    _check_label(6 * p - 3)
     labels = list(range(2 * p - 1, 4 * p - 1)) + [6 * p - 3]
     lab = labeling(labels, Domain.POSITIVE)
     return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 2, 1)
@@ -273,6 +284,7 @@ def ispum_matching(p: int) -> ConstructionReport:
     """Matching labeling {-1,1,3,...,4p-5} + {4p-4}: range 4p-3, no isolates."""
     if p < 3:
         raise ValueError("defined for p >= 3")
+    _check_label(4 * p - 4)
     labels = [-1] + list(range(1, 4 * p - 4, 2)) + [4 * p - 4]
     lab = labeling(labels, Domain.INTEGRAL)
     return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 3, 0)

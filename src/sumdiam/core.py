@@ -134,7 +134,7 @@ def _induce_pairs_small(labels: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _induce_pairs_big(labels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Same as _induce_pairs_small via bitset shifts; O(k^2/64) word ops."""
+    """Same as _induce_pairs_small via bitset shifts; O(k * range / 64) word ops."""
     mn = labels[0]
     index = {v: i for i, v in enumerate(labels)}
     indicator = 0
@@ -155,19 +155,37 @@ def _induce_pairs_big(labels: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
+def _induced_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Index pairs i<j of sorted labels whose sum is a label."""
+    if len(labels) <= _BIG_INDUCE_THRESHOLD:
+        return _induce_pairs_small(labels)
+    return _induce_pairs_big(labels)
+
+
+def _pair_degrees(pairs: list[tuple[int, int]], k: int) -> list[int]:
+    """Degree of each of k labels under the induced pairs."""
+    deg = [0] * k
+    for i, j in pairs:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def _core_graph(pairs: list[tuple[int, int]], core_ids: list[int]) -> SimpleGraph:
+    """The induced pairs renumbered onto the non-isolated labels core_ids."""
+    remap = {old: new for new, old in enumerate(core_ids)}
+    return SimpleGraph(len(core_ids), frozenset((remap[u], remap[v]) for u, v in pairs))
+
+
 def induce(lab: Labeling) -> InducedResult:
     """Induced sum graph: vertex per label, edge when the pair sum is a label."""
     labels = lab.labels
     k = len(labels)
-    if k <= _BIG_INDUCE_THRESHOLD:
-        pairs = _induce_pairs_small(labels)
-    else:
-        pairs = _induce_pairs_big(labels)
+    pairs = _induced_pairs(labels)
     full = SimpleGraph(k, frozenset(pairs))
-    deg = full.degrees()
+    deg = _pair_degrees(pairs, k)
     core_ids = [i for i in range(k) if deg[i] > 0]
-    remap = {old: new for new, old in enumerate(core_ids)}
-    core = SimpleGraph(len(core_ids), frozenset((remap[u], remap[v]) for u, v in pairs))
+    core = _core_graph(pairs, core_ids)
     isolated = tuple(labels[i] for i in range(k) if deg[i] == 0)
     return InducedResult(
         graph=full,
@@ -420,20 +438,33 @@ def isomorphic(g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT) -> bo
 def induce_if_valid(
     lab: Labeling, g: SimpleGraph, exact_isolates: int | None = None
 ) -> tuple[int, ...] | None:
-    """The label of each vertex of g if lab induces g with the isolate count."""
+    """The label of each vertex of g if lab induces g with the isolate count.
+
+    The edge count, core size, isolate count and degree sequence are compared
+    on the induced pairs before any graph is built; find_isomorphism makes the
+    same checks first, so the result is the same as running it directly.
+    """
     if g.n == 0:
         raise ValueError("target graph must have at least one vertex")
-    if g.isolated_vertices():
+    target_deg = g.degrees()
+    if 0 in target_deg:
         raise ValueError("target graph must not contain isolated vertices")
-    result = induce(lab)
-    if exact_isolates is not None and result.isolate_count != exact_isolates:
+    labels = lab.labels
+    pairs = _induced_pairs(labels)
+    if len(pairs) != len(g.edges):
         return None
-    if result.core_graph.n != g.n:
+    deg = _pair_degrees(pairs, len(labels))
+    core_ids = [i for i in range(len(labels)) if deg[i] > 0]
+    if len(core_ids) != g.n:
         return None
-    mapping = find_isomorphism(g, result.core_graph)
+    if exact_isolates is not None and len(labels) - g.n != exact_isolates:
+        return None
+    if sorted(deg[i] for i in core_ids) != sorted(target_deg):
+        return None
+    mapping = find_isomorphism(g, _core_graph(pairs, core_ids))
     if mapping is None:
         return None
-    return tuple(result.core_label_of[mapping[v]] for v in range(g.n))
+    return tuple(labels[core_ids[mapping[v]]] for v in range(g.n))
 
 
 def is_valid_labeling(

@@ -131,6 +131,19 @@ class TestConstruct:
     def test_domain_error_exit_one(self, capsys):
         run(capsys, "construct", "--name", "spum-path-even", "--n", "5", expect=1)
 
+    @pytest.mark.parametrize("name, n", [
+        ("spum-path-even", 10**20),
+        ("sd-path", 10**20),
+        ("ispum-cycle-odd", 10**20 + 1),
+        ("spum-matching", 10**20),
+        ("ispum-matching", 10**20),
+    ])
+    def test_labels_past_64_bits_exit_one(self, capsys, name, n):
+        out, err = run(capsys, "construct", "--name", name, "--n", str(n), expect=1)
+        assert out == ""
+        assert err.startswith("error: label ")
+        assert "exceeds the 64-bit signed range" in err
+
     def test_output_roundtrips_through_verify(self, capsys):
         out, _ = run(
             capsys, "construct", "--name", "sd-path", "--n", "6", "--format", "json"

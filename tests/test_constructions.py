@@ -357,15 +357,16 @@ class TestTranslate:
             translate(LAB_P3, P3, 0)
 
     def test_input_and_output_each_induced_once(self, monkeypatch):
+        # input validation and the output check both enumerate pairs through
+        # core._induced_pairs, each once per label set
         induced = []
-        real = core.induce
+        real = core._induced_pairs
 
-        def counting(lab):
-            induced.append(lab.labels)
-            return real(lab)
+        def counting(labels):
+            induced.append(labels)
+            return real(labels)
 
-        monkeypatch.setattr(core, "induce", counting)
-        monkeypatch.setattr(constructions, "induce", counting)
+        monkeypatch.setattr(core, "_induced_pairs", counting)
         translate(LAB_P3, P3, 2)
         assert induced == [(1, 2, 3, 4), (3, 4, 5, 7, 8)]
 

@@ -389,6 +389,81 @@ class TestValidity:
         assert induce_if_valid(lab, path_graph(3), exact_isolates=2) is None
         assert induce_if_valid(lab, matching_graph(2)) is None
 
+    def test_same_counts_and_degrees_reach_the_isomorphism_check(self, monkeypatch):
+        # two triangles plus the isolates 16, 17, 18: C6's vertex count, edge
+        # count and degree sequence, so only the full check tells them apart
+        lab = labeling([1, 3, 6, 7, 10, 11, 14, 16, 18])
+        two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        checked = []
+        real = core.find_isomorphism
+
+        def counting(g, h, cap=core.ISO_CAP_DEFAULT):
+            checked.append(g.n)
+            return real(g, h, cap)
+
+        monkeypatch.setattr(core, "find_isomorphism", counting)
+        assert not is_valid_labeling(lab, cycle_graph(6))
+        assert is_valid_labeling(lab, two_triangles)
+        assert is_valid_labeling(lab, two_triangles, exact_isolates=3)
+        assert checked == [6, 6, 6]
+        assert induce_if_valid(lab, two_triangles, 2) is None
+        assert not is_valid_labeling(lab, path_graph(6))
+        assert not is_valid_labeling(lab, complete_graph(3))
+        assert checked == [6, 6, 6]
+
+    def test_agrees_with_oracle_on_seeded_label_sets(self):
+        rng = random.Random(20261018)
+        sets = swapped_targets = valid = 0
+        while sets < 2000:
+            values = rng.sample(range(-15, 31), rng.randint(3, 10))
+            edges, isolated = naive_induce(values)
+            core_ids = sorted({v for e in edges for v in e})
+            n = len(core_ids)
+            if not 2 <= n <= 7:
+                continue
+            sets += 1
+            labels = sorted(values)
+            remap = {old: new for new, old in enumerate(core_ids)}
+            core_edges = [(remap[u], remap[v]) for u, v in edges]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            own = [(perm[u], perm[v]) for u, v in core_edges]
+            # double edge swaps keep every degree; keep the result if it is
+            # no longer isomorphic to the core
+            swapped = list(own)
+            for _ in range(20):
+                if len(swapped) < 2:
+                    break
+                (a, b), (c, d) = rng.sample(swapped, 2)
+                present = {frozenset(e) for e in swapped}
+                if len({a, b, c, d}) < 4 or not present.isdisjoint(
+                    (frozenset((a, d)), frozenset((c, b)))
+                ):
+                    continue
+                swapped.remove((a, b))
+                swapped.remove((c, d))
+                swapped += [(a, d), (c, b)]
+            targets = [own]
+            if not naive_isomorphic(n, swapped, n, core_edges):
+                targets.append(swapped)
+                swapped_targets += 1
+            m = rng.randint(2, 7)
+            rand = {(i, (i + 1) % m) for i in range(0, m - 1, 2)} | {(m - 2, m - 1)}
+            rand |= {tuple(rng.sample(range(m), 2)) for _ in range(rng.randint(0, 6))}
+            targets.append(rand)
+            lab = labeling(values)
+            for target in targets:
+                g = graph(max(v for e in target for v in e) + 1, target)
+                iso = naive_isomorphic(n, core_edges, g.n, g.edges)
+                for exact in (None, len(isolated), len(isolated) + 1):
+                    got = induce_if_valid(lab, g, exact)
+                    assert (got is not None) == (iso and exact != len(isolated) + 1)
+                    if got is not None:
+                        valid += 1
+                        assert len(set(got)) == g.n
+                        assert all(got[u] + got[v] in labels for u, v in g.edges)
+        assert swapped_targets > 100 and valid > 4000
+
 
 class TestBounds:
     def test_sd_lower_bound_values(self):
