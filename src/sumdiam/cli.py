@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -508,7 +509,9 @@ def _add_graph_flags(sub) -> None:
     sub.add_argument("--graph", help="path to a graph JSON file")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sumdiam",
         description="Sum-graph labelings: induce, verify, construct, search.",

@@ -27,7 +27,11 @@ from .core import (
 )
 from .families import FamilyKind, FamilySpec, generate
 
-_BK_FIELD_BITS = 64
+# the certifier refuses inputs whose coefficient bound n**k reaches 2**63
+_BK_MAX_COEFFICIENT_BITS = 63
+# closed forms and add_isolated build at most this many labels, so that one
+# integer argument cannot make them allocate without bound
+_MAX_BUILD_LABELS = 2**20
 
 
 @dataclass(frozen=True)
@@ -124,14 +128,24 @@ def _smallest_prime_at_least(n: int) -> int:
     return candidate
 
 
-def _fields_within(value: int, max_index: int, limit: int) -> bool:
-    """Check that every 64-bit little-endian field of value stays <= limit.
+def _field_width(n: int, k: int) -> int:
+    """Bits per coefficient field for powers up to k of an n-term 0/1 polynomial.
 
-    Adding 2**63 - 1 - limit to a field sets its top bit exactly when the
-    field exceeds limit. The callers' overflow guards keep every field below
-    2**63, so the sum never carries into the next field.
+    A coefficient of P**j counts ordered j-tuples, so it is at most n**j, and
+    the field check adds 2**(width - 1) - 1 - j!; both stay below
+    2**(width - 1) when width is one more than the larger one's bit length.
     """
-    width = _BK_FIELD_BITS
+    return max(n**k, math.factorial(k)).bit_length() + 1
+
+
+def _fields_within(value: int, max_index: int, limit: int, width: int) -> bool:
+    """Check that every width-bit little-endian field of value stays <= limit.
+
+    Adding 2**(width - 1) - 1 - limit to a field sets its top bit exactly when
+    the field exceeds limit.  The caller sizes width so that every field and
+    limit stay below 2**(width - 1), so the sum never carries into the next
+    field.
+    """
     ones = ((1 << (width * (max_index + 1))) - 1) // ((1 << width) - 1)
     top_bits = ones << (width - 1)
     return (value + ((1 << (width - 1)) - 1 - limit) * ones) & top_bits == 0
@@ -146,12 +160,13 @@ def is_bk_set(elements, k: int) -> bool:
         return True
     if len(set(elements)) != len(elements) or elements[0] < 1:
         raise ValueError("B_k sets contain distinct positive integers")
-    if len(elements) ** k >= 2 ** (_BK_FIELD_BITS - 1):
+    if len(elements) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
         raise ValueError("coefficient fields could overflow for this input size")
+    width = _field_width(len(elements), k)
     packed = 0
     for a in elements:
-        packed += 1 << (_BK_FIELD_BITS * a)
-    return _fields_within(packed**k, k * elements[-1], math.factorial(k))
+        packed += 1 << (width * a)
+    return _fields_within(packed**k, k * elements[-1], math.factorial(k), width)
 
 
 def is_sidon_set(elements) -> bool:
@@ -169,8 +184,9 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
     split by the multiplicity of c into regions whose coefficients reduce
     to lower-order coefficients of the prefix, all certified.
     """
-    if (n + 1) ** k >= 2 ** (_BK_FIELD_BITS - 1):
+    if (n + 1) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
         raise ValueError("coefficient fields could overflow for this input size")
+    width = _field_width(n + 1, k)
     limits = [math.factorial(j) for j in range(k + 1)]
     binoms = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
     chosen: list[int] = []
@@ -183,15 +199,13 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
             # (P + z^c)^j expanded binomially from cached powers of P
             total = powers[j]
             for i in range(1, j + 1):
-                total += (binoms[j][i] * powers[j - i]) << (
-                    _BK_FIELD_BITS * i * candidate
-                )
-            if not _fields_within(total, j * candidate, limits[j]):
+                total += (binoms[j][i] * powers[j - i]) << (width * i * candidate)
+            if not _fields_within(total, j * candidate, limits[j], width):
                 ok = False
                 break
         if ok:
             chosen.append(candidate)
-            packed += 1 << (_BK_FIELD_BITS * candidate)
+            packed += 1 << (width * candidate)
             for j in range(1, k + 1):
                 powers[j] = powers[j - 1] * packed
         candidate += 1
@@ -223,17 +237,19 @@ def bk_set(n: int, k: int) -> SidonSet:
 # ---------------------------------------------------------------------------
 
 
-def _check_label(extreme: int) -> None:
-    """Refuse a closed form whose largest label does not fit, before building it."""
+def _check_label(extreme: int, count: int) -> None:
+    """Refuse an output with too big a label or too many labels, before building it."""
     if abs(extreme) > MAX_LABEL:
         raise ValueError(f"label {extreme} exceeds the 64-bit signed range")
+    if count > _MAX_BUILD_LABELS:
+        raise ValueError(f"{count} labels exceed the cap of {_MAX_BUILD_LABELS}")
 
 
 def spum_path_even(n: int) -> ConstructionReport:
     """Even-path labeling {1,3,...,2n-3} + {2n-4, 2n}: range 2n-1, one isolate."""
     if n < 4 or n % 2:
         raise ValueError("defined for even n >= 4")
-    _check_label(2 * n)
+    _check_label(2 * n, n + 1)
     labels = set(range(1, 2 * n - 2, 2)) | {2 * n - 4, 2 * n}
     lab = labeling(sorted(labels), Domain.POSITIVE)
     return _family_report(lab, FamilyKind.PATH, n, 2 * n - 1, 1)
@@ -243,7 +259,7 @@ def sd_path(n: int) -> ConstructionReport:
     """Path labeling [n-1, 2n-2] + {3n-4, 3n-3}: range 2n-2, two isolates."""
     if n < 3:
         raise ValueError("defined for n >= 3")
-    _check_label(3 * n - 3)
+    _check_label(3 * n - 3, n + 2)
     labels = list(range(n - 1, 2 * n - 1)) + [3 * n - 4, 3 * n - 3]
     lab = labeling(labels, Domain.POSITIVE)
     return _family_report(lab, FamilyKind.PATH, n, 2 * n - 2, 2)
@@ -260,7 +276,7 @@ def ispum_cycle_odd(n: int) -> ConstructionReport:
     if n < 15 or n % 2 == 0:
         raise ValueError("defined for odd n >= 15")
     k = (n - 9) // 2
-    _check_label(-8 * k)
+    _check_label(-8 * k, n)
     labels = (
         list(range(-8 * k, -7 * k + 2))
         + list(range(4 * k, 5 * k + 1))
@@ -274,7 +290,7 @@ def spum_matching(p: int) -> ConstructionReport:
     """Matching labeling [2p-1, 4p-2] + {6p-3}: range 4p-2, one isolate."""
     if p < 1:
         raise ValueError("defined for p >= 1")
-    _check_label(6 * p - 3)
+    _check_label(6 * p - 3, 2 * p + 1)
     labels = list(range(2 * p - 1, 4 * p - 1)) + [6 * p - 3]
     lab = labeling(labels, Domain.POSITIVE)
     return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 2, 1)
@@ -284,7 +300,7 @@ def ispum_matching(p: int) -> ConstructionReport:
     """Matching labeling {-1,1,3,...,4p-5} + {4p-4}: range 4p-3, no isolates."""
     if p < 3:
         raise ValueError("defined for p >= 3")
-    _check_label(4 * p - 4)
+    _check_label(4 * p - 4, 2 * p)
     labels = [-1] + list(range(1, 4 * p - 4, 2)) + [4 * p - 4]
     lab = labeling(labels, Domain.INTEGRAL)
     return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 3, 0)
@@ -403,6 +419,9 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     sums = _sums(vertex_label, g)
     m = max(r - 1, k + r - 1 - len(sums))
     x = m - mu
+    # vertex labels end at m + r - 1 <= 2m, the gap fill at 2m, the sums above
+    extreme = max(2 * m, max(sums, default=0) + 2 * x)
+    _check_label(extreme, g.n + len(sums) + m - r + 1)
     isolates = {t + 2 * x for t in sums} | set(range(m + r, 2 * m + 1))
     return _report(_relabeled(g, [a + x for a in vertex_label], isolates), g, claimed)
 

@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sumdiam import cli
 from sumdiam.cli import main
 
 C4_JSON = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
@@ -16,6 +22,30 @@ def run(capsys, *argv, expect=0):
     captured = capsys.readouterr()
     assert code == expect, captured.err
     return captured.out, captured.err
+
+
+def _limit_address_space():
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_bounded(*argv):
+    """Run the CLI in a child process limited to 512 MiB of address space.
+
+    An argument that makes the program allocate without bound ends there in
+    a MemoryError instead of exhausting the machine's memory.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "sumdiam.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
 
 
 class TestInduce:
@@ -143,6 +173,20 @@ class TestConstruct:
         assert out == ""
         assert err.startswith("error: label ")
         assert "exceeds the 64-bit signed range" in err
+
+    @pytest.mark.parametrize("name, n", [
+        ("spum-path-even", 10**9),
+        ("sd-path", 10**9),
+        ("ispum-cycle-odd", 10**9 + 1),
+        ("spum-matching", 10**9),
+        ("ispum-matching", 10**9),
+    ])
+    def test_label_count_past_the_cap_exits_one(self, name, n):
+        done = run_bounded("construct", "--name", name, "--n", str(n))
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert "labels exceed the cap of 1048576" in done.stderr
 
     def test_output_roundtrips_through_verify(self, capsys):
         out, _ = run(
@@ -329,6 +373,20 @@ class TestCombine:
         data = json.loads(out)
         assert data["valid"] is True
 
+    @pytest.mark.parametrize("isolates, message", [
+        (99999999999, "labels exceed the cap of 1048576"),
+        (10**20, "exceeds the 64-bit signed range"),
+    ])
+    def test_add_isolated_past_the_cap_exits_one(self, isolates, message):
+        done = run_bounded(
+            "combine", "--name", "add-isolated", "--labels", "1,2,3",
+            "--target", "path:2", "--isolates", str(isolates),
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert message in done.stderr
+
     def test_add_vertex_with_neighbors(self, capsys):
         out, _ = run(
             capsys, "combine", "--name", "add-vertex", "--labels", "1,2,3",
@@ -416,6 +474,15 @@ class TestDeterminism:
         first, _ = run(capsys, *args)
         second, _ = run(capsys, *args)
         assert first == second
+
+    def test_parser_is_built_once_and_kept_clean(self, capsys):
+        assert cli._parser() is cli._parser()
+        run(capsys, "construct", "--name", "mystery", "--n", "3", expect=2)
+        out, _ = run(capsys, "construct", "--name", "spum-cycle4", "--format", "json")
+        assert json.loads(out)["labels"] == [3, 4, 5, 6, 8, 9, 10]
+        # a later call does not inherit --format from the one before
+        out, _ = run(capsys, "construct", "--name", "spum-cycle4")
+        assert not out.startswith("{")
 
     def test_jobs_do_not_change_stdout(self, capsys):
         base = ("search", "--invariant", "sd", "--target", "path:6", "--format", "json")

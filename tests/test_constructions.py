@@ -1,6 +1,7 @@
 """Construction and combinator tests with brute-force cross-checks."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -190,20 +191,76 @@ class TestBkSets:
 
     def test_field_check_matches_per_field_reference(self):
         rng = random.Random(20211)
-        for _ in range(2000):
-            count = rng.randint(1, 6)
-            limit = rng.choice([0, 1, 2, 6, 24, 120, 255, 256, 720, rng.randrange(2**63)])
-            fields = [
-                rng.choice(
-                    [0, limit, limit + 1, max(limit - 1, 0), 255, 256, 2**63 - 1]
-                    + [rng.randrange(2**63)]
+        for width in range(2, 65):
+            top = 2 ** (width - 1) - 1
+            for _ in range(200):
+                count = rng.randint(1, 6)
+                limit = rng.choice(
+                    [v for v in (0, 1, 2, 6, 24, 120, 255, 256, 720) if v <= top]
+                    + [rng.randint(0, top)]
                 )
-                for _ in range(count)
-            ]
-            fields = [min(f, 2**63 - 1) for f in fields]
-            value = sum(f << (64 * i) for i, f in enumerate(fields))
-            want = all(f <= limit for f in fields)
-            assert constructions._fields_within(value, count - 1, limit) == want
+                fields = [
+                    min(
+                        rng.choice(
+                            [0, limit, limit + 1, max(limit - 1, 0), 255, 256, top]
+                            + [rng.randint(0, top)]
+                        ),
+                        top,
+                    )
+                    for _ in range(count)
+                ]
+                value = sum(f << (width * i) for i, f in enumerate(fields))
+                want = all(f <= limit for f in fields)
+                got = constructions._fields_within(value, count - 1, limit, width)
+                assert got == want, (width, limit, fields)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_certifier_matches_oracle_on_all_small_subsets(self, k):
+        # sizes below 4 at k = 5 have n**k < k!, where k! sets the field width
+        for size in range(5):
+            for elements in itertools.combinations(range(1, 13), size):
+                assert is_bk_set(elements, k) == is_bk_oracle(elements, k), elements
+
+    def test_field_width_rule(self):
+        assert constructions._field_width(1, 2) == 3
+        assert constructions._field_width(2, 5) == 8  # 5! = 120 > 2**5
+        assert constructions._field_width(10, 4) == 15  # 10**4 < 2**14
+        # the largest size the overflow guard admits at k = 4 packs 64-bit fields
+        assert 55108**4 < 2**63 <= 55109**4
+        assert constructions._field_width(55108, 4) == 64
+
+
+class TestBenchmarkSets:
+    """The sets the constructions benchmark builds, pinned to their values."""
+
+    @pytest.mark.parametrize("n, k, want", [
+        (10, 4, (1, 2, 4, 8, 20, 56, 131, 281, 581, 1055)),
+        (12, 3, (1, 2, 4, 8, 16, 32, 64, 128, 201, 347, 511, 785)),
+        (8, 4, (1, 2, 4, 8, 20, 56, 131, 281)),
+        (10, 3, (1, 2, 4, 8, 16, 32, 64, 128, 201, 347)),
+    ])
+    def test_bk_set(self, n, k, want):
+        assert bk_set(n, k).elements == want
+
+    @pytest.mark.parametrize("n, want", [
+        (12, (27, 56, 87, 107, 142, 166, 192, 220, 237, 269, 290, 313)),
+        (27, (
+            59, 120, 183, 248, 315, 355, 426, 470, 545, 593, 643, 724, 778, 834,
+            892, 952, 1014, 1049, 1115, 1183, 1224, 1296, 1341, 1417, 1466, 1517,
+            1570,
+        )),
+        (75, (
+            159, 320, 483, 648, 815, 984, 1155, 1328, 1424, 1601, 1780, 1961,
+            2065, 2250, 2437, 2547, 2738, 2852, 3047, 3165, 3364, 3486, 3689,
+            3815, 4022, 4152, 4284, 4497, 4633, 4771, 4911, 5132, 5276, 5422,
+            5570, 5720, 5872, 6026, 6182, 6340, 6500, 6662, 6826, 6992, 7160,
+            7330, 7502, 7597, 7773, 7951, 8131, 8234, 8418, 8604, 8713, 8903,
+            9016, 9210, 9327, 9525, 9646, 9848, 9973, 10179, 10308, 10439, 10651,
+            10786, 10923, 11062, 11282, 11425, 11570, 11717, 11866,
+        )),
+    ])
+    def test_sidon_set(self, n, want):
+        assert sidon_set(n).elements == want
 
 
 class TestFamilyConstructions:
@@ -495,6 +552,28 @@ class TestAddIsolated:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             add_isolated(LAB_K2, K2, 0)
+
+
+class TestBuildCap:
+    """Outputs grown from one integer stop at _MAX_BUILD_LABELS labels."""
+
+    @pytest.mark.parametrize("build, args, count", [
+        pytest.param(build, args, count, id=build.__name__)
+        for build, args, count in [
+            (spum_path_even, (48,), 49),
+            (sd_path, (48,), 50),
+            (ispum_cycle_odd, (49,), 49),
+            (spum_matching, (25,), 51),
+            (ispum_matching, (25,), 50),
+            (add_isolated, (LAB_K2, K2, 48), 50),
+        ]
+    ])
+    def test_admits_the_cap_and_refuses_one_more(self, monkeypatch, build, args, count):
+        monkeypatch.setattr(constructions, "_MAX_BUILD_LABELS", count)
+        assert len(build(*args).labeling) == count
+        monkeypatch.setattr(constructions, "_MAX_BUILD_LABELS", count - 1)
+        with pytest.raises(ValueError, match=f"^{count} labels exceed the cap of"):
+            build(*args)
 
 
 class TestAddVertex:
