@@ -615,6 +615,9 @@ def main(argv=None) -> int:
     except (ValueError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     finally:
         elapsed = int((time.perf_counter() - start) * 1000)
         print(f"wall_time_ms={elapsed}", file=sys.stderr)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations
@@ -178,37 +179,67 @@ def _hyper_window_first_hit(
     *,
     node_cap: int,
 ) -> tuple[tuple[int, ...] | None, int, bool]:
-    """First core-isomorphic candidate containing lo and hi, in lex order."""
-    interior = list(range(lo + 1, hi))
-    min_size = h.n + 1  # positive labels always isolate the maximum
-    state = {"nodes": 0}
+    """First core-isomorphic candidate containing lo and hi, in lex order.
 
-    def test(chosen: list[int]) -> bool:
-        state["nodes"] += 1
-        result = induce_hyper(labeling(chosen, Domain.POSITIVE), h.k)
-        return _isomorphic_hyper(result.core_hypergraph, h)
+    Returns (labels or None, nodes visited, aborted). An include-first loop
+    over the interior labels in ascending order emits every label set that
+    holds both ends and has at least n + 1 labels (positive labels always
+    isolate the maximum), in lexicographic order; each one it tests is a
+    node. A node cap is checked before each exclude branch is taken.
 
-    def visit(idx: int, chosen: list[int]) -> tuple[int, ...] | None | str:
-        if state["nodes"] > node_cap:
-            return "abort"
-        if len(chosen) + (len(interior) - idx) + 1 < min_size:
-            return None
-        if idx == len(interior):
+    sums[j] packs the j-subsets of the chosen labels by their sum: field s,
+    width bits wide, counts those summing to s, and a count of j-subsets of
+    the window's labels fits the width. Positive summands are smaller than
+    their sum, so field v of sums[k] is final once every label below v is
+    decided, and it counts the edges whose sum is v. A candidate whose edge
+    count is not len(h.edges) is rejected without inducing it.
+    """
+    k = h.k
+    top = hi - lo
+    min_size = h.n + 1
+    target_edges = len(h.edges)
+    # the whole window: the cap first, then the size rule
+    if node_cap < 0:
+        return None, 0, True
+    if top + 1 < min_size:
+        return None, 0, False
+    width = max(math.comb(top + 1, j) for j in range(k + 1)).bit_length()
+    field = (1 << width) - 1
+    hi_shift = hi * width
+
+    chosen = [lo]
+    sums = [1, 1 << lo * width] + [0] * (k - 1)
+    edges = nodes = 0
+    stack: list[tuple[int, list[int], int]] = []
+    o = 1  # offset of the value decided next, v = lo + o
+    while True:
+        if o < top:
+            v = lo + o
+            shift = v * width
+            stack.append((o, sums, edges))
+            edges += sums[k] >> shift & field
+            sums = [1] + [sums[j] + (sums[j - 1] << shift) for j in range(1, k + 1)]
+            chosen.append(v)
+            o += 1
+            continue
+        nodes += 1
+        if edges + (sums[k] >> hi_shift & field) == target_edges:
             candidate = chosen + [hi]
-            if test(candidate):
-                return tuple(candidate)
-            return None
-        chosen.append(interior[idx])
-        found = visit(idx + 1, chosen)
-        chosen.pop()
-        if found is not None:
-            return found
-        return visit(idx + 1, chosen)
-
-    found = visit(0, [lo])
-    if found == "abort":
-        return None, state["nodes"], True
-    return found, state["nodes"], False
+            result = induce_hyper(labeling(candidate, Domain.POSITIVE), k)
+            if _isomorphic_hyper(result.core_hypergraph, h):
+                return tuple(candidate), nodes, False
+        # back to the deepest include whose exclude branch can still reach
+        # min_size labels with hi
+        while True:
+            if not stack:
+                return None, nodes, False
+            o, sums, edges = stack.pop()
+            chosen.pop()
+            if nodes > node_cap:
+                return None, nodes, True
+            if len(chosen) + top - o >= min_size:
+                break
+        o += 1
 
 
 def search_hyper_sd(

@@ -336,6 +336,8 @@ def ascend(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     examined = 0
     for x in xs:
         row = iter(lows(x))
@@ -400,11 +402,12 @@ def _search(
         sizes = f"|L| = {exact_size}"
     degree_bound = isd_lower_bound(g) if integral else sd_lower_bound(g)
     floor = max(min_size - 1, degree_bound, _theorem_floor(g, invariant), 1)
-    if isolates is not None and isolates > budget and (
+    if isolates is not None and isolates > budget >= 0 and (
         max_range is None or max_range >= floor
     ):
         # range floor has at least `isolates` windows, each visits a node and
-        # a hit visits more than exact_size, so the ascent ends right here
+        # a hit visits more than exact_size, so the ascent ends right here;
+        # ascend rejects a negative budget
         raise BudgetExceededError(
             f"budget of {budget} candidates exhausted at range {floor}",
             candidates_examined=budget,

@@ -189,3 +189,67 @@ def naive_hyper_sd(n, hyperedges, k, *, max_range=14):
         if solutions:
             return x, min(solutions)
     return None, None
+
+
+def _sum_edge_count(labels, k):
+    """Number of k-subsets of sorted labels whose sum is a label."""
+    members = set(labels)
+
+    def count(start, left, total):
+        # every pick after labels[i] is at least labels[i]
+        if not left:
+            return total in members
+        found = 0
+        for i in range(start, len(labels) - left + 1):
+            if total + labels[i] * left > labels[-1]:
+                break
+            found += count(i + 1, left - 1, total + labels[i])
+        return found
+
+    return count(0, k, 0)
+
+
+def naive_hyper_window(h, lo, hi, node_cap):
+    """Recursive include-first window search: (labels or None, nodes, aborted).
+
+    h needs only n, k and edges. Every label set in [lo, hi] that holds both
+    ends and has at least n + 1 labels is tested in lexicographic order, each
+    test one node, and a subtree too small to reach n + 1 labels is skipped
+    uncounted. Each call first checks nodes against node_cap.
+    """
+    target = frozenset(tuple(sorted(e)) for e in h.edges)
+    interior = list(range(lo + 1, hi))
+    min_size = h.n + 1
+    nodes = 0
+
+    def test(labels):
+        # an isomorphic core has exactly len(target) edges
+        if _sum_edge_count(labels, h.k) != len(target):
+            return False
+        core_n, core_edges = _hyper_core(labels, h.k)
+        if core_n != h.n:
+            return False
+        return any(
+            frozenset(tuple(sorted(perm[v] for v in e)) for e in core_edges) == target
+            for perm in permutations(range(h.n))
+        )
+
+    def visit(idx, chosen):
+        nonlocal nodes
+        if nodes > node_cap:
+            return "abort"
+        if len(chosen) + (len(interior) - idx) + 1 < min_size:
+            return None
+        if idx == len(interior):
+            nodes += 1
+            candidate = chosen + [hi]
+            return tuple(candidate) if test(candidate) else None
+        found = visit(idx + 1, chosen + [interior[idx]])
+        if found is not None:
+            return found
+        return visit(idx + 1, chosen)
+
+    found = visit(0, [lo])
+    if found == "abort":
+        return None, nodes, True
+    return found, nodes, False

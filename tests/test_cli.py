@@ -502,6 +502,15 @@ class TestDeterminism:
     def test_jobs_below_one_usage_error(self, capsys, argv):
         run(capsys, *argv, "--jobs", "0", expect=2)
 
+    def test_out_of_memory_exits_three(self, capsys, monkeypatch):
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "induce", exhausted)
+        _, err = run(capsys, "induce", "--labels", "1,2,3,4", expect=3)
+        assert "error: out of memory" in err
+        assert "Traceback" not in err
+
     def test_unknown_verb_usage_error(self, capsys):
         assert main(["transmogrify"]) == 2
         capsys.readouterr()

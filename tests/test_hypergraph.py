@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import naive_hyper_induce, naive_hyper_sd
+from oracles import naive_hyper_induce, naive_hyper_sd, naive_hyper_window
 from sumdiam import hypergraph as hypergraph_module
 from sumdiam.core import induce, labeling
 from sumdiam.hypergraph import (
@@ -26,6 +26,7 @@ TWO_EDGE_3 = hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
 OVERLAP_3 = hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)])
 CHAIN_3 = hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
 SINGLE_EDGE_4 = hypergraph(4, 4, [(0, 1, 2, 3)])
+UNBOUNDED = 2**32
 
 
 def random_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:
@@ -244,6 +245,33 @@ class TestSearchHyperSd:
             search_hyper_sd(k4, budget=500, jobs=jobs)
         assert sum(visited) <= 501
 
+    # (n, k, edges, value, witness, candidates_examined) for the benchmark's
+    # six shapes; the window search must keep this tree node for node
+    @pytest.mark.parametrize(
+        ("n", "k", "edges", "value", "witness", "nodes"),
+        [
+            (4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 10,
+             (1, 2, 3, 6, 9, 10, 11), 803),
+            (5, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)], 8,
+             (1, 2, 3, 4, 5, 7, 9), 28),
+            (5, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)], 11,
+             (1, 2, 4, 5, 6, 8, 10, 12), 1445),
+            (5, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4)], 10,
+             (1, 3, 4, 5, 6, 9, 10, 11), 644),
+            (5, 4, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)], 11,
+             (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12), 415),
+            (5, 4, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)], 12,
+             (1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13), 1327),
+        ],
+        ids=["K4-3", "n5-m3", "n5-m4", "n5-m4-fan", "n5-k4-m3", "n5-k4-m4"],
+    )
+    def test_benchmark_shapes_pinned(self, n, k, edges, value, witness, nodes):
+        cert = search_hyper_sd(hypergraph(n, k, edges))
+        assert cert.value == value
+        assert cert.witness.labels == witness
+        assert cert.candidates_examined == nodes
+        assert cert.exhausted_below
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             search_hyper_sd(hypergraph(4, 3, [(0, 1, 2)]))
@@ -253,3 +281,47 @@ class TestSearchHyperSd:
             search_hyper_sd(SINGLE_EDGE_3, max_range=17)
         with pytest.raises(ValueError):
             search_hyper_sd(SINGLE_EDGE_3, jobs=0)
+
+
+class TestHyperWindow:
+    def test_matches_naive_window_on_seeded_windows(self):
+        # (hit, nodes, aborted) must match the recursive oracle window for
+        # window, cap for cap, so the search tree and its node count stay
+        rng = random.Random(90412)
+        hits = aborts = 0
+        for _ in range(2000):
+            k = rng.choice((3, 4))
+            h = random_hypergraph(rng, rng.randint(k, 5), k)
+            lo = rng.randint(1, 4)
+            hi = lo + rng.randint(1, 16)
+            cap = UNBOUNDED if rng.random() < 0.5 else rng.randint(1, 300)
+            if cap == UNBOUNDED and hi - lo > 11:
+                cap = rng.randint(1, 300)  # keeps the oracle within seconds
+            want = naive_hyper_window(h, lo, hi, cap)
+            got = hypergraph_module._hyper_window_first_hit(h, lo, hi, node_cap=cap)
+            assert got == want, (h, lo, hi, cap)
+            hits += want[0] is not None
+            aborts += want[2]
+        assert hits > 50 and aborts > 50
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 5])
+    def test_small_caps_abort_where_the_oracle_does(self, cap):
+        for lo in range(1, 5):
+            for hi in range(lo + 1, lo + 17):
+                want = naive_hyper_window(CHAIN_3, lo, hi, cap)
+                got = hypergraph_module._hyper_window_first_hit(
+                    CHAIN_3, lo, hi, node_cap=cap
+                )
+                assert got == want, (lo, hi)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("lo", [1, 2, 3, 4])
+    def test_densest_leaf_is_counted_exactly(self, k, lo):
+        # the first leaf of a range-16 window holds all 17 labels, and up to
+        # 16 of their k-subsets share one sum; a target equal to its core
+        # is hit there only if every packed count is exact
+        labels = tuple(range(lo, lo + 17))
+        core = induce_hyper(labeling(labels), k).core_hypergraph
+        assert len(core.edges) == len(naive_hyper_induce(labels, k)[0])
+        got = hypergraph_module._hyper_window_first_hit(core, lo, lo + 16, node_cap=0)
+        assert got == (labels, 1, False)

@@ -304,6 +304,24 @@ class TestDeterminism:
         assert str(exc.value) == "budget of 50 candidates exhausted at range 53"
         assert exc.value.candidates_examined == 50
 
+    @pytest.mark.parametrize(
+        "runner, max_range",
+        [
+            (lambda **kw: search_spum(P4, 1, **kw), 10),
+            (lambda **kw: search_ispum(K3, 51, **kw), None),
+            (lambda **kw: search_sd(P4, **kw), 10),
+            (lambda **kw: search_sd(P4, **kw), None),
+            (lambda **kw: search_isd(P4, **kw), None),
+            (lambda **kw: search_hyper_sd(hypergraph(3, 3, [(0, 1, 2)]), **kw), 16),
+        ],
+        ids=["spum", "ispum-isolates-above-budget", "sd", "sd-unbounded", "isd", "hyper-sd"],
+    )
+    def test_negative_budget_is_a_value_error(self, runner, max_range):
+        # a negative budget used to skip every window: a certificate of
+        # infeasibility that searched nothing, or no end when max_range is None
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            runner(max_range=max_range, budget=-1)
+
     def test_isolate_count_above_budget_with_empty_ascent(self):
         cert = search_spum(K3, 51, budget=50, max_range=52)
         assert cert.value is None and cert.candidates_examined == 0
