@@ -61,15 +61,11 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-CONSTRUCT_NAMES = (
-    "spum-path-even",
-    "sd-path",
-    "spum-cycle4",
-    "ispum-cycle-odd",
-    "spum-matching",
-    "ispum-matching",
-    "sd-general",
-)
+_BINARY_COMBINATORS = {
+    "union-scaled": disjoint_union_scaled,
+    "union-translated": disjoint_union_translated,
+    "join": join,
+}
 COMBINE_NAMES = (
     "translate",
     "union-scaled",
@@ -80,6 +76,7 @@ COMBINE_NAMES = (
 ) + tuple(f"modify-{op}" for op in MODIFY_OPERATIONS)
 
 _SPEC_FORM = re.compile(r"[a-z_]+:\d+")
+_NEGATIVE_VALUE = re.compile(r"-\d")
 
 
 class UsageError(Exception):
@@ -106,6 +103,14 @@ def _text(value) -> str:
     return str(value)
 
 
+def _record(fields: dict, csv_keys: tuple[str, ...], exit_code: int = EXIT_OK) -> Output:
+    """A one-record result: the JSON object is fields, the text is one
+    `key: value` line per field, and the CSV is one row of the csv_keys fields."""
+    lines = [f"{key}: {_text(value)}" for key, value in fields.items()]
+    row = tuple(_text(fields[key]) for key in csv_keys)
+    return Output(fields, [row], lines, exit_code)
+
+
 def _resolve_graph(value: str) -> tuple[SimpleGraph, FamilySpec | None]:
     """Load a graph from a FamilySpec string or a JSON file path."""
     if _SPEC_FORM.fullmatch(value):
@@ -125,14 +130,15 @@ def _resolve_graph(value: str) -> tuple[SimpleGraph, FamilySpec | None]:
         raise UsageError(f"bad graph JSON in {value!r}: {exc}") from exc
 
 
-def _graph_arg(args) -> tuple[SimpleGraph, str]:
+def _graph_arg(args) -> tuple[SimpleGraph, FamilySpec | None, str]:
+    """The graph of --target or --graph, its family spec if it was given as
+    one, and the argument as given."""
     target = getattr(args, "target", None)
     path = getattr(args, "graph", None)
     if (target is None) == (path is None):
         raise UsageError("exactly one of --target or --graph is required")
     value = target if target is not None else path
-    g, _spec = _resolve_graph(value)
-    return g, value
+    return (*_resolve_graph(value), value)
 
 
 def _labels_arg(text: str):
@@ -156,6 +162,13 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = _positive_int(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"expected at most {sys.maxsize}, got {text!r}")
     return value
 
 
@@ -204,134 +217,85 @@ def _cmd_induce(args) -> Output:
 
 def _cmd_verify(args) -> Output:
     lab = _labels_arg(args.labels)
-    g, echo = _graph_arg(args)
+    g, _, echo = _graph_arg(args)
     valid = is_valid_labeling(lab, g, exact_isolates=args.isolates)
-    result = induce(lab)
-    payload = {
+    fields = {
         "labels": list(lab.labels),
         "target": echo,
         "valid": valid,
-        "isolate_count": result.isolate_count,
+        "isolate_count": induce(lab).isolate_count,
         "range": label_range(lab),
     }
-    lines = [
-        f"labels: {labels_to_text(lab.labels)}",
-        f"target: {echo}",
-        f"valid: {_text(valid)}",
-        f"isolate_count: {result.isolate_count}",
-        f"range: {label_range(lab)}",
-    ]
-    rows = [
-        (
-            labels_to_text(lab.labels),
-            echo,
-            _text(valid),
-            result.isolate_count,
-            label_range(lab),
-        )
-    ]
-    return Output(payload, rows, lines, EXIT_OK if valid else EXIT_DOMAIN)
-
-
-def _construct_report(args) -> ConstructionReport:
-    name = args.name
-    if name == "spum-cycle4":
-        return spum_cycle4()
-    if name == "sd-general":
-        g, _echo = _graph_arg(args)
-        return sd_general(g)
-    if args.n is None:
-        raise UsageError(f"construction {name!r} requires --n")
-    maker = {
-        "spum-path-even": spum_path_even,
-        "sd-path": sd_path,
-        "ispum-cycle-odd": ispum_cycle_odd,
-        "spum-matching": spum_matching,
-        "ispum-matching": ispum_matching,
-    }[name]
-    return maker(args.n)
+    return _record(fields, tuple(fields), EXIT_OK if valid else EXIT_DOMAIN)
 
 
 def _report_output(name: str, report: ConstructionReport, verify: bool) -> Output:
-    labels = report.labeling.labels
-    verified = None
-    if verify:
-        verified = is_valid_labeling(report.labeling, report.target)
-    payload = {
+    fields = {
         "name": name,
-        "labels": list(labels),
+        "labels": list(report.labeling.labels),
         "range": report.achieved_range,
         "claimed_bound": report.claimed_range_bound,
         "valid": report.valid,
     }
-    lines = [
-        f"name: {name}",
-        f"labels: {labels_to_text(labels)}",
-        f"range: {report.achieved_range}",
-        f"claimed_bound: {report.claimed_range_bound}",
-        f"valid: {_text(report.valid)}",
-    ]
-    if verified is not None:
-        payload["verified"] = verified
-        lines.append(f"verified: {_text(verified)}")
-    rows = [
-        (
-            name,
-            labels_to_text(labels),
-            report.achieved_range,
-            report.claimed_range_bound,
-            _text(report.valid),
-        )
-    ]
-    return Output(payload, rows, lines)
+    csv_keys = tuple(fields)
+    if verify:
+        fields["verified"] = is_valid_labeling(report.labeling, report.target)
+    return _record(fields, csv_keys)
+
+
+def _needs_n(maker):
+    def build(args) -> ConstructionReport:
+        if args.n is None:
+            raise UsageError(f"construction {args.name!r} requires --n")
+        return maker(args.n)
+
+    return build
+
+
+CONSTRUCTIONS = {
+    "spum-path-even": _needs_n(spum_path_even),
+    "sd-path": _needs_n(sd_path),
+    "spum-cycle4": lambda args: spum_cycle4(),
+    "ispum-cycle-odd": _needs_n(ispum_cycle_odd),
+    "spum-matching": _needs_n(spum_matching),
+    "ispum-matching": _needs_n(ispum_matching),
+    "sd-general": lambda args: sd_general(_graph_arg(args)[0]),
+}
 
 
 def _cmd_construct(args) -> Output:
-    report = _construct_report(args)
-    return _report_output(args.name, report, args.verify)
+    return _report_output(args.name, CONSTRUCTIONS[args.name](args), args.verify)
 
 
 def _cmd_search(args) -> Output:
-    g, echo = _graph_arg(args)
-    target = parse_spec(echo) if _SPEC_FORM.fullmatch(echo) else g
+    for flag, invariant in (("sigma", "spum"), ("zeta", "ispum")):
+        if getattr(args, flag) is not None and args.invariant != invariant:
+            raise UsageError(f"--{flag} applies only to --invariant {invariant}")
+    g, spec, echo = _graph_arg(args)
     problem = SearchProblem(
         invariant=Invariant(args.invariant),
-        target=target,
+        target=g if spec is None else spec,
         max_range=args.max_range,
         jobs=args.jobs,
         sigma=args.sigma,
         zeta=args.zeta,
     )
     cert = run_search(problem, budget=_budget())
-    witness = None if cert.witness is None else list(cert.witness.labels)
-    payload = {
+    fields = {
         "invariant": args.invariant,
         "target": echo,
         "value": cert.value,
-        "witness": witness,
+        "witness": None if cert.witness is None else list(cert.witness.labels),
         "exhausted_below": cert.exhausted_below,
         "candidates_examined": cert.candidates_examined,
-        "wall_time_ms": None,
     }
-    lines = [
-        f"invariant: {args.invariant}",
-        f"target: {echo}",
-        f"value: {_text(cert.value)}",
-        f"witness: {_text(witness)}",
-        f"exhausted_below: {_text(cert.exhausted_below)}",
-        f"candidates_examined: {cert.candidates_examined}",
-    ]
-    rows = [
-        (
-            args.invariant,
-            echo,
-            _text(cert.value),
-            _text(witness),
-            cert.candidates_examined,
-        )
-    ]
-    code = EXIT_OK if cert.value is not None else EXIT_DOMAIN
-    return Output(payload, rows, lines, code)
+    out = _record(
+        fields,
+        ("invariant", "target", "value", "witness", "candidates_examined"),
+        EXIT_OK if cert.value is not None else EXIT_DOMAIN,
+    )
+    out.payload["wall_time_ms"] = None
+    return out
 
 
 def _cmd_table(args) -> Output:
@@ -350,87 +314,58 @@ def _cmd_table(args) -> Output:
 
 
 def _cmd_bounds(args) -> Output:
-    g, echo = _graph_arg(args)
+    g, _, echo = _graph_arg(args)
     spec = identify(g)
-    family = None if spec is None else f"{spec.kind.value}:{spec.n}"
-    values = known_values(spec) if spec is not None else None
-    payload = {
+    fields = {
         "target": echo,
         "n": g.n,
         "edges": len(g.edges),
         "sd_lower_bound": sd_lower_bound(g),
         "isd_lower_bound": isd_lower_bound(g),
-        "family": family,
-        "known": None,
+        "family": None if spec is None else f"{spec.kind.value}:{spec.n}",
     }
-    lines = [
-        f"target: {echo}",
-        f"n: {g.n}",
-        f"edges: {len(g.edges)}",
-        f"sd_lower_bound: {sd_lower_bound(g)}",
-        f"isd_lower_bound: {isd_lower_bound(g)}",
-        f"family: {_text(family)}",
-    ]
-    if values is not None:
-        known = {
-            "sigma": values.sigma,
-            "zeta": values.zeta,
-            "spum": _range_json(values.spum),
-            "ispum": _range_json(values.ispum),
-            "sd": _range_json(values.sd),
-            "isd": _range_json(values.isd),
-        }
-        payload["known"] = known
-        for key, value in known.items():
-            if isinstance(value, list):
-                lines.append(f"{key}: [{_text(value[0])},{_text(value[1])}]")
-            else:
-                lines.append(f"{key}: {_text(value)}")
-    rows = [
-        (
-            echo,
-            g.n,
-            len(g.edges),
-            sd_lower_bound(g),
-            isd_lower_bound(g),
-            _text(family),
-        )
-    ]
-    return Output(payload, rows, lines)
+    values = known_values(spec) if spec is not None else None
+    known = None if values is None else {
+        "sigma": values.sigma,
+        "zeta": values.zeta,
+        "spum": _range_json(values.spum),
+        "ispum": _range_json(values.ispum),
+        "sd": _range_json(values.sd),
+        "isd": _range_json(values.isd),
+    }
+    out = _record(fields, tuple(fields))
+    out.payload["known"] = known
+    for key, value in (known or {}).items():
+        if isinstance(value, list):
+            value = f"[{_text(value[0])},{_text(value[1])}]"
+        out.lines.append(f"{key}: {_text(value)}")
+    return out
 
 
-def _combine_report(args):
+def _combine_report(args) -> ConstructionReport:
     name = args.name
     labels = [_labels_arg(text) for text in args.labels or []]
-    targets = []
-    for value in args.target or []:
-        g, _spec = _resolve_graph(value)
-        targets.append(g)
-    binary = name in ("union-scaled", "union-translated", "join")
-    need = 2 if binary else 1
+    targets = [_resolve_graph(value)[0] for value in args.target or []]
+    need = 2 if name in _BINARY_COMBINATORS else 1
     if len(labels) != need or len(targets) != need:
         raise UsageError(
             f"{name} needs --labels and --target given {need} time(s) each"
         )
+    if name in _BINARY_COMBINATORS:
+        return _BINARY_COMBINATORS[name](labels[0], targets[0], labels[1], targets[1])
+    lab, g = labels[0], targets[0]
     if name == "translate":
         if args.x is None:
             raise UsageError("translate requires --x")
-        out = translate(labels[0], targets[0], args.x)
-        return labeling_report(out)
-    if name == "union-scaled":
-        return disjoint_union_scaled(labels[0], targets[0], labels[1], targets[1])
-    if name == "union-translated":
-        return disjoint_union_translated(labels[0], targets[0], labels[1], targets[1])
-    if name == "join":
-        return join(labels[0], targets[0], labels[1], targets[1])
+        out = translate(lab, g, args.x)
+        span = label_range(out)
+        return ConstructionReport(out, None, span, span, True)
     if name == "add-isolated":
         if args.isolates is None:
             raise UsageError("add-isolated requires --isolates")
-        return add_isolated(labels[0], targets[0], args.isolates)
+        return add_isolated(lab, g, args.isolates)
     if name == "add-vertex":
-        neighbors = _int_list(args.neighbors or "", "--neighbors")
-        return add_vertex(labels[0], targets[0], neighbors)
-    operation = name[len("modify-"):]
+        return add_vertex(lab, g, _int_list(args.neighbors or "", "--neighbors"))
     edge = None
     if args.edge is not None:
         pair = _int_list(args.edge, "--edge")
@@ -439,60 +374,30 @@ def _combine_report(args):
         edge = (pair[0], pair[1])
     vertices = _int_list(args.vertices, "--vertices") if args.vertices else None
     return modify(
-        labels[0],
-        targets[0],
-        operation,
+        lab,
+        g,
+        name[len("modify-"):],
         vertex=args.vertex,
         vertices=vertices,
         edge=edge,
     )
 
 
-def labeling_report(lab) -> ConstructionReport:
-    """Wrap a bare labeling as a report with no claimed bound of its own."""
-    return ConstructionReport(
-        labeling=lab,
-        target=None,
-        claimed_range_bound=label_range(lab),
-        achieved_range=label_range(lab),
-        valid=True,
-    )
-
-
 def _cmd_combine(args) -> Output:
-    report = _combine_report(args)
-    return _report_output(args.name, report, False)
+    return _report_output(args.name, _combine_report(args), False)
 
 
 def _cmd_check_conjecture(args) -> Output:
     rep = check_conjecture(args.name, args.n, jobs=args.jobs, budget=_budget())
-    witness = list(rep.witness.labels)
-    payload = {
+    fields = {
         "name": rep.name,
         "n": rep.n,
         "conjectured": rep.conjectured_value,
         "searched": rep.searched_value,
         "matches": rep.matches,
-        "witness": witness,
+        "witness": list(rep.witness.labels),
     }
-    lines = [
-        f"name: {rep.name}",
-        f"n: {rep.n}",
-        f"conjectured: {rep.conjectured_value}",
-        f"searched: {rep.searched_value}",
-        f"matches: {_text(rep.matches)}",
-        f"witness: {labels_to_text(witness)}",
-    ]
-    rows = [
-        (
-            rep.name,
-            rep.n,
-            rep.conjectured_value,
-            rep.searched_value,
-            _text(rep.matches),
-        )
-    ]
-    return Output(payload, rows, lines)
+    return _record(fields, ("name", "n", "conjectured", "searched", "matches"))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +405,15 @@ def _cmd_check_conjecture(args) -> Output:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+class _Parser(argparse.ArgumentParser):
+    """Reads a word that starts with a minus sign and a digit, such as the
+    label list -3,-1,2, as a value; argparse alone takes it for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a word this matches as a value, since no flag of
+        # this parser matches it; its own pattern accepts only one number
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
 
 def _add_graph_flags(sub) -> None:
@@ -512,7 +424,7 @@ def _add_graph_flags(sub) -> None:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumdiam",
         description="Sum-graph labelings: induce, verify, construct, search.",
     )
@@ -520,22 +432,19 @@ def _parser() -> argparse.ArgumentParser:
 
     p = verbs.add_parser("induce", help="induced sum graph of a label set")
     p.add_argument("--labels", required=True)
-    _add_format(p)
     p.set_defaults(handler=_cmd_induce)
 
     p = verbs.add_parser("verify", help="check a labeling against a target graph")
     p.add_argument("--labels", required=True)
     _add_graph_flags(p)
     p.add_argument("--isolates", type=int, default=None)
-    _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = verbs.add_parser("construct", help="run a named closed-form construction")
-    p.add_argument("--name", required=True, choices=CONSTRUCT_NAMES)
+    p.add_argument("--name", required=True, choices=CONSTRUCTIONS)
     p.add_argument("--n", type=int, default=None)
     _add_graph_flags(p)
     p.add_argument("--verify", action="store_true")
-    _add_format(p)
     p.set_defaults(handler=_cmd_construct)
 
     p = verbs.add_parser("search", help="exact minimum-range search")
@@ -546,20 +455,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=None)
     p.add_argument("--zeta", type=int, default=None)
     p.add_argument("--max-range", type=int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    _add_format(p)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_search)
 
     p = verbs.add_parser("table", help="reproduce an initial-values table")
     p.add_argument("--name", required=True, choices=TABLE_NAMES)
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    _add_format(p)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_table)
 
     p = verbs.add_parser("bounds", help="lower bounds and known family values")
     _add_graph_flags(p)
-    _add_format(p)
     p.set_defaults(handler=_cmd_bounds)
 
     p = verbs.add_parser("combine", help="apply a labeling combinator")
@@ -572,7 +478,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, default=None)
     p.add_argument("--vertices", default=None)
     p.add_argument("--edge", default=None)
-    _add_format(p)
     p.set_defaults(handler=_cmd_combine)
 
     p = verbs.add_parser(
@@ -580,10 +485,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--name", required=True, choices=CONJECTURE_NAMES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    _add_format(p)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_check_conjecture)
 
+    for p in verbs.choices.values():
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser
 
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 
 from .constructions import ConstructionError, ConstructionReport, bk_set
 from .core import Domain, Labeling, label_range, labeling, load_json
-from .search import DEFAULT_NODE_BUDGET, SearchCertificate, ascend
+from .search import DEFAULT_NODE_BUDGET, SearchCertificate, ascend, check_limits
 
 SEARCH_MAX_N = 5
 SEARCH_MAX_RANGE = 16
@@ -250,6 +250,7 @@ def search_hyper_sd(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
     """Minimum range over positive labelings inducing h plus free isolates."""
+    check_limits(jobs, budget)
     if h.n == 0 or h.isolated_vertices():
         raise ValueError("search targets must be isolate-free and nonempty")
     if h.n > SEARCH_MAX_N:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -314,6 +315,14 @@ def _require_searchable(g: SimpleGraph) -> None:
         raise ValueError("search targets must be isolate-free with an edge")
 
 
+def check_limits(jobs: int, budget: int) -> None:
+    """Reject a jobs count outside 1..sys.maxsize or a negative budget."""
+    if not 1 <= jobs <= sys.maxsize:
+        raise ValueError(f"jobs must be between 1 and {sys.maxsize}")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+
+
 def ascend(
     xs: Iterable[int],
     lows: Callable[[int], Iterable[int]],
@@ -332,12 +341,9 @@ def ascend(
     at the budget still left when it starts, so an exhausted search visits at
     most budget + 1 nodes. Windows run in batches of jobs: every window of a
     batch runs, and the first hit in serial order wins, so the certificate is
-    the same for every jobs value.
+    the same for every jobs value. Its callers pass jobs and budget through
+    check_limits before any search work.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
     examined = 0
     for x in xs:
         row = iter(lows(x))
@@ -391,6 +397,7 @@ def _search(
     A range-x labeling has at most x + 1 labels, so the ascent starts at
     min_size - 1 or at a degree or theorem bound, whichever is largest.
     """
+    check_limits(jobs, budget)
     integral = invariant in (Invariant.ISPUM, Invariant.ISD)
     domain = Domain.INTEGRAL if integral else Domain.POSITIVE
     if isolates is None:
@@ -402,12 +409,11 @@ def _search(
         sizes = f"|L| = {exact_size}"
     degree_bound = isd_lower_bound(g) if integral else sd_lower_bound(g)
     floor = max(min_size - 1, degree_bound, _theorem_floor(g, invariant), 1)
-    if isolates is not None and isolates > budget >= 0 and (
+    if isolates is not None and isolates > budget and (
         max_range is None or max_range >= floor
     ):
         # range floor has at least `isolates` windows, each visits a node and
-        # a hit visits more than exact_size, so the ascent ends right here;
-        # ascend rejects a negative budget
+        # a hit visits more than exact_size, so the ascent ends right here
         raise BudgetExceededError(
             f"budget of {budget} candidates exhausted at range {floor}",
             candidates_examined=budget,

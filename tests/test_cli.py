@@ -128,6 +128,48 @@ class TestVerify:
         )
 
 
+class TestNegativeLabels:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("induce", "--labels", "-3,-1,1,2,5"),
+            ("verify", "--labels", "-3,-2,-1,1,2", "--target", "cycle:5"),
+            ("verify", "--labels", "-3", "--target", "path:2"),
+            ("combine", "--name", "translate", "--labels", "-3,-2,-1,1,2",
+             "--target", "cycle:5", "--x", "5"),
+        ],
+        ids=["induce", "verify", "verify-one-label", "combine"],
+    )
+    def test_plain_form_reads_as_the_equals_form(self, capsys, argv):
+        # argparse alone takes a word such as -3,-1,2 for a flag
+        at = argv.index("--labels")
+        joined = [*argv[:at], f"--labels={argv[at + 1]}", *argv[at + 2:]]
+        code = main(joined)
+        want = capsys.readouterr().out
+        assert main(list(argv)) == code
+        got = capsys.readouterr()
+        assert got.out == want
+        assert "expected one argument" not in got.err
+
+    def test_search_witness_passes_back_to_verify(self, capsys):
+        out, _ = run(capsys, "search", "--invariant", "isd", "--target", "cycle:5")
+        witness = dict(line.split(": ") for line in out.splitlines())["witness"]
+        assert witness.startswith("-")
+        out, _ = run(capsys, "verify", "--labels", witness, "--target", "cycle:5")
+        assert "valid: true" in out.splitlines()
+
+    def test_negative_x_is_still_a_value(self, capsys):
+        _, err = run(
+            capsys, "combine", "--name", "translate", "--labels", "1,2,3",
+            "--target", "path:2", "--x", "-5", expect=1,
+        )
+        assert err.startswith("error: translation needs x >= 0\n")
+
+    def test_unknown_flag_is_still_a_usage_error(self, capsys):
+        _, err = run(capsys, "induce", "--labels", "1,2", "-x", expect=2)
+        assert "unrecognized arguments: -x" in err
+
+
 class TestConstruct:
     def test_spum_matching_json(self, capsys):
         out, _ = run(
@@ -256,6 +298,23 @@ class TestSearch:
             "--sigma", "1", "--format", "json",
         )
         assert json.loads(out)["value"] == 4
+
+    @pytest.mark.parametrize(
+        "invariant, flag, only",
+        [
+            ("spum", "--zeta", "ispum"),
+            ("ispum", "--sigma", "spum"),
+            ("sd", "--sigma", "spum"),
+            ("isd", "--zeta", "ispum"),
+        ],
+    )
+    def test_flag_for_another_invariant_usage_error(self, capsys, invariant, flag, only):
+        out, err = run(
+            capsys, "search", "--invariant", invariant, "--target", "path:3",
+            flag, "3", expect=2,
+        )
+        assert out == ""
+        assert err.startswith(f"error: {flag} applies only to --invariant {only}\n")
 
     def test_wall_time_on_stderr_only(self, capsys):
         out, err = run(capsys, "search", "--invariant", "spum", "--target", "path:3")
@@ -501,6 +560,21 @@ class TestDeterminism:
     )
     def test_jobs_below_one_usage_error(self, capsys, argv):
         run(capsys, *argv, "--jobs", "0", expect=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--invariant", "sd", "--target", "path:3"),
+            ("table", "--name", "spum-paths", "--to", "3"),
+            ("check-conjecture", "--name", "sd-paths", "--n", "3"),
+        ],
+        ids=["search", "table", "check-conjecture"],
+    )
+    def test_jobs_past_sys_maxsize_usage_error(self, capsys, argv):
+        # islice, which cuts the batches, takes no stop past sys.maxsize
+        _, err = run(capsys, *argv, "--jobs", str(sys.maxsize + 1), expect=2)
+        assert "--jobs: expected at most" in err
+        run(capsys, *argv, "--jobs", str(sys.maxsize))
 
     def test_out_of_memory_exits_three(self, capsys, monkeypatch):
         def exhausted(*_args, **_kwargs):

@@ -322,6 +322,24 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="budget must be non-negative"):
             runner(max_range=max_range, budget=-1)
 
+    @pytest.mark.parametrize("jobs", [0, sys.maxsize + 1])
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            lambda **kw: search_spum(K3, 51, budget=50, **kw),
+            lambda **kw: search_spum(P4, 1, **kw),
+            lambda **kw: search_isd(P4, **kw),
+            lambda **kw: search_hyper_sd(hypergraph(3, 3, [(0, 1, 2)]), **kw),
+        ],
+        ids=["spum-isolates-above-budget", "spum", "isd", "hyper-sd"],
+    )
+    def test_jobs_out_of_range_is_a_value_error(self, runner, jobs):
+        # jobs is checked before any search work: the isolate-count budget
+        # check used to raise BudgetExceededError first, and islice rejected
+        # a batch size past sys.maxsize with a message that names no flag
+        with pytest.raises(ValueError, match="^jobs must be between 1 and "):
+            runner(jobs=jobs)
+
     def test_isolate_count_above_budget_with_empty_ascent(self):
         cert = search_spum(K3, 51, budget=50, max_range=52)
         assert cert.value is None and cert.candidates_examined == 0
