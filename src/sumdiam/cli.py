@@ -237,13 +237,15 @@ def _report_output(name: str, report: ConstructionReport, verify: bool) -> Outpu
         "claimed_bound": report.claimed_range_bound,
         "valid": report.valid,
     }
-    csv_keys = tuple(fields)
+    csv_keys = tuple(fields)  # the CSV row has no verified column
     if verify:
         fields["verified"] = is_valid_labeling(report.labeling, report.target)
     return _record(fields, csv_keys)
 
 
 def _needs_n(maker):
+    """A construct builder that passes --n to maker and requires it."""
+
     def build(args) -> ConstructionReport:
         if args.n is None:
             raise UsageError(f"construction {args.name!r} requires --n")
