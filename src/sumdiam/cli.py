@@ -75,6 +75,33 @@ COMBINE_NAMES = (
     "join",
 ) + tuple(f"modify-{op}" for op in MODIFY_OPERATIONS)
 
+# the flags that only some --name of construct or combine reads, in the order
+# a misplaced one is reported, and which of them each --name reads
+_VERB_FLAGS = {
+    "construct": ("target", "graph", "n"),
+    "combine": ("x", "isolates", "neighbors", "vertex", "vertices", "edge"),
+}
+_NAME_FLAGS = {
+    "spum-path-even": ("n",),
+    "sd-path": ("n",),
+    "spum-cycle4": (),
+    "ispum-cycle-odd": ("n",),
+    "spum-matching": ("n",),
+    "ispum-matching": ("n",),
+    "sd-general": ("target", "graph"),
+    "translate": ("x",),
+    "union-scaled": (),
+    "union-translated": (),
+    "add-isolated": ("isolates",),
+    "add-vertex": ("neighbors",),
+    "join": (),
+    "modify-delete-vertex": ("vertex",),
+    "modify-induced-subgraph": ("vertices",),
+    "modify-delete-edge": ("edge",),
+    "modify-contract-edge": ("edge",),
+    "modify-add-edge": ("edge",),
+}
+
 _SPEC_FORM = re.compile(r"[a-z_]+:\d+")
 _NEGATIVE_VALUE = re.compile(r"-\d")
 
@@ -182,6 +209,14 @@ def _budget() -> int:
         raise UsageError("SUMDIAM_BUDGET must be a positive integer") from exc
 
 
+def _reject_unused_flags(args) -> None:
+    """Usage error for a flag given that this verb's --name does not read."""
+    used = _NAME_FLAGS[args.name]
+    for flag in _VERB_FLAGS[args.verb]:
+        if flag not in used and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to --name {args.name}")
+
+
 def _range_json(vr) -> list | None:
     return None if vr is None else [vr.lower, vr.upper]
 
@@ -266,6 +301,7 @@ CONSTRUCTIONS = {
 
 
 def _cmd_construct(args) -> Output:
+    _reject_unused_flags(args)
     return _report_output(args.name, CONSTRUCTIONS[args.name](args), args.verify)
 
 
@@ -345,6 +381,7 @@ def _cmd_bounds(args) -> Output:
 
 
 def _combine_report(args) -> ConstructionReport:
+    _reject_unused_flags(args)
     name = args.name
     labels = [_labels_arg(text) for text in args.labels or []]
     targets = [_resolve_graph(value)[0] for value in args.target or []]

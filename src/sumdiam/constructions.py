@@ -152,7 +152,11 @@ def _fields_within(value: int, max_index: int, limit: int, width: int) -> bool:
 
 
 def is_bk_set(elements, k: int) -> bool:
-    """Certify the B_k property: coefficients of the k-th power stay <= k!."""
+    """Certify the B_k property: coefficients of the k-th power stay <= k!.
+
+    At k = 2 that says the n(n+1)/2 sums a + b with a <= b are distinct,
+    which is checked directly; higher orders take the packed power.
+    """
     if k < 2:
         raise ValueError("B_k order must be >= 2")
     elements = tuple(sorted(elements))
@@ -162,6 +166,10 @@ def is_bk_set(elements, k: int) -> bool:
         raise ValueError("B_k sets contain distinct positive integers")
     if len(elements) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
         raise ValueError("coefficient fields could overflow for this input size")
+    if k == 2:
+        n = len(elements)
+        sums = {a + b for i, a in enumerate(elements) for b in elements[i:]}
+        return len(sums) == n * (n + 1) // 2
     width = _field_width(len(elements), k)
     packed = 0
     for a in elements:

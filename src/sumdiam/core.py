@@ -8,12 +8,19 @@ the integral domain any integers (including 0 and negatives) are allowed.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
 MAX_LABEL = 2**63 - 1  # labels must fit in a signed 64-bit integer
 ISO_CAP_DEFAULT = 24  # generic isomorphism backtracking refuses larger graphs
-_BIG_INDUCE_THRESHOLD = 1024  # above this many labels, use bitset convolution
+# picks no induce path; perfbench/tracing.py files inductions of more labels
+# than this under core.induce.big_*
+_BIG_INDUCE_THRESHOLD = 1024
+# induce by bitset when the label span is at most this many times the label
+# count, pairwise otherwise: the bitset costs about k * span / 64 word
+# operations, the pairwise loop about k**2 / 2 set lookups
+_BITSET_SPAN_PER_LABEL = 200
 
 
 class Domain(Enum):
@@ -120,46 +127,77 @@ class InducedResult:
     isolate_count: int
 
 
-def _induce_pairs_small(labels: tuple[int, ...]) -> list[tuple[int, int]]:
+def _pairwise_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
     """All index pairs i<j with labels[i]+labels[j] in the label set."""
     members = set(labels)
-    k = len(labels)
+    top = labels[-1]
     out = []
-    for i in range(k):
-        a = labels[i]
-        for j in range(i + 1, k):
+    for i, a in enumerate(labels):
+        if 2 * a + 1 > top:
+            break  # a + b > top for every later b
+        for j in range(i + 1, bisect_right(labels, top - a)):
             if a + labels[j] in members:
                 out.append((i, j))
     return out
 
 
-def _induce_pairs_big(labels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Same as _induce_pairs_small via bitset shifts; O(k * range / 64) word ops."""
-    mn = labels[0]
-    index = {v: i for i, v in enumerate(labels)}
+def _hit_masks(labels: tuple[int, ...]) -> list[int]:
+    """Partner mask of each label a up to the last with 2a + 1 <= max.
+
+    Bit q of a's mask is set when b = a + 1 + q and a + b are both labels;
+    one AND of two shifts of the label indicator gives every such q.
+    """
+    low, top = labels[0], labels[-1]
     indicator = 0
     for v in labels:
-        indicator |= 1 << (v - mn)
+        indicator |= 1 << (v - low)
+    masks = []
+    for a in labels:
+        if 2 * a + 1 > top:
+            break  # a + b > top for every later b
+        shift = 2 * a + 1 - low  # negative only for some negative a
+        masks.append(
+            (indicator >> (a + 1 - low))
+            & (indicator >> shift if shift >= 0 else indicator << -shift)
+        )
+    return masks
+
+
+def _masked_pairs(labels: tuple[int, ...], masks: list[int]) -> list[tuple[int, int]]:
+    """The index pairs the masks of _hit_masks mark."""
+    index = {v: i for i, v in enumerate(labels)}
     out = []
-    for i, a in enumerate(labels):
-        # bit q of shifted = membership of (q + mn) + a in the label set
-        shifted = indicator >> a if a >= 0 else indicator << (-a)
-        hits = indicator & shifted
-        hits >>= a - mn + 1  # keep partners b with b > a
-        hits <<= a - mn + 1
-        while hits:
-            low = hits & -hits
-            q = low.bit_length() - 1
-            out.append((i, index[q + mn]))
-            hits ^= low
+    for i, mask in enumerate(masks):
+        base = labels[i] + 1
+        if mask.bit_count() * 8 >= mask.bit_length():  # dense: read every digit
+            digits = bin(mask)
+            last = labels[i] + len(digits)  # partner at string position p: last - p
+            out += [(i, index[last - p]) for p, c in enumerate(digits) if c == "1"]
+        else:  # sparse: peel the top bit, so the mask shrinks as it goes
+            while mask:
+                q = mask.bit_length() - 1
+                out.append((i, index[base + q]))
+                mask ^= 1 << q
     return out
 
 
-def _induced_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Index pairs i<j of sorted labels whose sum is a label."""
-    if len(labels) <= _BIG_INDUCE_THRESHOLD:
-        return _induce_pairs_small(labels)
-    return _induce_pairs_big(labels)
+def _induced_pairs(
+    labels: tuple[int, ...], edge_count: int | None = None
+) -> list[tuple[int, int]] | None:
+    """Index pairs i<j of sorted labels whose sum is a label.
+
+    Given edge_count, None unless there are exactly that many pairs; the
+    bitset path counts its masks' bits before it lists any pair.
+    """
+    if labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels):
+        pairs = _pairwise_pairs(labels)
+        if edge_count is not None and len(pairs) != edge_count:
+            return None
+        return pairs
+    masks = _hit_masks(labels)
+    if edge_count is not None and sum(map(int.bit_count, masks)) != edge_count:
+        return None
+    return _masked_pairs(labels, masks)
 
 
 def _pair_degrees(pairs: list[tuple[int, int]], k: int) -> list[int]:
@@ -440,9 +478,10 @@ def induce_if_valid(
 ) -> tuple[int, ...] | None:
     """The label of each vertex of g if lab induces g with the isolate count.
 
-    The edge count, core size, isolate count and degree sequence are compared
-    on the induced pairs before any graph is built; find_isomorphism makes the
-    same checks first, so the result is the same as running it directly.
+    The edge count is compared before any pair is listed, then the core size,
+    isolate count and degree sequence on the induced pairs before any graph is
+    built; find_isomorphism makes the same checks first, so the result is the
+    same as running it directly.
     """
     if g.n == 0:
         raise ValueError("target graph must have at least one vertex")
@@ -450,8 +489,8 @@ def induce_if_valid(
     if 0 in target_deg:
         raise ValueError("target graph must not contain isolated vertices")
     labels = lab.labels
-    pairs = _induced_pairs(labels)
-    if len(pairs) != len(g.edges):
+    pairs = _induced_pairs(labels, len(g.edges))
+    if pairs is None:
         return None
     deg = _pair_degrees(pairs, len(labels))
     core_ids = [i for i in range(len(labels)) if deg[i] > 0]

@@ -230,6 +230,25 @@ class TestConstruct:
         assert done.stderr.startswith("error: ")
         assert "labels exceed the cap of 1048576" in done.stderr
 
+    def test_flag_the_name_does_not_read_is_a_usage_error(self, capsys):
+        out, err = run(
+            capsys, "construct", "--name", "spum-cycle4", "--n", "99",
+            "--target", "path:3", expect=2,
+        )
+        assert out == ""
+        assert err.startswith("error: --target does not apply to --name spum-cycle4\n")
+
+    @pytest.mark.parametrize("name, argv, flag", [
+        ("sd-path", ("--n", "5", "--target", "path:3"), "--target"),
+        ("sd-path", ("--n", "5", "--graph", "g.json"), "--graph"),
+        ("spum-cycle4", ("--n", "4"), "--n"),
+        ("sd-general", ("--target", "path:4", "--n", "4"), "--n"),
+    ])
+    def test_each_unread_flag_is_named(self, capsys, name, argv, flag):
+        out, err = run(capsys, "construct", "--name", name, *argv, expect=2)
+        assert out == ""
+        assert err.startswith(f"error: {flag} does not apply to --name {name}\n")
+
     def test_output_roundtrips_through_verify(self, capsys):
         out, _ = run(
             capsys, "construct", "--name", "sd-path", "--n", "6", "--format", "json"
@@ -479,6 +498,35 @@ class TestCombine:
             "--format", "json",
         )
         assert json.loads(out)["valid"] is True
+
+    def test_flags_the_name_does_not_read_are_a_usage_error(self, capsys):
+        out, err = run(
+            capsys, "combine", "--name", "join",
+            "--labels", "1,2,3", "--target", "path:2",
+            "--labels", "1,2,3", "--target", "path:2", "--x", "7", "--isolates", "4",
+            expect=2,
+        )
+        assert out == ""
+        assert err.startswith("error: --x does not apply to --name join\n")
+
+    @pytest.mark.parametrize("name", cli.COMBINE_NAMES)
+    def test_every_name_refuses_the_flags_it_does_not_read(self, capsys, name):
+        values = {
+            "x": "5", "isolates": "2", "neighbors": "0", "vertex": "1",
+            "vertices": "0,1", "edge": "0,2",
+        }
+        used = cli._NAME_FLAGS[name]
+        assert set(used) <= set(values)
+        for flag in set(values) - set(used):
+            out, err = run(
+                capsys, "combine", "--name", name, "--labels", "1,2,3,4",
+                "--target", "path:3", f"--{flag}", values[flag], expect=2,
+            )
+            assert out == ""
+            assert err.startswith(f"error: --{flag} does not apply to --name {name}\n")
+
+    def test_flag_table_covers_every_name(self):
+        assert set(cli._NAME_FLAGS) == set(cli.CONSTRUCTIONS) | set(cli.COMBINE_NAMES)
 
     def test_binary_arity_usage_error(self, capsys):
         run(

@@ -1,6 +1,7 @@
 """Construction and combinator tests with brute-force cross-checks."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -188,6 +189,32 @@ class TestBkSets:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             is_bk_set(range(1, 65540), 4)
+
+    def test_order_two_input_errors(self, monkeypatch):
+        with pytest.raises(ValueError, match="^B_k sets contain distinct positive integers$"):
+            is_bk_set([3, 5, 3], 2)
+        for bad in ([0, 2], [-4, 1, 9]):
+            with pytest.raises(ValueError, match="^B_k sets contain distinct positive integers$"):
+                is_bk_set(bad, 2)
+        # n**2 >= 2**63 needs three billion elements; a lower limit shows the guard
+        monkeypatch.setattr(constructions, "_BK_MAX_COEFFICIENT_BITS", 10)
+        assert is_bk_set(sidon_set(31).elements, 2)
+        with pytest.raises(ValueError, match="^coefficient fields could overflow"):
+            is_bk_set(sidon_set(32).elements, 2)
+
+    def test_order_two_matches_oracle_near_sidon_sets(self):
+        # Erdos-Turan sets certify; one added element usually breaks them
+        rng = random.Random(7)
+        verdicts = set()
+        for n in range(2, 60, 3):
+            elements = list(sidon_set(n).elements)
+            assert is_bk_set(elements, 2) and is_sidon_oracle(elements)
+            extra = rng.randint(1, 2 * elements[-1])
+            if extra not in elements:
+                verdict = is_bk_set(elements + [extra], 2)
+                assert verdict == is_sidon_oracle(elements + [extra])
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_field_check_matches_per_field_reference(self):
         rng = random.Random(20211)
@@ -398,6 +425,51 @@ class TestSdGeneral:
         with pytest.raises(ValueError):
             sd_general(graph(3, [(0, 1)]))
 
+    def test_cycle_1000_pinned(self):
+        # a sparse output (span 8,064 times the label count): the pairwise
+        # induce path and the pairwise-sum Sidon check keep this fast
+        labels = sd_general(generate(FamilySpec(FamilyKind.CYCLE, 1000))).labeling.labels
+        assert len(labels) == 2000
+        assert labels[-1] - labels[0] == 16128577
+        digest = hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest()
+        assert digest == "fff7e5ffed196775b24fe5cae5b974b20aa77d13e29b52a85cb497011fa02ff0"
+
+
+class TestInducePath:
+    """The induce path core's span rule takes on dense and sparse outputs."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        calls = []
+        for name, tag in (("_hit_masks", "bitset"), ("_pairwise_pairs", "pairwise")):
+            real = getattr(core, name)
+
+            def record(labels, real=real, tag=tag):
+                calls.append((tag, len(labels), labels[-1] - labels[0]))
+                return real(labels)
+
+            monkeypatch.setattr(core, name, record)
+        return calls
+
+    def test_dense_sd_general_goes_bitset(self, paths):
+        # the circulant C_64(1..14): 64 vertices, 896 edges
+        g = graph(64, [(i, (i + d) % 64) for i in range(64) for d in range(1, 15)])
+        sd_general(g)
+        assert paths == [("bitset", 960, 67633)]
+
+    def test_sparse_scaled_union_goes_pairwise(self, paths):
+        chords = [(0, 5), (1, 8), (2, 10), (3, 7), (4, 11), (6, 12)]
+        g = graph(13, [(i, (i + 1) % 13) for i in range(13)] + chords)
+        lab = sd_general(g).labeling
+        paths.clear()
+        disjoint_union_scaled(lab, g, lab, g)
+        # both inputs are validated, then the output is checked
+        assert paths == [
+            ("bitset", 32, 2497),
+            ("bitset", 32, 2497),
+            ("pairwise", 64, 26023407),
+        ]
+
 
 class TestTranslate:
     def test_documented_single_edge_shift(self):
@@ -414,18 +486,19 @@ class TestTranslate:
             translate(LAB_P3, P3, 0)
 
     def test_input_and_output_each_induced_once(self, monkeypatch):
-        # input validation and the output check both enumerate pairs through
-        # core._induced_pairs, each once per label set
+        # input validation (with the edge count to match) and the output
+        # check both enumerate pairs through core._induced_pairs, each once
+        # per label set
         induced = []
         real = core._induced_pairs
 
-        def counting(labels):
-            induced.append(labels)
-            return real(labels)
+        def counting(labels, *edge_count):
+            induced.append((labels, *edge_count))
+            return real(labels, *edge_count)
 
         monkeypatch.setattr(core, "_induced_pairs", counting)
         translate(LAB_P3, P3, 2)
-        assert induced == [(1, 2, 3, 4), (3, 4, 5, 7, 8)]
+        assert induced == [((1, 2, 3, 4), 2), ((3, 4, 5, 7, 8),)]
 
     def test_idle_isolates_are_dropped(self):
         lab = labeling([1, 2, 3, 17])

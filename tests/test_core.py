@@ -161,18 +161,98 @@ class TestInduce:
 
     @settings(max_examples=200, deadline=None)
     @given(label_sets)
-    def test_big_path_agrees_with_small_path(self, values):
+    def test_bitset_path_agrees_with_pairwise_path(self, values):
         values = tuple(sorted(values))
-        assert sorted(core._induce_pairs_big(values)) == sorted(
-            core._induce_pairs_small(values)
+        assert sorted(core._masked_pairs(values, core._hit_masks(values))) == sorted(
+            core._pairwise_pairs(values)
         )
 
-    def test_big_path_used_for_large_inputs(self):
-        # consecutive run [n, 2n+1]: i~j iff i+j <= 2n+1
-        values = tuple(range(2000, 4002))
-        pairs = core._induce_pairs_big(values)
-        expected = sum(1 for i, a in enumerate(values) for b in values[i + 1 :] if a + b <= 4001)
-        assert len(pairs) == expected
+    def test_dense_runs_induce_by_bitset(self, monkeypatch):
+        # [n, 2n+1] joins only n and n+1; around zero i~j iff |i+j| <= 300
+        monkeypatch.setattr(core, "_pairwise_pairs", None)
+        for values in (tuple(range(2000, 4002)), tuple(range(-300, 301))):
+            lo, hi = values[0], values[-1]
+            pairs = core._induced_pairs(values)
+            expected = sum(
+                1 for i, a in enumerate(values) for b in values[i + 1 :] if lo <= a + b <= hi
+            )
+            assert len(pairs) == len(set(pairs)) == expected
+
+
+def _span_rule_sets(rng):
+    """Seeded label sets from both sides of core's span rule."""
+    bound = core._BITSET_SPAN_PER_LABEL
+    sets = [(5,), (-3,), (0,), (2, 7), (-4, 4), (0, 9), (-6, -3), (1, 10**6)]
+    for _ in range(40):
+        k = rng.randint(3, 120)
+        start = rng.randint(-2 * k, 2 * k)
+        sets.append(tuple(range(start, start + k)))  # a dense run
+        # an Erdos-Turan Sidon set, scaled and shifted
+        p = rng.choice([5, 7, 11, 13, 17, 19, 23])
+        scale = rng.choice([1, 3, 50, 4000])
+        shift = rng.randint(-3 * p * p * scale, 3 * p * p * scale)
+        sets.append(
+            tuple(sorted(shift + scale * (2 * p * i + (i * i) % p) for i in range(1, p + 1)))
+        )
+        # random labels with zero, negatives and a chosen span per label
+        span = k * rng.choice([1, 3, 40, bound // 2, 2 * bound, 50 * bound])
+        low = rng.randint(-span, span // 2)
+        values = {low, low + span, 0} | set(rng.sample(range(low, low + span + 1), k))
+        sets.append(tuple(sorted(values)))
+        # the span exactly at the bound, and one past it
+        for extra in (0, 1):
+            low = rng.randint(-bound * k, bound * k)
+            inner = rng.sample(range(low + 1, low + bound * k + extra), k - 2)
+            sets.append(tuple(sorted({low, low + bound * k + extra, *inner})))
+    return sets
+
+
+def _recorder(calls, tag, real):
+    def record(*args):
+        calls.append(tag)
+        return real(*args)
+
+    return record
+
+
+class TestSpanRule:
+    """core._induced_pairs picks the bitset or the pairwise path by label span."""
+
+    def test_agrees_with_oracle_on_both_sides(self):
+        bound = core._BITSET_SPAN_PER_LABEL
+        sides = {True: 0, False: 0}
+        at_bound = 0
+        for values in _span_rule_sets(random.Random(20261019)):
+            span = values[-1] - values[0]
+            sides[span <= bound * len(values)] += 1
+            at_bound += span == bound * len(values)
+            edges, _ = naive_induce(values)
+            pairs = core._induced_pairs(values)
+            assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
+            assert core._induced_pairs(values, len(edges)) == pairs
+            assert core._induced_pairs(values, len(edges) + 1) is None
+        assert sides[True] > 100 and sides[False] > 50 and at_bound >= 30
+
+    def test_bound_itself_takes_the_bitset(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_hit_masks", _recorder(calls, "bitset", core._hit_masks))
+        monkeypatch.setattr(
+            core, "_pairwise_pairs", _recorder(calls, "pairwise", core._pairwise_pairs)
+        )
+        bound = core._BITSET_SPAN_PER_LABEL
+        core._induced_pairs((1, 2, 1 + 3 * bound))
+        core._induced_pairs((1, 2, 2 + 3 * bound))
+        assert calls == ["bitset", "pairwise"]
+
+    def test_count_comes_before_listing(self, monkeypatch):
+        listed = []
+        monkeypatch.setattr(core, "_masked_pairs", _recorder(listed, "list", core._masked_pairs))
+        lab = labeling([1, 2, 3, 4])  # the path 2-1-3 plus the isolate 4
+        assert induce_if_valid(lab, complete_graph(3)) is None
+        assert induce_if_valid(lab, path_graph(2)) is None
+        assert listed == []
+        assert induce_if_valid(lab, path_graph(3)) == (2, 1, 3)
+        assert listed == ["list"]
 
 
 class TestStructurePredicates:
