@@ -77,10 +77,9 @@ COMBINE_NAMES = (
 
 # the flags that only some --name of construct or combine reads, in the order
 # a misplaced one is reported, and which of them each --name reads
-_VERB_FLAGS = {
-    "construct": ("target", "graph", "n"),
-    "combine": ("x", "isolates", "neighbors", "vertex", "vertices", "edge"),
-}
+_NAME_SPECIFIC_FLAGS = (
+    "target", "graph", "n", "x", "isolates", "neighbors", "vertex", "vertices", "edge"
+)
 _NAME_FLAGS = {
     "spum-path-even": ("n",),
     "sd-path": ("n",),
@@ -89,17 +88,17 @@ _NAME_FLAGS = {
     "spum-matching": ("n",),
     "ispum-matching": ("n",),
     "sd-general": ("target", "graph"),
-    "translate": ("x",),
-    "union-scaled": (),
-    "union-translated": (),
-    "add-isolated": ("isolates",),
-    "add-vertex": ("neighbors",),
-    "join": (),
-    "modify-delete-vertex": ("vertex",),
-    "modify-induced-subgraph": ("vertices",),
-    "modify-delete-edge": ("edge",),
-    "modify-contract-edge": ("edge",),
-    "modify-add-edge": ("edge",),
+    "translate": ("target", "x"),
+    "union-scaled": ("target",),
+    "union-translated": ("target",),
+    "add-isolated": ("target", "isolates"),
+    "add-vertex": ("target", "neighbors"),
+    "join": ("target",),
+    "modify-delete-vertex": ("target", "vertex"),
+    "modify-induced-subgraph": ("target", "vertices"),
+    "modify-delete-edge": ("target", "edge"),
+    "modify-contract-edge": ("target", "edge"),
+    "modify-add-edge": ("target", "edge"),
 }
 
 _SPEC_FORM = re.compile(r"[a-z_]+:\d+")
@@ -212,8 +211,8 @@ def _budget() -> int:
 def _reject_unused_flags(args) -> None:
     """Usage error for a flag given that this verb's --name does not read."""
     used = _NAME_FLAGS[args.name]
-    for flag in _VERB_FLAGS[args.verb]:
-        if flag not in used and getattr(args, flag) is not None:
+    for flag in _NAME_SPECIFIC_FLAGS:
+        if flag not in used and getattr(args, flag, None) is not None:
             raise UsageError(f"--{flag} does not apply to --name {args.name}")
 
 

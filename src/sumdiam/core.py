@@ -169,15 +169,10 @@ def _masked_pairs(labels: tuple[int, ...], masks: list[int]) -> list[tuple[int, 
     out = []
     for i, mask in enumerate(masks):
         base = labels[i] + 1
-        if mask.bit_count() * 8 >= mask.bit_length():  # dense: read every digit
-            digits = bin(mask)
-            last = labels[i] + len(digits)  # partner at string position p: last - p
-            out += [(i, index[last - p]) for p, c in enumerate(digits) if c == "1"]
-        else:  # sparse: peel the top bit, so the mask shrinks as it goes
-            while mask:
-                q = mask.bit_length() - 1
-                out.append((i, index[base + q]))
-                mask ^= 1 << q
+        while mask:  # peel the top bit, so the mask shrinks as it goes
+            q = mask.bit_length() - 1
+            out.append((i, index[base + q]))
+            mask ^= 1 << q
     return out
 
 

@@ -516,7 +516,7 @@ class TestCombine:
             "vertices": "0,1", "edge": "0,2",
         }
         used = cli._NAME_FLAGS[name]
-        assert set(used) <= set(values)
+        assert set(used) <= set(values) | {"target"}
         for flag in set(values) - set(used):
             out, err = run(
                 capsys, "combine", "--name", name, "--labels", "1,2,3,4",
