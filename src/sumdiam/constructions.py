@@ -191,6 +191,11 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
     any candidate c beyond twice the current span, the new order-j sums
     split by the multiplicity of c into regions whose coefficients reduce
     to lower-order coefficients of the prefix, all certified.
+
+    Order 2 is tested on the prefix's pairwise sums: the prefix is B_2, so
+    adding c keeps it B_2 exactly when no new sum c + a (a chosen) is already
+    one; 2c exceeds every old sum.  Orders 3 to k take packed powers of the
+    prefix, and only for candidates that pass order 2.
     """
     if (n + 1) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
         raise ValueError("coefficient fields could overflow for this input size")
@@ -198,24 +203,26 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
     limits = [math.factorial(j) for j in range(k + 1)]
     binoms = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
     chosen: list[int] = []
+    pair_sums: set[int] = set()  # a + b over chosen a <= b
     packed = 0
-    powers = [1] + [0] * k  # powers[j] = prefix polynomial ** j
+    powers = [1] + [0] * k  # powers[j] = prefix polynomial ** j, kept for k >= 3
     candidate = 1
     while len(chosen) < n:
-        ok = True
-        for j in range(2, k + 1):
-            # (P + z^c)^j expanded binomially from cached powers of P
-            total = powers[j]
-            for i in range(1, j + 1):
-                total += (binoms[j][i] * powers[j - i]) << (width * i * candidate)
-            if not _fields_within(total, j * candidate, limits[j], width):
-                ok = False
-                break
-        if ok:
-            chosen.append(candidate)
-            packed += 1 << (width * candidate)
-            for j in range(1, k + 1):
-                powers[j] = powers[j - 1] * packed
+        if pair_sums.isdisjoint(candidate + a for a in chosen):
+            for j in range(3, k + 1):
+                # (P + z^c)^j expanded binomially from cached powers of P
+                total = powers[j]
+                for i in range(1, j + 1):
+                    total += (binoms[j][i] * powers[j - i]) << (width * i * candidate)
+                if not _fields_within(total, j * candidate, limits[j], width):
+                    break
+            else:  # every order passed
+                chosen.append(candidate)
+                pair_sums.update(candidate + a for a in chosen)
+                if k > 2:
+                    packed += 1 << (width * candidate)
+                    for j in range(1, k + 1):
+                        powers[j] = powers[j - 1] * packed
         candidate += 1
     return tuple(chosen)
 

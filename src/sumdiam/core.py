@@ -44,9 +44,11 @@ class Labeling:
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
         for v in labels:
-            if not isinstance(v, int) or isinstance(v, bool):
+            # the exact-type test passes plain ints without the two isinstance
+            # calls; int subclasses other than bool still pass the second test
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValueError(f"label {v!r} is not an integer")
-            if abs(v) > MAX_LABEL:
+            if not -MAX_LABEL <= v <= MAX_LABEL:
                 raise ValueError(f"label {v} exceeds the 64-bit signed range")
         if self.domain is Domain.POSITIVE and labels[0] < 1:
             raise ValueError("positive-domain labels must be >= 1")
@@ -89,11 +91,16 @@ class SimpleGraph:
         object.__setattr__(self, "edges", frozenset(normalized))
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        """Degree of each vertex; computed once, then kept on the instance."""
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            counts = [0] * self.n
+            for u, v in self.edges:
+                counts[u] += 1
+                counts[v] += 1
+            deg = tuple(counts)
+            object.__setattr__(self, "_degrees", deg)
+        return deg
 
     def adjacency(self) -> tuple[frozenset[int], ...]:
         adj: list[set[int]] = [set() for _ in range(self.n)]

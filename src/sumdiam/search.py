@@ -141,7 +141,12 @@ def _window_first_hit(
             return None, nodes, True
         if o > top:
             if count >= min_size and (exact_size is None or count == exact_size):
-                chosen = [lo + i for i in range(top + 1) if mask >> i & 1]
+                chosen = []
+                rest = mask
+                while rest:  # peel the low bit: one step per chosen label
+                    bit = rest & -rest
+                    chosen.append(lo + bit.bit_length() - 1)
+                    rest ^= bit
                 candidate = labeling(chosen, domain)
                 if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
                     return tuple(chosen), nodes, False
@@ -188,7 +193,7 @@ def _window_first_hit(
                 else:
                     for e in range(k):
                         new_levels[e] |= vbit
-                    for e in range(max(d, k)):
+                    for e in range(d if d > k else k):
                         if new_levels[e].bit_count() > capacity[e + 1]:
                             ok = False
                             break
@@ -204,16 +209,20 @@ def _window_first_hit(
                         first = 0
                     if first <= last:
                         idle &= ~((1 << (last + 1)) - (1 << first))
-                if idle.bit_count() > exact_isolates:
+                left = idle.bit_count()
+                if left > exact_isolates:
                     # the rest are hopeless unless a chosen partner b != a
                     # has an undecided sum, b in [nxt - a, hi - a], or,
                     # for a < 0, an undecided partner has a chosen sum,
-                    # in [a + nxt, a + hi]; both ranges are top - o wide
+                    # in [a + nxt, a + hi]; both ranges are top - o wide.
+                    # The loop stops once the labels left cannot lift the
+                    # hopeless count past exact_isolates
                     width = (1 << (top - o)) - 1
                     hopeless = 0
-                    while idle:
+                    while hopeless + left > exact_isolates:
                         bit = idle & -idle
                         idle ^= bit
+                        left -= 1
                         i = bit.bit_length() - 1
                         first = o + 1 - lo - i
                         others = chosen ^ bit

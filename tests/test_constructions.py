@@ -156,6 +156,26 @@ class TestBkSets:
             1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123,
         )
 
+    @pytest.mark.parametrize("k, n", [(2, 24), (3, 11), (4, 9), (5, 8), (6, 7)])
+    def test_greedy_matches_brute_force_greedy(self, k, n):
+        # smallest next candidate that keeps the prefix B_j for every j <= k,
+        # each order tested by the coefficient oracle
+        chosen = []
+        candidate = 1
+        while len(chosen) < n:
+            trial = chosen + [candidate]
+            if all(is_bk_oracle(trial, j) for j in range(2, k + 1)):
+                chosen = trial
+            candidate += 1
+        for size in range(1, n + 1):
+            assert bk_set(size, k).elements == tuple(chosen[:size]), size
+
+    def test_mian_chowla_hundred_pinned(self):
+        elements = bk_set(100, 2).elements
+        assert elements[-1] == 27219
+        digest = hashlib.sha256(",".join(map(str, elements)).encode()).hexdigest()
+        assert digest == "f78bde1ae084b24a966331febd3957ff403941a88b4cf484e217b982985d4250"
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_greedy_outputs_certified_both_ways(self, k):
         for n in (1, 4, 8, 12):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import re
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,42 @@ class TestLabeling:
             labeling([2**63])
         with pytest.raises(ValueError):
             labeling([-(2**63) - 1], Domain.INTEGRAL)
+
+    # the messages a caller sees; the first offender in sorted order is named
+    @pytest.mark.parametrize(
+        ("values", "domain", "message"),
+        [
+            ([True, 2], None, "label True is not an integer"),
+            ([1.5, 2], None, "label 1.5 is not an integer"),
+            ([2**63, 1], None, "label 9223372036854775808 exceeds the 64-bit signed range"),
+            (
+                [-(2**63), 1],
+                Domain.INTEGRAL,
+                "label -9223372036854775808 exceeds the 64-bit signed range",
+            ),
+            (
+                [2.5, True, -(2**63)],
+                Domain.INTEGRAL,
+                "label -9223372036854775808 exceeds the 64-bit signed range",
+            ),
+            ([2**63, 1.5], None, "label 1.5 is not an integer"),
+        ],
+        ids=["bool", "float", "above", "below", "range-first", "type-first"],
+    )
+    def test_error_messages(self, values, domain, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            labeling(values, domain)
+
+    def test_int_enum_members_are_labels(self):
+        class Size(IntEnum):
+            SMALL = 2
+            LARGE = 2**63
+
+        lab = labeling([Size.SMALL, 5])
+        assert lab.labels == (2, 5) and lab.domain is Domain.POSITIVE
+        assert type(lab.labels[0]) is Size
+        with pytest.raises(ValueError, match="exceeds the 64-bit signed range$"):
+            labeling([Size.LARGE, 1])
 
     def test_label_range(self):
         assert label_range(labeling([3, 10])) == 7

@@ -671,6 +671,24 @@ class TestKernel:
             pytest.param(
                 lambda: search_isd(family(FamilyKind.PATH, 7)), 5_086, 286, id="isd-P7"
             ),
+            # non-family targets with a degree-3 and a degree-4 vertex, from
+            # perfbench/golden/random_graphs.json
+            pytest.param(
+                lambda: search_sd(
+                    graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)])
+                ),
+                2_477,
+                445,
+                id="sd-6v-maxdeg4",
+            ),
+            pytest.param(
+                lambda: search_isd(
+                    graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5)])
+                ),
+                5_044,
+                962,
+                id="isd-6v-maxdeg3",
+            ),
             # a jobs=2 batch validates the leaves of both its windows
             pytest.param(
                 lambda: search_spum(family(FamilyKind.PATH, 8), 1, jobs=2),
@@ -684,6 +702,36 @@ class TestKernel:
         validated = count_leaves(monkeypatch)
         cert = run()
         assert (cert.candidates_examined, len(validated)) == (nodes, leaves)
+
+    def test_fixed_isolate_windows_pinned(self):
+        # the isolate (hopeless) prune on random targets that are not paths
+        # or cycles: a prune that cuts more or less walks a different tree
+        rng = random.Random(15)
+        total = hits = 0
+        for _ in range(120):
+            n = rng.randint(4, 6)
+            pairs = list(combinations(range(n), 2))
+            while True:
+                g = graph(n, rng.sample(pairs, rng.randint(n // 2, n + 2)))
+                if not g.isolated_vertices():
+                    break
+            isolates = rng.randint(0, 2)
+            x = rng.randint(2 * n - 4, 2 * n + 2)
+            lo = rng.randint(-x, x - n + 1)
+            hit, nodes, aborted = search._window_first_hit(
+                g,
+                lo,
+                lo + x,
+                exact_size=n + isolates,
+                min_size=n + isolates,
+                exact_isolates=isolates,
+                domain=Domain.POSITIVE if lo >= 1 else Domain.INTEGRAL,
+                node_cap=10**9,
+            )
+            assert not aborted
+            total += nodes
+            hits += hit is not None
+        assert (total, hits) == (36_265, 21)
 
     @pytest.mark.parametrize("pinned", [True, False], ids=["exact", "open"])
     def test_first_hit_matches_enumeration(self, pinned):
