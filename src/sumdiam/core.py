@@ -66,6 +66,20 @@ def labeling(values, domain: Domain | None = None) -> Labeling:
     return Labeling(values, domain)
 
 
+def _labeling_unchecked(labels: tuple[int, ...], domain: Domain) -> Labeling:
+    """A Labeling built without __post_init__'s sort and checks.
+
+    Only for a caller that already holds labels as a tuple of ints, sorted,
+    distinct, within the 64-bit signed range and >= 1 when domain is
+    POSITIVE: the search kernel's leaf. Everything else goes through
+    labeling() or Labeling(...).
+    """
+    lab = object.__new__(Labeling)
+    object.__setattr__(lab, "labels", labels)
+    object.__setattr__(lab, "domain", domain)
+    return lab
+
+
 def label_range(lab: Labeling) -> int:
     """Range of a labeling: max label minus min label."""
     return lab.labels[-1] - lab.labels[0]

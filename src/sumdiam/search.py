@@ -9,9 +9,11 @@ from enum import Enum
 from functools import partial
 
 from .core import (
+    MAX_LABEL,
     Domain,
     Labeling,
     SimpleGraph,
+    _labeling_unchecked,
     is_valid_labeling,
     isd_lower_bound,
     labeling,
@@ -121,7 +123,16 @@ def _window_first_hit(
     chosen, and bit top - i of `rev` mirrors it; levels[d - 1] holds the chosen
     labels of degree >= d. Each include pushes (offset, levels before it,
     edges it added), and backtracking pops to the deepest live exclude.
+
+    A leaf's labels come off the mask ascending and distinct, and the window
+    is checked against the domain and the 64-bit range before the first
+    node, so each leaf is handed to is_valid_labeling as built.
     """
+    for bound in (lo, hi):
+        if not -MAX_LABEL <= bound <= MAX_LABEL:
+            raise ValueError(f"label {bound} exceeds the 64-bit signed range")
+    if domain is Domain.POSITIVE and lo < 1:
+        raise ValueError("positive-domain labels must be >= 1")
     capacity = _degree_capacity(g)
     delta = len(capacity) - 1
     edge_cap = len(g.edges)
@@ -134,6 +145,9 @@ def _window_first_hit(
     levels = [0] * delta
     count = edges = nodes = 0
     stack: list[tuple[int, list[int], int]] = []
+    # the isolate test's band masks, one per offset, filled as the test
+    # first reaches each offset, so a shallow wide window builds few
+    settled: list[int] = []
     o = 0  # offset of the value decided next, v = lo + o
     while True:
         nodes += 1
@@ -147,9 +161,11 @@ def _window_first_hit(
                     bit = rest & -rest
                     chosen.append(lo + bit.bit_length() - 1)
                     rest ^= bit
-                candidate = labeling(chosen, domain)
+                labels = tuple(chosen)
+                # sorted, distinct and inside the window checked above
+                candidate = _labeling_unchecked(labels, domain)
                 if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
-                    return tuple(chosen), nodes, False
+                    return labels, nodes, False
             o = top  # hi is always chosen and has no exclude branch
         elif exact_size is None or count + (1 if o == top else 2) <= exact_size:
             v = lo + o
@@ -177,20 +193,23 @@ def _window_first_hit(
             ok = edges + added <= edge_cap
             new_levels = levels
             if ok and ends:
-                # thermometer increment: each endpoint gains one degree
-                # and v gains k; degrees only grow within one include, so
-                # checking the final counts is exact
-                new_levels = levels.copy()
-                carry = ends
-                d = 0
-                while carry and d < delta:
-                    below = new_levels[d]
-                    new_levels[d] = below | carry
-                    carry &= below
-                    d += 1
-                if carry or k > delta:
+                # an endpoint already at degree delta can take no further
+                # edge, so that include fails before levels is copied
+                if ends & levels[-1] or k > delta:
                     ok = False
                 else:
+                    # thermometer increment: each endpoint gains one degree
+                    # and v gains k; degrees only grow within one include,
+                    # so checking the final counts is exact. No endpoint is
+                    # in levels[-1], so the carry is spent within delta levels
+                    new_levels = levels.copy()
+                    carry = ends
+                    d = 0
+                    while carry:
+                        below = new_levels[d]
+                        new_levels[d] = below | carry
+                        carry &= below
+                        d += 1
                     for e in range(k):
                         new_levels[e] |= vbit
                     for e in range(d if d > k else k):
@@ -198,17 +217,23 @@ def _window_first_hit(
                             ok = False
                             break
             if ok and exact_isolates is not None:
+                if o >= len(settled):
+                    # labels in [nxt - hi, hi - nxt] can still pair with an
+                    # undecided partner for an undecided sum; settled[j]
+                    # holds the offsets up to j outside that band
+                    for j in range(len(settled), o + 1):
+                        keep = (1 << (j + 1)) - 1
+                        first = j + 1 - top - lo
+                        last = top - j - 1 - lo
+                        if first < 0:
+                            first = 0
+                        if last > j:
+                            last = j
+                        if first <= last:
+                            keep ^= (1 << (last + 1)) - (1 << first)
+                        settled.append(keep)
                 chosen = mask | vbit
-                idle = chosen & ~new_levels[0]
-                # labels in [nxt - hi, hi - nxt] can still pair with an
-                # undecided partner for an undecided sum
-                last = top - o - 1 - lo
-                if last >= 0:
-                    first = o + 1 - top - lo
-                    if first < 0:
-                        first = 0
-                    if first <= last:
-                        idle &= ~((1 << (last + 1)) - (1 << first))
+                idle = chosen & ~new_levels[0] & settled[o]
                 left = idle.bit_count()
                 if left > exact_isolates:
                     # the rest are hopeless unless a chosen partner b != a

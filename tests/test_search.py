@@ -10,7 +10,7 @@ import pytest
 
 from oracles import naive_induce, naive_isomorphic, naive_search
 from sumdiam import search
-from sumdiam.core import Domain, graph, is_valid_labeling, labeling
+from sumdiam.core import MAX_LABEL, Domain, graph, is_valid_labeling, labeling
 from sumdiam.families import FamilyKind, FamilySpec, generate, known_values
 from sumdiam.hypergraph import hypergraph, search_hyper_sd
 from sumdiam.search import (
@@ -45,6 +45,10 @@ M2 = family(FamilyKind.MATCHING, 2)
 STAR4 = graph(4, [(0, 1), (0, 2), (0, 3)])
 PAW = graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 DIAMOND = graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+# golden random-graphs class 191: a degree-6 hub over a triangle's edges
+CLASS_191 = graph(
+    7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3)]
+)
 
 ALL_SMALL = {
     "K2": K2,
@@ -587,13 +591,14 @@ def cycle_zeta(n):
 
 
 def count_leaves(monkeypatch):
-    """Count the leaves the search validates through search.is_valid_labeling."""
+    """Record the Labeling of each leaf the search validates through
+    search.is_valid_labeling."""
     leaves = []
     real = search.is_valid_labeling
 
-    def counting(*args, **kwargs):
-        leaves.append(1)
-        return real(*args, **kwargs)
+    def counting(lab, *args, **kwargs):
+        leaves.append(lab)
+        return real(lab, *args, **kwargs)
 
     monkeypatch.setattr(search, "is_valid_labeling", counting)
     return leaves
@@ -689,6 +694,10 @@ class TestKernel:
                 962,
                 id="isd-6v-maxdeg3",
             ),
+            # golden random-graphs class 191, the one with the most leaves
+            pytest.param(
+                lambda: search_sd(CLASS_191), 43_885, 8_281, id="sd-7v-class191"
+            ),
             # a jobs=2 batch validates the leaves of both its windows
             pytest.param(
                 lambda: search_spum(family(FamilyKind.PATH, 8), 1, jobs=2),
@@ -702,6 +711,70 @@ class TestKernel:
         validated = count_leaves(monkeypatch)
         cert = run()
         assert (cert.candidates_examined, len(validated)) == (nodes, leaves)
+
+    def test_class_191_witness_pinned(self):
+        cert = search_sd(CLASS_191)
+        assert cert.value == 13
+        assert cert.witness.labels == (4, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17)
+
+    def test_leaves_equal_validated_labelings(self, monkeypatch):
+        # the kernel hands each leaf over without Labeling's sort and checks;
+        # every one must be the labeling the checked constructor builds
+        validated = count_leaves(monkeypatch)
+        certs = [
+            search_sd(P4),
+            search_isd(P4),
+            search_spum(P4, 1),
+            search_ispum(family(FamilyKind.CYCLE, 5), cycle_zeta(5)),
+            search_isd(PAW),
+        ]
+        seen = {"positive": 0, "crosses 0": 0, "negative": 0}
+        for lab in validated:
+            assert type(lab.labels) is tuple
+            assert all(a < b for a, b in zip(lab.labels, lab.labels[1:]))
+            assert lab == labeling(lab.labels, lab.domain)
+            if lab.labels[0] >= 1:
+                seen["positive"] += 1
+            else:
+                assert lab.domain is Domain.INTEGRAL
+                seen["negative" if lab.labels[-1] < 0 else "crosses 0"] += 1
+        assert min(seen.values()) > 0, seen
+        for cert in certs:
+            witness = cert.witness
+            assert witness == labeling(witness.labels, witness.domain)
+            assert witness in validated
+
+    @pytest.mark.parametrize(
+        ("lo", "hi", "domain"),
+        [
+            (0, 6, Domain.POSITIVE),
+            (-2, 6, Domain.POSITIVE),
+            (1, MAX_LABEL + 1, Domain.POSITIVE),
+            (-MAX_LABEL - 1, 4, Domain.INTEGRAL),
+        ],
+        ids=["positive-from-0", "positive-from-negative", "past-max", "past-min"],
+    )
+    def test_window_outside_domain_raises_before_a_node(
+        self, monkeypatch, lo, hi, domain
+    ):
+        # the leaf's labels are not checked again, so the window must be;
+        # a zero node cap shows no node is visited first
+        validated = count_leaves(monkeypatch)
+        message = "must be >= 1" if domain is Domain.POSITIVE and lo < 1 else (
+            "exceeds the 64-bit signed range"
+        )
+        with pytest.raises(ValueError, match=message):
+            search._window_first_hit(
+                P3,
+                lo,
+                hi,
+                exact_size=None,
+                min_size=4,
+                exact_isolates=None,
+                domain=domain,
+                node_cap=0,
+            )
+        assert validated == []
 
     def test_fixed_isolate_windows_pinned(self):
         # the isolate (hopeless) prune on random targets that are not paths
