@@ -9,7 +9,6 @@ from enum import Enum
 from functools import partial
 
 from .core import (
-    MAX_LABEL,
     Domain,
     Labeling,
     SimpleGraph,
@@ -128,11 +127,7 @@ def _window_first_hit(
     is checked against the domain and the 64-bit range before the first
     node, so each leaf is handed to is_valid_labeling as built.
     """
-    for bound in (lo, hi):
-        if not -MAX_LABEL <= bound <= MAX_LABEL:
-            raise ValueError(f"label {bound} exceeds the 64-bit signed range")
-    if domain is Domain.POSITIVE and lo < 1:
-        raise ValueError("positive-domain labels must be >= 1")
+    Labeling((lo, hi), domain)  # raises for a window outside the domain
     capacity = _degree_capacity(g)
     delta = len(capacity) - 1
     edge_cap = len(g.edges)
@@ -145,9 +140,6 @@ def _window_first_hit(
     levels = [0] * delta
     count = edges = nodes = 0
     stack: list[tuple[int, list[int], int]] = []
-    # the isolate test's band masks, one per offset, filled as the test
-    # first reaches each offset, so a shallow wide window builds few
-    settled: list[int] = []
     o = 0  # offset of the value decided next, v = lo + o
     while True:
         nodes += 1
@@ -217,23 +209,17 @@ def _window_first_hit(
                             ok = False
                             break
             if ok and exact_isolates is not None:
-                if o >= len(settled):
-                    # labels in [nxt - hi, hi - nxt] can still pair with an
-                    # undecided partner for an undecided sum; settled[j]
-                    # holds the offsets up to j outside that band
-                    for j in range(len(settled), o + 1):
-                        keep = (1 << (j + 1)) - 1
-                        first = j + 1 - top - lo
-                        last = top - j - 1 - lo
-                        if first < 0:
-                            first = 0
-                        if last > j:
-                            last = j
-                        if first <= last:
-                            keep ^= (1 << (last + 1)) - (1 << first)
-                        settled.append(keep)
                 chosen = mask | vbit
-                idle = chosen & ~new_levels[0] & settled[o]
+                idle = chosen & ~new_levels[0]
+                # labels in [nxt - hi, hi - nxt] can still pair with an
+                # undecided partner for an undecided sum
+                last = top - o - 1 - lo
+                if last >= 0:
+                    first = o + 1 - top - lo
+                    if first < 0:
+                        first = 0
+                    if first <= last:
+                        idle &= ~((1 << (last + 1)) - (1 << first))
                 left = idle.bit_count()
                 if left > exact_isolates:
                     # the rest are hopeless unless a chosen partner b != a

@@ -304,6 +304,19 @@ class TestSearch:
         )
         assert err.startswith("error: budget of ")
 
+    def test_wide_isolate_window_stays_bounded(self, monkeypatch):
+        # the first ispum window of range about zeta is all negative and the
+        # DFS includes straight through about zeta offsets: per-window state
+        # that grows with the square of the offset reached passes 512 MiB
+        # here, where the search must end on its budget
+        monkeypatch.setenv("SUMDIAM_BUDGET", "100100")
+        done = run_bounded(
+            "search", "--invariant", "ispum", "--target", "cycle:3",
+            "--zeta", "100000",
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: budget of 100100 ")
+
     def test_bad_budget_env_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMDIAM_BUDGET", "zero")
         run(capsys, "search", "--invariant", "spum", "--target", "path:3", expect=2)

@@ -694,10 +694,6 @@ class TestKernel:
                 962,
                 id="isd-6v-maxdeg3",
             ),
-            # golden random-graphs class 191, the one with the most leaves
-            pytest.param(
-                lambda: search_sd(CLASS_191), 43_885, 8_281, id="sd-7v-class191"
-            ),
             # a jobs=2 batch validates the leaves of both its windows
             pytest.param(
                 lambda: search_spum(family(FamilyKind.PATH, 8), 1, jobs=2),
@@ -712,10 +708,14 @@ class TestKernel:
         cert = run()
         assert (cert.candidates_examined, len(validated)) == (nodes, leaves)
 
-    def test_class_191_witness_pinned(self):
+    def test_class_191_pinned(self, monkeypatch):
+        # golden random-graphs class 191, the one with the most leaves: value,
+        # witness and the search tree from one run
+        validated = count_leaves(monkeypatch)
         cert = search_sd(CLASS_191)
         assert cert.value == 13
         assert cert.witness.labels == (4, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17)
+        assert (cert.candidates_examined, len(validated)) == (43_885, 8_281)
 
     def test_leaves_equal_validated_labelings(self, monkeypatch):
         # the kernel hands each leaf over without Labeling's sort and checks;
