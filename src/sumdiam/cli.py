@@ -50,7 +50,6 @@ from .search import (
     TABLE_NAMES,
     BudgetExceededError,
     Invariant,
-    SearchProblem,
     check_conjecture,
     reproduce_table,
     run_search,
@@ -309,15 +308,15 @@ def _cmd_search(args) -> Output:
         if getattr(args, flag) is not None and args.invariant != invariant:
             raise UsageError(f"--{flag} applies only to --invariant {invariant}")
     g, spec, echo = _graph_arg(args)
-    problem = SearchProblem(
-        invariant=Invariant(args.invariant),
-        target=g if spec is None else spec,
-        max_range=args.max_range,
-        jobs=args.jobs,
+    cert = run_search(
+        Invariant(args.invariant),
+        g if spec is None else spec,
         sigma=args.sigma,
         zeta=args.zeta,
+        max_range=args.max_range,
+        jobs=args.jobs,
+        budget=_budget(),
     )
-    cert = run_search(problem, budget=_budget())
     fields = {
         "invariant": args.invariant,
         "target": echo,
@@ -359,7 +358,7 @@ def _cmd_bounds(args) -> Output:
         "edges": len(g.edges),
         "sd_lower_bound": sd_lower_bound(g),
         "isd_lower_bound": isd_lower_bound(g),
-        "family": None if spec is None else f"{spec.kind.value}:{spec.n}",
+        "family": None if spec is None else spec.text(),
     }
     values = known_values(spec) if spec is not None else None
     known = None if values is None else {

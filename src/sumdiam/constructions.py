@@ -13,6 +13,7 @@ from dataclasses import dataclass
 # find_isomorphism is not called here; it stays bound because
 # perfbench/tracing.py wraps constructions.find_isomorphism
 from .core import (
+    MAX_BUILD_SIZE,
     MAX_LABEL,
     Domain,
     Labeling,
@@ -31,7 +32,7 @@ from .families import FamilyKind, FamilySpec, generate
 _BK_MAX_COEFFICIENT_BITS = 63
 # closed forms and add_isolated build at most this many labels, so that one
 # integer argument cannot make them allocate without bound
-_MAX_BUILD_LABELS = 2**20
+_MAX_BUILD_LABELS = MAX_BUILD_SIZE
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 MAX_LABEL = 2**63 - 1  # labels must fit in a signed 64-bit integer
+# the most vertices, edges or labels built from one number given from
+# outside, so that no input makes the program allocate without bound
+MAX_BUILD_SIZE = 2**20
 ISO_CAP_DEFAULT = 24  # generic isomorphism backtracking refuses larger graphs
 # picks no induce path; perfbench/tracing.py files inductions of more labels
 # than this under core.induce.big_*
@@ -322,26 +325,27 @@ def _matches_empty(g: SimpleGraph, n: int) -> bool:
     return g.n == n and not g.edges
 
 
-_STRUCTURE_PREDICATES = {
-    "path": _matches_path,
-    "cycle": _matches_cycle,
-    "complete": _matches_complete,
-    "matching": _matches_matching,
-    "star": _matches_star,
-    "complete_bipartite_balanced": _matches_complete_bipartite_balanced,
-    "empty": _matches_empty,
+# kind -> (predicate, parameter of a member on n vertices), in canonical
+# identification order; every predicate is isomorphism-invariant, so
+# isomorphic graphs always identify identically. A parameter below 1
+# identifies nothing, and the predicate refuses an n no member has
+_STRUCTURES = {
+    "empty": (_matches_empty, lambda n: n),
+    "complete": (_matches_complete, lambda n: n),
+    "cycle": (_matches_cycle, lambda n: n),
+    "path": (_matches_path, lambda n: n),
+    "matching": (_matches_matching, lambda n: n // 2),
+    "star": (_matches_star, lambda n: n - 1),
+    "complete_bipartite_balanced": (
+        _matches_complete_bipartite_balanced, lambda n: n // 2
+    ),
 }
-
-# canonical identification order; every predicate is isomorphism-invariant,
-# so isomorphic graphs always identify identically
-_IDENTIFY_ORDER = ("empty", "complete", "cycle", "path", "matching", "star",
-                   "complete_bipartite_balanced")
 
 
 def structure_matches(g: SimpleGraph, kind: str, n: int) -> bool:
     """Does g match the named family structure with parameter n, up to iso?"""
     try:
-        predicate = _STRUCTURE_PREDICATES[kind]
+        predicate, _ = _STRUCTURES[kind]
     except KeyError:
         raise ValueError(f"unknown family kind {kind!r}") from None
     return predicate(g, n)
@@ -349,20 +353,10 @@ def structure_matches(g: SimpleGraph, kind: str, n: int) -> bool:
 
 def identify_structure(g: SimpleGraph) -> tuple[str, int] | None:
     """Canonical (kind, parameter) for recognized families, else None."""
-    for kind in _IDENTIFY_ORDER:
-        predicate = _STRUCTURE_PREDICATES[kind]
-        if kind == "matching":
-            if g.n % 2 == 0 and g.n > 0 and predicate(g, g.n // 2):
-                return (kind, g.n // 2)
-        elif kind == "star":
-            if g.n >= 2 and predicate(g, g.n - 1):
-                return (kind, g.n - 1)
-        elif kind == "complete_bipartite_balanced":
-            if g.n % 2 == 0 and g.n > 0 and predicate(g, g.n // 2):
-                return (kind, g.n // 2)
-        else:
-            if predicate(g, g.n):
-                return (kind, g.n)
+    for kind, (predicate, parameter) in _STRUCTURES.items():
+        p = parameter(g.n)
+        if p >= 1 and predicate(g, p):
+            return (kind, p)
     return None
 
 
@@ -619,4 +613,7 @@ def graph_from_json(text: str) -> SimpleGraph:
     data = load_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be {"n": ..., "edges": [...]}')
-    return graph(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    n = int(data["n"])
+    if n > MAX_BUILD_SIZE:
+        raise ValueError(f"{n} vertices exceed the cap of {MAX_BUILD_SIZE}")
+    return graph(n, [(int(u), int(v)) for u, v in data["edges"]])

@@ -4,7 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SimpleGraph, graph, identify_structure, structure_matches
+from .core import (
+    MAX_BUILD_SIZE,
+    SimpleGraph,
+    graph,
+    identify_structure,
+    structure_matches,
+)
 
 
 class FamilyKind(Enum):
@@ -54,8 +60,15 @@ def parse_spec(text: str) -> FamilySpec:
 
 
 def generate(spec: FamilySpec) -> SimpleGraph:
-    """Concrete member of the family on vertices 0..n-1."""
+    """Member of the family on vertices 0..n-1, refused before it is built
+    when it has more than MAX_BUILD_SIZE vertices or edges."""
     kind, n = spec.kind, spec.n
+    balanced = FamilyKind.COMPLETE_BIPARTITE_BALANCED
+    vertices = {FamilyKind.MATCHING: 2 * n, FamilyKind.STAR: n + 1, balanced: 2 * n}
+    # the other kinds have at most as many edges as vertices
+    edges = {FamilyKind.COMPLETE: n * (n - 1) // 2, balanced: n * n}
+    if max(vertices.get(kind, n), edges.get(kind, 0)) > MAX_BUILD_SIZE:
+        raise ValueError(f"{spec.text()} has over {MAX_BUILD_SIZE} vertices or edges")
     if kind is FamilyKind.PATH:
         return graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind is FamilyKind.CYCLE:
@@ -91,10 +104,6 @@ class ValueRange:
 
     lower: int | None
     upper: int | None
-
-    @property
-    def exact(self) -> bool:
-        return self.lower is not None and self.lower == self.upper
 
     @classmethod
     def point(cls, value: int) -> ValueRange:

@@ -22,9 +22,6 @@ from .families import FamilyKind, FamilySpec, generate, identify, known_values
 
 DEFAULT_NODE_BUDGET = 2**32
 
-TABLE_NAMES = ("spum-paths", "ispum-cycles")
-CONJECTURE_NAMES = ("spum-paths-odd", "sd-paths")
-
 
 class Invariant(Enum):
     """The four minimum-range quantities this module computes."""
@@ -35,24 +32,27 @@ class Invariant(Enum):
     ISD = "isd"
 
 
+# the named searches, name -> (invariant, family, first n); every member is
+# searched through run_search, and a conjecture's value is the upper end of
+# the member's known_values interval for the invariant
+_TABLES = {
+    "spum-paths": (Invariant.SPUM, FamilyKind.PATH, 3),
+    "ispum-cycles": (Invariant.ISPUM, FamilyKind.CYCLE, 4),
+}
+_CONJECTURES = {
+    "spum-paths-odd": (Invariant.SPUM, FamilyKind.PATH, 8),
+    "sd-paths": (Invariant.SD, FamilyKind.PATH, 3),
+}
+TABLE_NAMES = tuple(_TABLES)
+CONJECTURE_NAMES = tuple(_CONJECTURES)
+
+
 class BudgetExceededError(RuntimeError):
     """Raised when the candidate budget is exhausted before a verdict."""
 
     def __init__(self, message: str, *, candidates_examined: int) -> None:
         super().__init__(message)
         self.candidates_examined = candidates_examined
-
-
-@dataclass(frozen=True)
-class SearchProblem:
-    """One search instance; sigma/zeta may be left to family lookup."""
-
-    invariant: Invariant
-    target: SimpleGraph | FamilySpec
-    max_range: int | None = None
-    jobs: int = 1
-    sigma: int | None = None
-    zeta: int | None = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class TableRow:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Searched value against a conjectured closed form; never assumes it."""
+    """Searched value against the conjectured one; never assumes it."""
 
     name: str
     n: int
@@ -523,28 +523,44 @@ def search_isd(
     )
 
 
-def run_search(problem: SearchProblem, *, budget: int = DEFAULT_NODE_BUDGET) -> SearchCertificate:
-    """Dispatch a SearchProblem, resolving family targets and sigma/zeta."""
-    target = problem.target
+def run_search(
+    invariant: Invariant,
+    target: SimpleGraph | FamilySpec,
+    *,
+    sigma: int | None = None,
+    zeta: int | None = None,
+    max_range: int | None = None,
+    jobs: int = 1,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> SearchCertificate:
+    """Search a target; a sigma or zeta left as None comes from known_values."""
     spec = target if isinstance(target, FamilySpec) else None
     g = generate(spec) if spec is not None else target
-    limits = dict(max_range=problem.max_range, jobs=problem.jobs, budget=budget)
-    if problem.invariant is Invariant.SD:
+    limits = dict(max_range=max_range, jobs=jobs, budget=budget)
+    if invariant is Invariant.SD:
         return search_sd(g, **limits)
-    if problem.invariant is Invariant.ISD:
+    if invariant is Invariant.ISD:
         return search_isd(g, **limits)
-    name = "sigma" if problem.invariant is Invariant.SPUM else "zeta"
-    count = getattr(problem, name)
+    name, count = ("sigma", sigma) if invariant is Invariant.SPUM else ("zeta", zeta)
     if count is None:
         if spec is None:
             spec = identify(g)
-        values = known_values(spec) if spec is not None else None
-        count = getattr(values, name) if values is not None else None
+        count = None if spec is None else getattr(known_values(spec), name)
     if count is None:
         raise ValueError(f"{name} is unknown for this target; supply it")
-    if problem.invariant is Invariant.SPUM:
+    if invariant is Invariant.SPUM:
         return search_spum(g, count, **limits)
     return search_ispum(g, count, **limits)
+
+
+def _named(searches: dict, what: str, name: str, n: int) -> tuple:
+    """(invariant, family, first n) of a named search, refused below its first n."""
+    if name not in searches:
+        raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(searches)}")
+    invariant, kind, first = searches[name]
+    if n < first:
+        raise ValueError(f"{name} starts at n={first}")
+    return invariant, kind, first
 
 
 def reproduce_table(
@@ -555,19 +571,10 @@ def reproduce_table(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[TableRow, ...]:
     """Recompute the initial-values tables row by row via search."""
-    if name not in TABLE_NAMES:
-        raise ValueError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
-    kind, first = (FamilyKind.PATH, 3) if name == "spum-paths" else (FamilyKind.CYCLE, 4)
-    if n_max < first:
-        raise ValueError(f"{name} starts at n={first}")
+    invariant, kind, first = _named(_TABLES, "table", name, n_max)
     rows = []
     for n in range(first, n_max + 1):
-        spec = FamilySpec(kind, n)
-        g = generate(spec)
-        if kind is FamilyKind.PATH:
-            cert = search_spum(g, 1, jobs=jobs, budget=budget)
-        else:
-            cert = search_ispum(g, known_values(spec).zeta, jobs=jobs, budget=budget)
+        cert = run_search(invariant, FamilySpec(kind, n), jobs=jobs, budget=budget)
         rows.append(TableRow(n, cert.witness.labels, cert.value))
     return tuple(rows)
 
@@ -579,25 +586,11 @@ def check_conjecture(
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConjectureReport:
-    """Search the stated instance and compare against the conjectured formula."""
-    if name not in CONJECTURE_NAMES:
-        raise ValueError(
-            f"unknown conjecture {name!r}; expected one of {CONJECTURE_NAMES}"
-        )
-    if name == "spum-paths-odd":
-        if n < 8:
-            raise ValueError("the spum path conjecture starts at n=8")
-        conjectured = 2 * n + 1 if n % 2 else 2 * n - 1
-        cert = search_spum(
-            generate(FamilySpec(FamilyKind.PATH, n)), 1, jobs=jobs, budget=budget
-        )
-    else:
-        if n < 3:
-            raise ValueError("the sd path conjecture starts at n=3")
-        conjectured = 2 * n - 3 if n <= 6 else 2 * n - 2
-        cert = search_sd(
-            generate(FamilySpec(FamilyKind.PATH, n)), jobs=jobs, budget=budget
-        )
+    """Search the stated instance and compare it with the conjectured value."""
+    invariant, kind, _ = _named(_CONJECTURES, "conjecture", name, n)
+    spec = FamilySpec(kind, n)
+    conjectured = getattr(known_values(spec), invariant.value).upper
+    cert = run_search(invariant, spec, jobs=jobs, budget=budget)
     return ConjectureReport(
         name=name,
         n=n,

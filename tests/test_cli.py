@@ -403,6 +403,13 @@ class TestBounds:
         _, err = run(capsys, "bounds", "--graph", str(path), expect=2)
         assert err.startswith(f"error: bad graph JSON in {str(path)!r}: ")
 
+    def test_zero_vertex_graph_reports_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "edges": []}')
+        out, err = run(capsys, "bounds", "--graph", str(path), expect=1)
+        assert out == ""
+        assert err.startswith("error: bound requires at least two vertices\n")
+
     def test_family_json_bytes(self, capsys):
         out, _ = run(capsys, "bounds", "--target", "cycle:5", "--format", "json")
         assert out == (
@@ -586,6 +593,38 @@ class TestCheckConjecture:
 
     def test_below_start_domain_error(self, capsys):
         run(capsys, "check-conjecture", "--name", "sd-paths", "--n", "2", expect=1)
+
+
+class TestInputSize:
+    """A graph size from outside is refused before anything of that size is built.
+
+    Each case runs under run_bounded's address-space limit, where building
+    the graph would end in a MemoryError.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--invariant", "sd", "--target", "path:100000000"),
+        ("bounds", "--target", "path:100000000"),
+        ("check-conjecture", "--name", "sd-paths", "--n", "100000000"),
+        ("check-conjecture", "--name", "sd-paths", "--n", str(10**23)),
+    ], ids=["search", "bounds", "check-conjecture", "check-conjecture-1e23"])
+    def test_oversized_family_member_exits_one(self, argv):
+        done = run_bounded(*argv)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: path:")
+        assert " has over 1048576 vertices or edges\n" in done.stderr
+
+    def test_oversized_graph_file_is_bad_json(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1000000000, "edges": [[0, 1]]}')
+        done = run_bounded("bounds", "--graph", str(path))
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            f"error: bad graph JSON in {str(path)!r}: "
+            "1000000000 vertices exceed the cap of 1048576\n"
+        )
 
 
 class TestDeterminism:

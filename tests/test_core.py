@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import re
 from enum import IntEnum
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,31 @@ def complete_graph(n):
 
 def matching_graph(p):
     return graph(2 * p, [(2 * i, 2 * i + 1) for i in range(p)])
+
+
+# (kind, first parameter, member with parameter p as (vertex count, edges)),
+# in canonical identification order; the members are written here, apart
+# from families.generate
+ORACLE_MEMBERS = (
+    ("empty", 1, lambda p: (p, [])),
+    ("complete", 1, lambda p: (p, list(combinations(range(p), 2)))),
+    ("cycle", 3, lambda p: (p, [(i, (i + 1) % p) for i in range(p)])),
+    ("path", 1, lambda p: (p, [(i, i + 1) for i in range(p - 1)])),
+    ("matching", 1, lambda p: (2 * p, [(i, p + i) for i in range(p)])),
+    ("star", 1, lambda p: (p + 1, [(p, i) for i in range(p)])),
+    ("complete_bipartite_balanced", 1,
+     lambda p: (2 * p, [(i, j) for i in range(p) for j in range(p, 2 * p)])),
+)
+
+
+def oracle_identify(n, edges):
+    """First (kind, p) in canonical order whose member is isomorphic to the graph."""
+    for kind, first, member in ORACLE_MEMBERS:
+        for p in range(first, n + 1):
+            vertices, member_edges = member(p)
+            if vertices == n and naive_isomorphic(n, edges, vertices, member_edges):
+                return (kind, p)
+    return None
 
 
 label_sets = st.lists(
@@ -346,6 +372,20 @@ class TestStructurePredicates:
         paw = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert identify_structure(paw) is None
 
+    def test_zero_vertex_graph_is_no_family(self):
+        assert identify_structure(graph(0, [])) is None
+
+    def test_identify_agrees_with_oracle_on_every_small_graph(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+                g = graph(n, edges)
+                assert identify_structure(g) == oracle_identify(n, edges), (n, edges)
+                checked += 1
+        assert checked == 1099
+
 
 small_graphs = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.tuples(
@@ -398,6 +438,9 @@ class TestIsomorphism:
 
     def test_none_when_not_isomorphic(self):
         assert find_isomorphism(path_graph(4), matching_graph(2)) is None
+
+    def test_zero_vertex_graphs_map_by_the_empty_map(self):
+        assert find_isomorphism(graph(0, []), graph(0, [])) == {}
 
     def test_cap_raises(self):
         # two 25-vertex graphs that no family predicate identifies
@@ -649,6 +692,12 @@ class TestSerialization:
     def test_graph_json_shape_error(self):
         with pytest.raises(ValueError):
             graph_from_json('{"vertices": 3}')
+
+    def test_graph_json_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_BUILD_SIZE", 3)
+        assert graph_from_json('{"n": 3, "edges": [[0, 1]]}').n == 3
+        with pytest.raises(ValueError, match="^4 vertices exceed the cap of 3$"):
+            graph_from_json('{"n": 4, "edges": [[0, 1]]}')
 
     def test_deep_json_is_a_value_error(self):
         with pytest.raises(ValueError, match="nested too deeply"):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from sumdiam import core
+from sumdiam import core, families
 from sumdiam.families import (
     ISPUM_CYCLE_TABLE,
     SPUM_PATH_TABLE,
@@ -88,6 +88,20 @@ class TestGenerate:
         assert identify(generate(spec("matching:3"))) == spec("matching:3")
         assert identify(generate(spec("cycle:3"))) == spec("complete:3")
         assert identify(core.graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])) is None
+        assert identify(core.graph(0, [])) is None
+
+    @pytest.mark.parametrize("kind, largest", [
+        ("path", 10), ("cycle", 10), ("complete", 5), ("matching", 5),
+        ("star", 9), ("complete_bipartite_balanced", 3), ("empty", 10),
+    ])
+    def test_size_cap(self, monkeypatch, kind, largest):
+        # at a cap of 10, the largest member has at most 10 vertices and
+        # 10 edges, and the next one is refused before it is built
+        monkeypatch.setattr(families, "MAX_BUILD_SIZE", 10)
+        g = generate(spec(f"{kind}:{largest}"))
+        assert max(g.n, len(g.edges)) <= 10
+        with pytest.raises(ValueError, match=f"^{kind}:{largest + 1} has over 10 "):
+            generate(spec(f"{kind}:{largest + 1}"))
 
 
 class TestKnownValues:

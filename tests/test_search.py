@@ -17,7 +17,6 @@ from sumdiam.search import (
     BudgetExceededError,
     ConjectureReport,
     Invariant,
-    SearchProblem,
     TableRow,
     check_conjecture,
     reproduce_table,
@@ -373,17 +372,14 @@ class TestCertificateFields:
         assert cert.exhausted_below
 
     def test_run_search_resolves_family_counts(self):
-        problem = SearchProblem(Invariant.SPUM, FamilySpec(FamilyKind.PATH, 4))
-        assert run_search(problem).value == 5
-        problem = SearchProblem(Invariant.ISPUM, C4)
-        assert run_search(problem).value == 7
-        problem = SearchProblem(Invariant.ISD, FamilySpec(FamilyKind.COMPLETE, 3))
-        assert run_search(problem).value == 2
+        assert run_search(Invariant.SPUM, FamilySpec(FamilyKind.PATH, 4)).value == 5
+        assert run_search(Invariant.ISPUM, C4).value == 7
+        assert run_search(Invariant.ISD, FamilySpec(FamilyKind.COMPLETE, 3)).value == 2
 
     def test_run_search_needs_counts_for_unknown_graphs(self):
         with pytest.raises(ValueError):
-            run_search(SearchProblem(Invariant.SPUM, PAW))
-        assert run_search(SearchProblem(Invariant.SPUM, PAW, sigma=1, max_range=8))
+            run_search(Invariant.SPUM, PAW)
+        assert run_search(Invariant.SPUM, PAW, sigma=1, max_range=8)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -552,11 +548,11 @@ class TestTables:
         )
 
     def test_table_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown table 'spum-cycles'; expected one of"):
             reproduce_table("spum-cycles", 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spum-paths starts at n=3$"):
             reproduce_table("spum-paths", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ispum-cycles starts at n=4$"):
             reproduce_table("ispum-cycles", 3)
 
 
@@ -572,17 +568,29 @@ class TestConjectures:
         assert (report.conjectured_value, report.searched_value) == (12, 12)
         assert report.matches
 
+    def test_sd_paths_first(self):
+        report = check_conjecture("sd-paths", 3)
+        assert (report.conjectured_value, report.searched_value) == (3, 3)
+        assert report.matches
+
     def test_spum_paths_even_case(self):
         report = check_conjecture("spum-paths-odd", 8)
         assert (report.conjectured_value, report.searched_value) == (15, 15)
         assert report.matches
 
+    def test_spum_paths_odd_case(self):
+        report = check_conjecture("spum-paths-odd", 9)
+        assert (report.conjectured_value, report.searched_value) == (19, 19)
+        assert report.matches
+
     def test_conjecture_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spum-paths-odd starts at n=8$"):
             check_conjecture("spum-paths-odd", 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sd-paths starts at n=3$"):
             check_conjecture("sd-paths", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^unknown conjecture 'isd-paths'; expected one of"
+        ):
             check_conjecture("isd-paths", 5)
 
 
