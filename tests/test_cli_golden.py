@@ -4,12 +4,19 @@ Each case of CORPUS runs once per output format. `cli_golden.json` holds
 the stdout and exit code each run printed when the corpus was written; a
 change to the CLI's rendering or dispatch must leave every one of them
 byte-identical.
+
+`PYTHONPATH=src python3 tests/test_cli_golden.py` appends the entries of
+corpus cases that `cli_golden.json` lacks, from the package it imports. It
+never rewrites an entry already there, so run it before a change, for the
+cases that change adds.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -75,6 +82,10 @@ CORPUS = [
      "--target", "path:3", "--vertex", "2"),
     ("combine", "--name", "modify-induced-subgraph", "--labels", "1,2,3,4",
      "--target", "path:3", "--vertices", "0,1"),
+    ("combine", "--name", "modify-delete-edge", "--labels", "3,4,5,6,8,9,10",
+     "--target", "cycle:4", "--edge", "0,1"),
+    ("combine", "--name", "modify-contract-edge", "--labels", "3,4,5,6,8,9,10",
+     "--target", "cycle:4", "--edge", "0,1"),
     ("table", "--name", "spum-paths", "--to", "5"),
     ("table", "--name", "ispum-cycles", "--to", "5"),
     ("check-conjecture", "--name", "sd-paths", "--n", "5"),
@@ -97,13 +108,18 @@ def run_case(argv: tuple[str, ...], fmt: str) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
-GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+def write_graph_files(directory: Path) -> None:
+    for name, text in GRAPH_FILES.items():
+        (directory / name).write_text(text)
 
 
 @pytest.fixture
 def graph_dir(tmp_path, monkeypatch):
-    for name, text in GRAPH_FILES.items():
-        (tmp_path / name).write_text(text)
+    write_graph_files(tmp_path)
     monkeypatch.chdir(tmp_path)
 
 
@@ -117,3 +133,28 @@ def test_golden_covers_the_corpus_exactly():
 @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_stdout_and_exit_code_are_pinned(graph_dir, argv, fmt):
     assert run_case(argv, fmt) == GOLDEN[case_key(argv, fmt)]
+
+
+def append_missing_entries() -> list[str]:
+    """Add the golden entry of every corpus run the file lacks; return their keys."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    missing = [
+        (argv, fmt) for argv in CORPUS for fmt in FORMATS
+        if case_key(argv, fmt) not in golden
+    ]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        write_graph_files(Path(directory))
+        os.chdir(directory)
+        try:
+            for argv, fmt in missing:
+                golden[case_key(argv, fmt)] = run_case(argv, fmt)
+        finally:
+            os.chdir(home)
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1))
+    return [case_key(argv, fmt) for argv, fmt in missing]
+
+
+if __name__ == "__main__":
+    for key in append_missing_entries():
+        print(f"added: {key}")
