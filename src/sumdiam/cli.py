@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constructions import (
-    MODIFY_OPERATIONS,
     ConstructionError,
     ConstructionReport,
     add_isolated,
@@ -43,7 +42,7 @@ from .core import (
     parse_labels,
     sd_lower_bound,
 )
-from .families import FamilySpec, generate, identify, known_values, parse_spec
+from .families import generate, identify, known_values, parse_spec
 from .search import (
     CONJECTURE_NAMES,
     DEFAULT_NODE_BUDGET,
@@ -60,45 +59,11 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_BINARY_COMBINATORS = {
-    "union-scaled": disjoint_union_scaled,
-    "union-translated": disjoint_union_translated,
-    "join": join,
-}
-COMBINE_NAMES = (
-    "translate",
-    "union-scaled",
-    "union-translated",
-    "add-isolated",
-    "add-vertex",
-    "join",
-) + tuple(f"modify-{op}" for op in MODIFY_OPERATIONS)
-
 # the flags that only some --name of construct or combine reads, in the order
-# a misplaced one is reported, and which of them each --name reads
+# a misplaced one is reported
 _NAME_SPECIFIC_FLAGS = (
     "target", "graph", "n", "x", "isolates", "neighbors", "vertex", "vertices", "edge"
 )
-_NAME_FLAGS = {
-    "spum-path-even": ("n",),
-    "sd-path": ("n",),
-    "spum-cycle4": (),
-    "ispum-cycle-odd": ("n",),
-    "spum-matching": ("n",),
-    "ispum-matching": ("n",),
-    "sd-general": ("target", "graph"),
-    "translate": ("target", "x"),
-    "union-scaled": ("target",),
-    "union-translated": ("target",),
-    "add-isolated": ("target", "isolates"),
-    "add-vertex": ("target", "neighbors"),
-    "join": ("target",),
-    "modify-delete-vertex": ("target", "vertex"),
-    "modify-induced-subgraph": ("target", "vertices"),
-    "modify-delete-edge": ("target", "edge"),
-    "modify-contract-edge": ("target", "edge"),
-    "modify-add-edge": ("target", "edge"),
-}
 
 _SPEC_FORM = re.compile(r"[a-z_]+:\d+")
 _NEGATIVE_VALUE = re.compile(r"-\d")
@@ -136,34 +101,39 @@ def _record(fields: dict, csv_keys: tuple[str, ...], exit_code: int = EXIT_OK) -
     return Output(fields, [row], lines, exit_code)
 
 
-def _resolve_graph(value: str) -> tuple[SimpleGraph, FamilySpec | None]:
-    """Load a graph from a FamilySpec string or a JSON file path."""
-    if _SPEC_FORM.fullmatch(value):
-        try:
-            spec = parse_spec(value)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return generate(spec), spec
-    path = Path(value)
+def _read_graph_file(path: str) -> SimpleGraph:
+    """Load a graph from a JSON file."""
     try:
-        text = path.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read graph file {value!r}: {exc}") from exc
+        raise UsageError(f"cannot read graph file {path!r}: {exc}") from exc
     try:
-        return graph_from_json(text), None
+        return graph_from_json(text)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise UsageError(f"bad graph JSON in {value!r}: {exc}") from exc
+        raise UsageError(f"bad graph JSON in {path!r}: {exc}") from exc
 
 
-def _graph_arg(args) -> tuple[SimpleGraph, FamilySpec | None, str]:
-    """The graph of --target or --graph, its family spec if it was given as
-    one, and the argument as given."""
+def _resolve_graph(value: str) -> SimpleGraph:
+    """Load a graph from a family spec such as path:5, or else a JSON file."""
+    if not _SPEC_FORM.fullmatch(value):
+        return _read_graph_file(value)
+    try:
+        spec = parse_spec(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return generate(spec)
+
+
+def _graph_arg(args) -> tuple[SimpleGraph, str]:
+    """The graph of --target (a spec or a file) or --graph (a file only), and
+    the argument as given."""
     target = getattr(args, "target", None)
     path = getattr(args, "graph", None)
     if (target is None) == (path is None):
         raise UsageError("exactly one of --target or --graph is required")
-    value = target if target is not None else path
-    return (*_resolve_graph(value), value)
+    if target is not None:
+        return _resolve_graph(target), target
+    return _read_graph_file(path), path
 
 
 def _labels_arg(text: str):
@@ -207,12 +177,19 @@ def _budget() -> int:
         raise UsageError("SUMDIAM_BUDGET must be a positive integer") from exc
 
 
-def _reject_unused_flags(args) -> None:
-    """Usage error for a flag given that this verb's --name does not read."""
-    used = _NAME_FLAGS[args.name]
+def _reject_unused_flags(args, used: tuple[str, ...]) -> None:
+    """Usage error for a name-specific flag given that is not among used."""
     for flag in _NAME_SPECIFIC_FLAGS:
         if flag not in used and getattr(args, flag, None) is not None:
             raise UsageError(f"--{flag} does not apply to --name {args.name}")
+
+
+def _required(args, flag: str):
+    """The value of a flag this verb's --name cannot do without."""
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"{args.name} requires --{flag}")
+    return value
 
 
 def _range_json(vr) -> list | None:
@@ -250,7 +227,7 @@ def _cmd_induce(args) -> Output:
 
 def _cmd_verify(args) -> Output:
     lab = _labels_arg(args.labels)
-    g, _, echo = _graph_arg(args)
+    g, echo = _graph_arg(args)
     valid = is_valid_labeling(lab, g, exact_isolates=args.isolates)
     fields = {
         "labels": list(lab.labels),
@@ -276,41 +253,32 @@ def _report_output(name: str, report: ConstructionReport, verify: bool) -> Outpu
     return _record(fields, csv_keys)
 
 
-def _needs_n(maker):
-    """A construct builder that passes --n to maker and requires it."""
-
-    def build(args) -> ConstructionReport:
-        if args.n is None:
-            raise UsageError(f"construction {args.name!r} requires --n")
-        return maker(args.n)
-
-    return build
-
-
+# construct --name -> (the name-specific flags it reads, its builder)
 CONSTRUCTIONS = {
-    "spum-path-even": _needs_n(spum_path_even),
-    "sd-path": _needs_n(sd_path),
-    "spum-cycle4": lambda args: spum_cycle4(),
-    "ispum-cycle-odd": _needs_n(ispum_cycle_odd),
-    "spum-matching": _needs_n(spum_matching),
-    "ispum-matching": _needs_n(ispum_matching),
-    "sd-general": lambda args: sd_general(_graph_arg(args)[0]),
+    "spum-path-even": (("n",), lambda args: spum_path_even(_required(args, "n"))),
+    "sd-path": (("n",), lambda args: sd_path(_required(args, "n"))),
+    "spum-cycle4": ((), lambda args: spum_cycle4()),
+    "ispum-cycle-odd": (("n",), lambda args: ispum_cycle_odd(_required(args, "n"))),
+    "spum-matching": (("n",), lambda args: spum_matching(_required(args, "n"))),
+    "ispum-matching": (("n",), lambda args: ispum_matching(_required(args, "n"))),
+    "sd-general": (("target", "graph"), lambda args: sd_general(_graph_arg(args)[0])),
 }
 
 
 def _cmd_construct(args) -> Output:
-    _reject_unused_flags(args)
-    return _report_output(args.name, CONSTRUCTIONS[args.name](args), args.verify)
+    used, build = CONSTRUCTIONS[args.name]
+    _reject_unused_flags(args, used)
+    return _report_output(args.name, build(args), args.verify)
 
 
 def _cmd_search(args) -> Output:
     for flag, invariant in (("sigma", "spum"), ("zeta", "ispum")):
         if getattr(args, flag) is not None and args.invariant != invariant:
             raise UsageError(f"--{flag} applies only to --invariant {invariant}")
-    g, spec, echo = _graph_arg(args)
+    g, echo = _graph_arg(args)
     cert = run_search(
         Invariant(args.invariant),
-        g if spec is None else spec,
+        g,
         sigma=args.sigma,
         zeta=args.zeta,
         max_range=args.max_range,
@@ -350,7 +318,7 @@ def _cmd_table(args) -> Output:
 
 
 def _cmd_bounds(args) -> Output:
-    g, _, echo = _graph_arg(args)
+    g, echo = _graph_arg(args)
     spec = identify(g)
     fields = {
         "target": echo,
@@ -378,50 +346,58 @@ def _cmd_bounds(args) -> Output:
     return out
 
 
-def _combine_report(args) -> ConstructionReport:
-    _reject_unused_flags(args)
-    name = args.name
-    labels = [_labels_arg(text) for text in args.labels or []]
-    targets = [_resolve_graph(value)[0] for value in args.target or []]
-    need = 2 if name in _BINARY_COMBINATORS else 1
-    if len(labels) != need or len(targets) != need:
-        raise UsageError(
-            f"{name} needs --labels and --target given {need} time(s) each"
-        )
-    if name in _BINARY_COMBINATORS:
-        return _BINARY_COMBINATORS[name](labels[0], targets[0], labels[1], targets[1])
-    lab, g = labels[0], targets[0]
-    if name == "translate":
-        if args.x is None:
-            raise UsageError("translate requires --x")
-        out = translate(lab, g, args.x)
-        span = label_range(out)
-        return ConstructionReport(out, None, span, span, True)
-    if name == "add-isolated":
-        if args.isolates is None:
-            raise UsageError("add-isolated requires --isolates")
-        return add_isolated(lab, g, args.isolates)
-    if name == "add-vertex":
-        return add_vertex(lab, g, _int_list(args.neighbors or "", "--neighbors"))
-    edge = None
-    if args.edge is not None:
-        pair = _int_list(args.edge, "--edge")
-        if len(pair) != 2:
-            raise UsageError("--edge expects two comma-separated vertex ids")
-        edge = (pair[0], pair[1])
-    vertices = _int_list(args.vertices, "--vertices") if args.vertices else None
+def _translate(args, pair) -> ConstructionReport:
+    out = translate(*pair, _required(args, "x"))
+    span = label_range(out)
+    return ConstructionReport(out, None, span, span, True)
+
+
+def _modify(args, pair) -> ConstructionReport:
+    edge = None if args.edge is None else tuple(_int_list(args.edge, "--edge"))
+    if edge is not None and len(edge) != 2:
+        raise UsageError("--edge expects two comma-separated vertex ids")
     return modify(
-        lab,
-        g,
-        name[len("modify-"):],
+        *pair,
+        args.name.removeprefix("modify-"),
         vertex=args.vertex,
-        vertices=vertices,
+        vertices=_int_list(args.vertices, "--vertices") if args.vertices else None,
         edge=edge,
     )
 
 
+# combine --name -> (the name-specific flags it reads besides --target, how
+# many --labels/--target pairs it takes, its builder from args and the pairs)
+COMBINATORS = {
+    "translate": (("x",), 1, _translate),
+    "union-scaled": ((), 2, lambda args, a, b: disjoint_union_scaled(*a, *b)),
+    "union-translated": ((), 2, lambda args, a, b: disjoint_union_translated(*a, *b)),
+    "add-isolated": (
+        ("isolates",), 1, lambda args, a: add_isolated(*a, _required(args, "isolates"))
+    ),
+    "add-vertex": (
+        ("neighbors",),
+        1,
+        lambda args, a: add_vertex(*a, _int_list(args.neighbors or "", "--neighbors")),
+    ),
+    "join": ((), 2, lambda args, a, b: join(*a, *b)),
+    "modify-delete-vertex": (("vertex",), 1, _modify),
+    "modify-induced-subgraph": (("vertices",), 1, _modify),
+    "modify-delete-edge": (("edge",), 1, _modify),
+    "modify-contract-edge": (("edge",), 1, _modify),
+    "modify-add-edge": (("edge",), 1, _modify),
+}
+
+
 def _cmd_combine(args) -> Output:
-    return _report_output(args.name, _combine_report(args), False)
+    used, need, build = COMBINATORS[args.name]
+    _reject_unused_flags(args, ("target", *used))
+    labels = [_labels_arg(text) for text in args.labels or []]
+    targets = [_resolve_graph(value) for value in args.target or []]
+    if len(labels) != need or len(targets) != need:
+        raise UsageError(
+            f"{args.name} needs --labels and --target given {need} time(s) each"
+        )
+    return _report_output(args.name, build(args, *zip(labels, targets)), False)
 
 
 def _cmd_check_conjecture(args) -> Output:
@@ -506,7 +482,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = verbs.add_parser("combine", help="apply a labeling combinator")
-    p.add_argument("--name", required=True, choices=COMBINE_NAMES)
+    p.add_argument("--name", required=True, choices=COMBINATORS)
     p.add_argument("--labels", action="append")
     p.add_argument("--target", action="append")
     p.add_argument("--x", type=int, default=None)

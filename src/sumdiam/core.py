@@ -583,6 +583,22 @@ def load_json(text: str):
         raise ValueError("JSON is nested too deeply") from exc
 
 
+def json_int(value, what: str) -> int:
+    """value when it is a JSON integer; a float, string or bool is refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def json_vertex_count(value) -> int:
+    """A vertex count read from JSON, refused above MAX_BUILD_SIZE before
+    anything of that size is built."""
+    n = json_int(value, "vertex count")
+    if n > MAX_BUILD_SIZE:
+        raise ValueError(f"{n} vertices exceed the cap of {MAX_BUILD_SIZE}")
+    return n
+
+
 def parse_labels(text: str) -> tuple[int, ...]:
     """Parse a comma-separated integer list or a JSON array of integers."""
     text = text.strip()
@@ -613,7 +629,6 @@ def graph_from_json(text: str) -> SimpleGraph:
     data = load_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be {"n": ..., "edges": [...]}')
-    n = int(data["n"])
-    if n > MAX_BUILD_SIZE:
-        raise ValueError(f"{n} vertices exceed the cap of {MAX_BUILD_SIZE}")
-    return graph(n, [(int(u), int(v)) for u, v in data["edges"]])
+    n = json_vertex_count(data["n"])
+    edges = [(json_int(u, "vertex id"), json_int(v, "vertex id")) for u, v in data["edges"]]
+    return graph(n, edges)

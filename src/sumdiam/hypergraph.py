@@ -8,7 +8,15 @@ from functools import partial
 from itertools import combinations, permutations
 
 from .constructions import ConstructionError, ConstructionReport, bk_set
-from .core import Domain, Labeling, label_range, labeling, load_json
+from .core import (
+    Domain,
+    Labeling,
+    json_int,
+    json_vertex_count,
+    label_range,
+    labeling,
+    load_json,
+)
 from .search import DEFAULT_NODE_BUDGET, SearchCertificate, ascend, check_limits
 
 SEARCH_MAX_N = 5
@@ -71,7 +79,9 @@ def hyper_from_json(text: str) -> Hypergraph:
     if not isinstance(data, dict) or not {"n", "k", "edges"} <= set(data):
         raise ValueError('hypergraph JSON must be {"n": ..., "k": ..., "edges": [...]}')
     return hypergraph(
-        int(data["n"]), int(data["k"]), [tuple(int(v) for v in e) for e in data["edges"]]
+        json_vertex_count(data["n"]),
+        json_int(data["k"], "uniformity"),
+        [tuple(json_int(v, "vertex id") for v in e) for e in data["edges"]],
     )
 
 
@@ -246,11 +256,10 @@ def search_hyper_sd(
     h: Hypergraph,
     *,
     max_range: int = SEARCH_MAX_RANGE,
-    jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
     """Minimum range over positive labelings inducing h plus free isolates."""
-    check_limits(jobs, budget)
+    check_limits(1, budget)
     if h.n == 0 or h.isolated_vertices():
         raise ValueError("search targets must be isolate-free and nonempty")
     if h.n > SEARCH_MAX_N:
@@ -264,7 +273,7 @@ def search_hyper_sd(
         range(floor, max_range + 1),
         lambda x: range(1, (x - n + 1 - pad) // (k - 1) + 1),
         partial(_hyper_window_first_hit, h),
-        jobs=jobs,
+        jobs=1,
         budget=budget,
         domain=Domain.POSITIVE,
         bound_text=(

@@ -525,7 +525,7 @@ def search_isd(
 
 def run_search(
     invariant: Invariant,
-    target: SimpleGraph | FamilySpec,
+    g: SimpleGraph,
     *,
     sigma: int | None = None,
     zeta: int | None = None,
@@ -533,9 +533,7 @@ def run_search(
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
-    """Search a target; a sigma or zeta left as None comes from known_values."""
-    spec = target if isinstance(target, FamilySpec) else None
-    g = generate(spec) if spec is not None else target
+    """Search g; a sigma or zeta left as None comes from known_values(identify(g))."""
     limits = dict(max_range=max_range, jobs=jobs, budget=budget)
     if invariant is Invariant.SD:
         return search_sd(g, **limits)
@@ -543,8 +541,7 @@ def run_search(
         return search_isd(g, **limits)
     name, count = ("sigma", sigma) if invariant is Invariant.SPUM else ("zeta", zeta)
     if count is None:
-        if spec is None:
-            spec = identify(g)
+        spec = identify(g)
         count = None if spec is None else getattr(known_values(spec), name)
     if count is None:
         raise ValueError(f"{name} is unknown for this target; supply it")
@@ -574,7 +571,8 @@ def reproduce_table(
     invariant, kind, first = _named(_TABLES, "table", name, n_max)
     rows = []
     for n in range(first, n_max + 1):
-        cert = run_search(invariant, FamilySpec(kind, n), jobs=jobs, budget=budget)
+        g = generate(FamilySpec(kind, n))
+        cert = run_search(invariant, g, jobs=jobs, budget=budget)
         rows.append(TableRow(n, cert.witness.labels, cert.value))
     return tuple(rows)
 
@@ -590,7 +588,7 @@ def check_conjecture(
     invariant, kind, _ = _named(_CONJECTURES, "conjecture", name, n)
     spec = FamilySpec(kind, n)
     conjectured = getattr(known_values(spec), invariant.value).upper
-    cert = run_search(invariant, spec, jobs=jobs, budget=budget)
+    cert = run_search(invariant, generate(spec), jobs=jobs, budget=budget)
     return ConjectureReport(
         name=name,
         n=n,

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from sumdiam import cli
+from sumdiam import cli, families, search
 from sumdiam.cli import main
+from sumdiam.constructions import MODIFY_OPERATIONS
 
 C4_JSON = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
 PAW_JSON = '{"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]]}'
@@ -195,7 +196,8 @@ class TestConstruct:
         assert len(data["labels"]) == 7
 
     def test_missing_n_usage_error(self, capsys):
-        run(capsys, "construct", "--name", "sd-path", expect=2)
+        _, err = run(capsys, "construct", "--name", "sd-path", expect=2)
+        assert err.startswith("error: sd-path requires --n\n")
 
     def test_unknown_name_usage_error(self, capsys):
         run(capsys, "construct", "--name", "mystery", "--n", "3", expect=2)
@@ -354,6 +356,20 @@ class TestSearch:
         assert "wall_time_ms=" not in out
 
 
+    def test_target_is_built_once(self, capsys, monkeypatch):
+        built = []
+        real = families.generate
+
+        def counting(spec):
+            built.append(spec.text())
+            return real(spec)
+
+        for module in (families, cli, search):
+            monkeypatch.setattr(module, "generate", counting)
+        run(capsys, "search", "--invariant", "sd", "--target", "path:6")
+        assert built == ["path:6"]
+
+
 class TestTable:
     def test_spum_paths_to_8_csv_bytes(self, capsys):
         out, _ = run(
@@ -394,9 +410,14 @@ class TestTable:
 
 
 class TestBounds:
-    @pytest.mark.parametrize(
-        "text", ["[" * 200_000, '{"n": 1e400, "edges": []}'], ids=["deep", "infinite-n"]
-    )
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        '{"n": 1e400, "edges": []}',
+        '{"n": 2.9, "edges": [[0, 1.7]]}',
+        '{"n": "3", "edges": [[0, 1]]}',
+        '{"n": 2, "edges": [["0", "1"]]}',
+        '{"n": true, "edges": []}',
+    ], ids=["deep", "infinite-n", "float", "string-n", "string-ids", "bool-n"])
     def test_bad_graph_file_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -430,6 +451,22 @@ class TestBounds:
     def test_text_includes_known_lines(self, capsys):
         out, _ = run(capsys, "bounds", "--target", "path:5")
         assert "spum: [7,7]" in out.splitlines()
+
+    def test_graph_flag_reads_no_family_spec(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out, err = run(capsys, "bounds", "--graph", "path:5", expect=2)
+        assert out == ""
+        assert err.startswith("error: cannot read graph file 'path:5': ")
+
+    def test_graph_flag_reads_a_file_named_like_a_spec(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "path:3").write_text('{"n": 2, "edges": [[0, 1]]}')
+        out, _ = run(capsys, "bounds", "--graph", "path:3", "--format", "json")
+        assert json.loads(out)["n"] == 2
+        out, _ = run(capsys, "bounds", "--target", "path:3", "--format", "json")
+        assert json.loads(out)["n"] == 3
 
 
 class TestCombine:
@@ -529,24 +566,34 @@ class TestCombine:
         assert out == ""
         assert err.startswith("error: --x does not apply to --name join\n")
 
-    @pytest.mark.parametrize("name", cli.COMBINE_NAMES)
-    def test_every_name_refuses_the_flags_it_does_not_read(self, capsys, name):
-        values = {
-            "x": "5", "isolates": "2", "neighbors": "0", "vertex": "1",
-            "vertices": "0,1", "edge": "0,2",
-        }
-        used = cli._NAME_FLAGS[name]
-        assert set(used) <= set(values) | {"target"}
+    @pytest.mark.parametrize("verb, name", [
+        *(("construct", name) for name in cli.CONSTRUCTIONS),
+        *(("combine", name) for name in cli.COMBINATORS),
+    ])
+    def test_every_name_refuses_the_flags_it_does_not_read(self, capsys, verb, name):
+        if verb == "construct":
+            values = {"n": "3", "target": "path:3", "graph": "g.json"}
+            used = cli.CONSTRUCTIONS[name][0]
+            given = ()
+        else:
+            values = {
+                "x": "5", "isolates": "2", "neighbors": "0", "vertex": "1",
+                "vertices": "0,1", "edge": "0,2",
+            }
+            used = cli.COMBINATORS[name][0]
+            given = ("--labels", "1,2,3,4", "--target", "path:3")
+        assert set(used) <= set(values)
         for flag in set(values) - set(used):
             out, err = run(
-                capsys, "combine", "--name", name, "--labels", "1,2,3,4",
-                "--target", "path:3", f"--{flag}", values[flag], expect=2,
+                capsys, verb, "--name", name, *given, f"--{flag}", values[flag],
+                expect=2,
             )
             assert out == ""
             assert err.startswith(f"error: --{flag} does not apply to --name {name}\n")
 
-    def test_flag_table_covers_every_name(self):
-        assert set(cli._NAME_FLAGS) == set(cli.CONSTRUCTIONS) | set(cli.COMBINE_NAMES)
+    def test_every_modify_operation_has_a_name(self):
+        modify_names = {name for name in cli.COMBINATORS if name.startswith("modify-")}
+        assert modify_names == {f"modify-{op}" for op in MODIFY_OPERATIONS}
 
     def test_binary_arity_usage_error(self, capsys):
         run(

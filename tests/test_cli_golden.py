@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from sumdiam import cli
 from sumdiam.cli import main
 
 GRAPH_FILES = {
@@ -121,6 +122,11 @@ def write_graph_files(directory: Path) -> None:
 def graph_dir(tmp_path, monkeypatch):
     write_graph_files(tmp_path)
     monkeypatch.chdir(tmp_path)
+
+
+def test_corpus_runs_every_construct_and_combine_name():
+    names = {argv[2] for argv in CORPUS if argv[0] in ("construct", "combine")}
+    assert names == set(cli.CONSTRUCTIONS) | set(cli.COMBINATORS)
 
 
 def test_golden_covers_the_corpus_exactly():

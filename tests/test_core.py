@@ -693,6 +693,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             graph_from_json('{"vertices": 3}')
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2.9, "edges": [[0, 1]]}',
+        '{"n": 2, "edges": [[0, 1.7]]}',
+        '{"n": "3", "edges": []}',
+        '{"n": 2, "edges": [["0", "1"]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[false, true]]}',
+    ], ids=["float-n", "float-id", "string-n", "string-ids", "bool-n", "bool-ids"])
+    def test_graph_json_takes_integers_only(self, text):
+        with pytest.raises(ValueError, match="must be an integer, not "):
+            graph_from_json(text)
+
     def test_graph_json_vertex_cap(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_BUILD_SIZE", 3)
         assert graph_from_json('{"n": 3, "edges": [[0, 1]]}').n == 3

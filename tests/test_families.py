@@ -104,7 +104,21 @@ class TestGenerate:
             generate(spec(f"{kind}:{largest + 1}"))
 
 
+def accepted_specs(n_max):
+    for kind in FamilyKind:
+        for n in range(1, n_max + 1):
+            try:
+                yield FamilySpec(kind, n)
+            except ValueError:
+                pass
+
+
 class TestKnownValues:
+    @pytest.mark.parametrize("s", accepted_specs(40), ids=FamilySpec.text)
+    def test_identify_keeps_known_values(self, s):
+        # search.run_search takes a graph and reads its counts through identify
+        assert known_values(identify(generate(s))) == known_values(s)
+
     def test_path_10_documented(self):
         kv = known_values(spec("path:10"))
         assert kv.sigma == 1 and kv.zeta == 0

@@ -226,14 +226,13 @@ class TestDeterminism:
     def test_jobs_start_no_thread(self, monkeypatch):
         # windows run on the calling thread at every jobs value
         p6 = family(FamilyKind.PATH, 6)
-        chain = hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
-        serial = (search_spum(p6, 1), search_hyper_sd(chain))
+        serial = search_spum(p6, 1)
 
         def refuse(thread):
             raise AssertionError(f"search started {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert (search_spum(p6, 1, jobs=4), search_hyper_sd(chain, jobs=4)) == serial
+        assert search_spum(p6, 1, jobs=4) == serial
 
     def test_monotone_soundness(self):
         for cert, rerun in (
@@ -332,9 +331,8 @@ class TestDeterminism:
             lambda **kw: search_spum(K3, 51, budget=50, **kw),
             lambda **kw: search_spum(P4, 1, **kw),
             lambda **kw: search_isd(P4, **kw),
-            lambda **kw: search_hyper_sd(hypergraph(3, 3, [(0, 1, 2)]), **kw),
         ],
-        ids=["spum-isolates-above-budget", "spum", "isd", "hyper-sd"],
+        ids=["spum-isolates-above-budget", "spum", "isd"],
     )
     def test_jobs_out_of_range_is_a_value_error(self, runner, jobs):
         # jobs is checked before any search work: the isolate-count budget
@@ -372,9 +370,9 @@ class TestCertificateFields:
         assert cert.exhausted_below
 
     def test_run_search_resolves_family_counts(self):
-        assert run_search(Invariant.SPUM, FamilySpec(FamilyKind.PATH, 4)).value == 5
+        assert run_search(Invariant.SPUM, P4).value == 5
         assert run_search(Invariant.ISPUM, C4).value == 7
-        assert run_search(Invariant.ISD, FamilySpec(FamilyKind.COMPLETE, 3)).value == 2
+        assert run_search(Invariant.ISD, K3).value == 2
 
     def test_run_search_needs_counts_for_unknown_graphs(self):
         with pytest.raises(ValueError):
