@@ -39,6 +39,7 @@ from .core import (
     label_range,
     labeling,
     labels_to_text,
+    parse_int,
     parse_labels,
     sd_lower_bound,
 )
@@ -65,7 +66,7 @@ _NAME_SPECIFIC_FLAGS = (
     "target", "graph", "n", "x", "isolates", "neighbors", "vertex", "vertices", "edge"
 )
 
-_SPEC_FORM = re.compile(r"[a-z_]+:\d+")
+_SPEC_FORM = re.compile(r"[a-z_]+:[0-9]+")
 _NEGATIVE_VALUE = re.compile(r"-\d")
 
 
@@ -145,14 +146,22 @@ def _labels_arg(text: str):
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")] if text else []
+        return [parse_int(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise UsageError(f"{flag} expects comma-separated integers") from exc
 
 
+def _int(text: str) -> int:
+    """The type of every integer flag: argparse names the flag on an error."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -450,12 +459,12 @@ def _parser() -> argparse.ArgumentParser:
     p = verbs.add_parser("verify", help="check a labeling against a target graph")
     p.add_argument("--labels", required=True)
     _add_graph_flags(p)
-    p.add_argument("--isolates", type=int, default=None)
+    p.add_argument("--isolates", type=_int, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = verbs.add_parser("construct", help="run a named closed-form construction")
     p.add_argument("--name", required=True, choices=CONSTRUCTIONS)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int, default=None)
     _add_graph_flags(p)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(handler=_cmd_construct)
@@ -465,15 +474,15 @@ def _parser() -> argparse.ArgumentParser:
         "--invariant", required=True, choices=("spum", "ispum", "sd", "isd")
     )
     _add_graph_flags(p)
-    p.add_argument("--sigma", type=int, default=None)
-    p.add_argument("--zeta", type=int, default=None)
-    p.add_argument("--max-range", type=int, default=None)
+    p.add_argument("--sigma", type=_int, default=None)
+    p.add_argument("--zeta", type=_int, default=None)
+    p.add_argument("--max-range", type=_int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_search)
 
     p = verbs.add_parser("table", help="reproduce an initial-values table")
     p.add_argument("--name", required=True, choices=TABLE_NAMES)
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--to", type=_int, required=True)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_table)
 
@@ -485,10 +494,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=COMBINATORS)
     p.add_argument("--labels", action="append")
     p.add_argument("--target", action="append")
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--isolates", type=int, default=None)
+    p.add_argument("--x", type=_int, default=None)
+    p.add_argument("--isolates", type=_int, default=None)
     p.add_argument("--neighbors", default=None)
-    p.add_argument("--vertex", type=int, default=None)
+    p.add_argument("--vertex", type=_int, default=None)
     p.add_argument("--vertices", default=None)
     p.add_argument("--edge", default=None)
     p.set_defaults(handler=_cmd_combine)
@@ -497,7 +506,7 @@ def _parser() -> argparse.ArgumentParser:
         "check-conjecture", help="search an instance of a stated conjecture"
     )
     p.add_argument("--name", required=True, choices=CONJECTURE_NAMES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_check_conjecture)
 

@@ -1,23 +1,26 @@
 """Closed-form labelings, Sidon/B_k machinery, and labeling combinators.
 
-Every construction re-induces its output and raises if the result does not
-match the promised target, so a returned report is always self-verified.
-Combinators and sd_general check their output by its exact labeled edges;
-the closed-form family labelings check theirs through the family recognizers.
+Every construction checks its output against the promised target and
+raises if it does not match, so a returned report is always self-verified.
+Combinators and sd_general check their output by its exact labeled edges,
+counted rather than listed; the closed-form family labelings check theirs
+through the family recognizers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-# find_isomorphism is not called here; it stays bound because
-# perfbench/tracing.py wraps constructions.find_isomorphism
+# induce and find_isomorphism are not called here; they stay bound because
+# perfbench/tracing.py wraps constructions.induce and
+# constructions.find_isomorphism
 from .core import (
     MAX_BUILD_SIZE,
     MAX_LABEL,
     Domain,
     Labeling,
     SimpleGraph,
+    _pair_count,
     find_isomorphism,
     graph,
     induce,
@@ -84,20 +87,23 @@ def _family_report(
 def _relabeled(target: SimpleGraph, vertex_label, isolates) -> Labeling:
     """Labels vertex_label[i] on target vertex i plus the isolates, checked.
 
-    Distinct vertex labels and an induced edge set equal to the image of
-    target's edges prove that the labeling induces target, with every other
-    label isolated.  No isomorphism search is involved, so there is no size
-    cap.
+    The labeling induces target, with every other label isolated, exactly
+    when its induced edge set I equals the image E of target's edges. With
+    distinct vertex labels, E has one pair of distinct labels per target
+    edge, and each such pair is in I when its sum is a label. So E is a
+    subset of I, and an induced pair count equal to len(target.edges) makes
+    the two sets equal. The pairs are counted, never listed, and no
+    isomorphism search is involved, so there is no size cap.
     """
-    lab = labeling(sorted(set(vertex_label) | isolates), Domain.POSITIVE)
-    result = induce(lab)
-    labels = result.label_of
-    induced = {(labels[i], labels[j]) for i, j in result.graph.edges}
-    expected = {
-        (a, b) if a < b else (b, a)
-        for a, b in ((vertex_label[i], vertex_label[j]) for i, j in target.edges)
-    }
-    if len(set(vertex_label)) != target.n or induced != expected:
+    distinct = set(vertex_label)
+    members = distinct | isolates
+    lab = labeling(sorted(members), Domain.POSITIVE)
+    sums = {vertex_label[u] + vertex_label[v] for u, v in target.edges}
+    if (
+        len(distinct) != target.n
+        or not members.issuperset(sums)
+        or _pair_count(lab)[0] != len(target.edges)
+    ):
         raise ConstructionError("construction output failed re-induction check")
     return lab
 

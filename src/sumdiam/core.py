@@ -8,7 +8,9 @@ the integral domain any integers (including 0 and negatives) are allowed.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +62,22 @@ class Labeling:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def indicator(self) -> int:
+        """Bit v - min label set for each label v; built once, then kept on
+        the instance. It is span / 8 bytes, so only the bitset induce path,
+        which the span rule keeps dense, asks for it."""
+        ind = self.__dict__.get("_indicator")
+        if ind is None:
+            labels = self.labels
+            low = labels[0]
+            buf = bytearray(((labels[-1] - low) >> 3) + 1)
+            for v in labels:
+                o = v - low
+                buf[o >> 3] |= 1 << (o & 7)
+            ind = int.from_bytes(buf, "little")
+            object.__setattr__(self, "_indicator", ind)
+        return ind
+
 
 def labeling(values, domain: Domain | None = None) -> Labeling:
     """Build a Labeling, inferring the domain when not given."""
@@ -69,17 +87,21 @@ def labeling(values, domain: Domain | None = None) -> Labeling:
     return Labeling(values, domain)
 
 
-def _labeling_unchecked(labels: tuple[int, ...], domain: Domain) -> Labeling:
+def _labeling_unchecked(
+    labels: tuple[int, ...], domain: Domain, indicator: int
+) -> Labeling:
     """A Labeling built without __post_init__'s sort and checks.
 
     Only for a caller that already holds labels as a tuple of ints, sorted,
     distinct, within the 64-bit signed range and >= 1 when domain is
-    POSITIVE: the search kernel's leaf. Everything else goes through
-    labeling() or Labeling(...).
+    POSITIVE, and their indicator (bit v - labels[0] set for each label v):
+    the search kernel's leaf. Everything else goes through labeling() or
+    Labeling(...).
     """
     lab = object.__new__(Labeling)
-    object.__setattr__(lab, "labels", labels)
-    object.__setattr__(lab, "domain", domain)
+    # one dict update in place of three object.__setattr__ calls: this runs
+    # once per search leaf
+    lab.__dict__.update(labels=labels, domain=domain, _indicator=indicator)
     return lab
 
 
@@ -165,25 +187,20 @@ def _pairwise_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-def _hit_masks(labels: tuple[int, ...]) -> list[int]:
+def _hit_masks(labels: tuple[int, ...], indicator: int) -> list[int]:
     """Partner mask of each label a up to the last with 2a + 1 <= max.
 
     Bit q of a's mask is set when b = a + 1 + q and a + b are both labels;
-    one AND of two shifts of the label indicator gives every such q.
+    the indicator ANDed with itself shifted by a marks every such b, and one
+    more shift brings b = a + 1 to bit 0.
     """
     low, top = labels[0], labels[-1]
-    indicator = 0
-    for v in labels:
-        indicator |= 1 << (v - low)
     masks = []
     for a in labels:
         if 2 * a + 1 > top:
             break  # a + b > top for every later b
-        shift = 2 * a + 1 - low  # negative only for some negative a
-        masks.append(
-            (indicator >> (a + 1 - low))
-            & (indicator >> shift if shift >= 0 else indicator << -shift)
-        )
+        sums = indicator >> a if a >= 0 else indicator << -a
+        masks.append((indicator & sums) >> (a + 1 - low))
     return masks
 
 
@@ -200,23 +217,35 @@ def _masked_pairs(labels: tuple[int, ...], masks: list[int]) -> list[tuple[int, 
     return out
 
 
+def _pair_count(
+    lab: Labeling,
+) -> tuple[int, Callable[[], list[tuple[int, int]]]]:
+    """How many index pairs i<j of lab's labels sum to a label, and a
+    function that lists them.
+
+    The span rule picks the path. The bitset path counts its masks' bits and
+    lists pairs only when asked; the pairwise path lists as it counts.
+    """
+    labels = lab.labels
+    if labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels):
+        pairs = _pairwise_pairs(labels)
+        return len(pairs), lambda: pairs
+    masks = _hit_masks(labels, lab.indicator())
+    return sum(map(int.bit_count, masks)), lambda: _masked_pairs(labels, masks)
+
+
 def _induced_pairs(
-    labels: tuple[int, ...], edge_count: int | None = None
+    lab: Labeling, edge_count: int | None = None
 ) -> list[tuple[int, int]] | None:
-    """Index pairs i<j of sorted labels whose sum is a label.
+    """Index pairs i<j of lab's sorted labels whose sum is a label.
 
     Given edge_count, None unless there are exactly that many pairs; the
     bitset path counts its masks' bits before it lists any pair.
     """
-    if labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels):
-        pairs = _pairwise_pairs(labels)
-        if edge_count is not None and len(pairs) != edge_count:
-            return None
-        return pairs
-    masks = _hit_masks(labels)
-    if edge_count is not None and sum(map(int.bit_count, masks)) != edge_count:
+    count, listed = _pair_count(lab)
+    if edge_count is not None and count != edge_count:
         return None
-    return _masked_pairs(labels, masks)
+    return listed()
 
 
 def _pair_degrees(pairs: list[tuple[int, int]], k: int) -> list[int]:
@@ -238,7 +267,7 @@ def induce(lab: Labeling) -> InducedResult:
     """Induced sum graph: vertex per label, edge when the pair sum is a label."""
     labels = lab.labels
     k = len(labels)
-    pairs = _induced_pairs(labels)
+    pairs = _induced_pairs(lab)
     full = SimpleGraph(k, frozenset(pairs))
     deg = _pair_degrees(pairs, k)
     core_ids = [i for i in range(k) if deg[i] > 0]
@@ -499,7 +528,7 @@ def induce_if_valid(
     if 0 in target_deg:
         raise ValueError("target graph must not contain isolated vertices")
     labels = lab.labels
-    pairs = _induced_pairs(labels, len(g.edges))
+    pairs = _induced_pairs(lab, len(g.edges))
     if pairs is None:
         return None
     deg = _pair_degrees(pairs, len(labels))
@@ -599,6 +628,19 @@ def json_vertex_count(value) -> int:
     return n
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str, what: str = "value") -> int:
+    """A decimal integer: an optional minus sign and ASCII digits, with
+    surrounding whitespace ignored. int() would also take underscores, a
+    plus sign and other scripts' digits; those are refused."""
+    item = text.strip()
+    if not _INTEGER.fullmatch(item):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(item)
+
+
 def parse_labels(text: str) -> tuple[int, ...]:
     """Parse a comma-separated integer list or a JSON array of integers."""
     text = text.strip()
@@ -611,7 +653,7 @@ def parse_labels(text: str) -> tuple[int, ...]:
         ):
             raise ValueError("JSON labels must be an array of integers")
         return tuple(data)
-    return tuple(int(part) for part in text.split(","))
+    return tuple(parse_int(part, "label") for part in text.split(","))
 
 
 def labels_to_text(labels) -> str:

@@ -9,6 +9,7 @@ from .core import (
     SimpleGraph,
     graph,
     identify_structure,
+    parse_int,
     structure_matches,
 )
 
@@ -52,11 +53,7 @@ def parse_spec(text: str) -> FamilySpec:
     except ValueError:
         names = ", ".join(k.value for k in FamilyKind)
         raise ValueError(f"unknown family {kind_text!r}; expected one of: {names}") from None
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise ValueError(f"family parameter {n_text!r} is not an integer") from None
-    return FamilySpec(kind, n)
+    return FamilySpec(kind, parse_int(n_text, "family parameter"))
 
 
 def generate(spec: FamilySpec) -> SimpleGraph:

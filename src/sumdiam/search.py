@@ -154,8 +154,9 @@ def _window_first_hit(
                     chosen.append(lo + bit.bit_length() - 1)
                     rest ^= bit
                 labels = tuple(chosen)
-                # sorted, distinct and inside the window checked above
-                candidate = _labeling_unchecked(labels, domain)
+                # sorted, distinct and inside the window checked above; lo is
+                # always chosen, so mask is the labels' indicator
+                candidate = _labeling_unchecked(labels, domain, mask)
                 if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
                     return labels, nodes, False
             o = top  # hi is always chosen and has no exclude branch

@@ -642,6 +642,72 @@ class TestCheckConjecture:
         run(capsys, "check-conjecture", "--name", "sd-paths", "--n", "2", expect=1)
 
 
+# each integer the CLI reads, as (what the error names, argv with {} for the
+# value); int() would read every value of BAD_INTEGERS
+INTEGER_INPUTS = [
+    ("label", ("induce", "--labels", "1,{}")),
+    ("--edge", ("combine", "--name", "modify-delete-edge", "--labels", "1,2,3,4",
+                "--target", "path:3", "--edge", "0,{}")),
+    ("--vertices", ("combine", "--name", "modify-induced-subgraph", "--labels", "1,2,3,4",
+                    "--target", "path:3", "--vertices", "0,{}")),
+    ("--neighbors", ("combine", "--name", "add-vertex", "--labels", "1,2,3",
+                     "--target", "path:2", "--neighbors", "{}")),
+    ("--jobs", ("search", "--invariant", "sd", "--target", "path:4", "--jobs", "{}")),
+    ("SUMDIAM_BUDGET", ("search", "--invariant", "sd", "--target", "path:4")),
+    ("--n", ("construct", "--name", "sd-path", "--n", "{}")),
+    ("--n", ("check-conjecture", "--name", "sd-paths", "--n", "{}")),
+    ("--sigma", ("search", "--invariant", "spum", "--target", "path:4", "--sigma", "{}")),
+    ("--zeta", ("search", "--invariant", "ispum", "--target", "cycle:5", "--zeta", "{}")),
+    ("--max-range", ("search", "--invariant", "sd", "--target", "path:4",
+                     "--max-range", "{}")),
+    ("--to", ("table", "--name", "spum-paths", "--to", "{}")),
+    ("--x", ("combine", "--name", "translate", "--labels", "1,2,3", "--target", "path:2",
+             "--x", "{}")),
+    ("--isolates", ("verify", "--labels", "1,2,3,4", "--target", "path:3",
+                    "--isolates", "{}")),
+    ("--isolates", ("combine", "--name", "add-isolated", "--labels", "1,2,3",
+                    "--target", "path:2", "--isolates", "{}")),
+    ("--vertex", ("combine", "--name", "modify-delete-vertex", "--labels", "1,2,3,4",
+                  "--target", "path:3", "--vertex", "{}")),
+]
+BAD_INTEGERS = ["1_0", "+4", "\uff11\uff10", "0x3"]
+BAD_IDS = ["underscore", "plus", "fullwidth", "hex"]
+
+
+class TestStrictIntegers:
+    """Every integer the CLI reads is an optional minus sign and ASCII digits."""
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS, ids=BAD_IDS)
+    @pytest.mark.parametrize(
+        ("names", "argv"),
+        INTEGER_INPUTS,
+        ids=[f"{argv[0]}-{names}" for names, argv in INTEGER_INPUTS],
+    )
+    def test_bad_value_exits_two_naming_its_flag(
+        self, capsys, monkeypatch, value, names, argv
+    ):
+        if names == "SUMDIAM_BUDGET":
+            monkeypatch.setenv("SUMDIAM_BUDGET", value)
+        out, err = run(capsys, *(part.format(value) for part in argv), expect=2)
+        assert out == ""
+        assert names in err
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS, ids=BAD_IDS)
+    def test_bad_family_parameter_is_no_spec(self, capsys, value):
+        # not a family spec, so --target reads it as a file name, and there
+        # is no such file
+        out, err = run(capsys, "bounds", "--target", f"path:{value}", expect=2)
+        assert out == ""
+        assert err.startswith(f"error: cannot read graph file {f'path:{value}'!r}")
+
+    def test_surrounding_whitespace_is_read(self, capsys):
+        plain, _ = run(capsys, "construct", "--name", "sd-path", "--n", "5")
+        padded, _ = run(capsys, "construct", "--name", "sd-path", "--n", " 5 ")
+        assert padded == plain
+        listed, _ = run(capsys, "induce", "--labels", " 1, 2 ,3,4 ")
+        assert listed == run(capsys, "induce", "--labels", "1,2,3,4")[0]
+
+
 class TestInputSize:
     """A graph size from outside is refused before anything of that size is built.
 

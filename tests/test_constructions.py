@@ -35,6 +35,7 @@ from sumdiam.constructions import (
     translate,
 )
 from sumdiam.core import (
+    ISO_CAP_DEFAULT,
     Domain,
     graph,
     induce,
@@ -42,7 +43,7 @@ from sumdiam.core import (
     label_range,
     labeling,
 )
-from sumdiam.families import FamilyKind, FamilySpec, generate, recognize
+from sumdiam.families import FamilyKind, FamilySpec, generate, identify, recognize
 
 K2 = graph(2, [(0, 1)])
 P3 = generate(FamilySpec(FamilyKind.PATH, 3))
@@ -464,9 +465,9 @@ class TestInducePath:
         for name, tag in (("_hit_masks", "bitset"), ("_pairwise_pairs", "pairwise")):
             real = getattr(core, name)
 
-            def record(labels, real=real, tag=tag):
+            def record(labels, *rest, real=real, tag=tag):
                 calls.append((tag, len(labels), labels[-1] - labels[0]))
-                return real(labels)
+                return real(labels, *rest)
 
             monkeypatch.setattr(core, name, record)
         return calls
@@ -507,18 +508,24 @@ class TestTranslate:
 
     def test_input_and_output_each_induced_once(self, monkeypatch):
         # input validation (with the edge count to match) and the output
-        # check both enumerate pairs through core._induced_pairs, each once
-        # per label set
+        # check both count pairs through core._pair_count, each once per
+        # label set; only the input's pairs are listed
         induced = []
-        real = core._induced_pairs
+        real_count, real_pairs = core._pair_count, core._induced_pairs
 
-        def counting(labels, *edge_count):
-            induced.append((labels, *edge_count))
-            return real(labels, *edge_count)
+        def counting(lab):
+            induced.append((lab.labels,))
+            return real_count(lab)
 
-        monkeypatch.setattr(core, "_induced_pairs", counting)
+        def listing(lab, *edge_count):
+            induced.append((lab.labels, *edge_count))
+            return real_pairs(lab, *edge_count)
+
+        monkeypatch.setattr(core, "_pair_count", counting)
+        monkeypatch.setattr(constructions, "_pair_count", counting)
+        monkeypatch.setattr(core, "_induced_pairs", listing)
         translate(LAB_P3, P3, 2)
-        assert induced == [((1, 2, 3, 4), 2), ((3, 4, 5, 7, 8),)]
+        assert induced == [((1, 2, 3, 4), 2), ((1, 2, 3, 4),), ((3, 4, 5, 7, 8),)]
 
     def test_idle_isolates_are_dropped(self):
         lab = labeling([1, 2, 3, 17])
@@ -915,6 +922,72 @@ def assert_oracle_graph(labels, target):
     assert isolates == len(isolated) == len(labels) - core
 
 
+class TestRelabeled:
+    """_relabeled proves its output from distinct vertex labels, the image of
+    every target edge being an induced pair, and the induced pair count."""
+
+    def test_accepts_exact_image(self):
+        assert constructions._relabeled(K2, [1, 2], {3}).labels == (1, 2, 3)
+        assert constructions._relabeled(P3, [2, 1, 3], {4}).labels == (1, 2, 3, 4)
+
+    def test_one_extra_induced_pair(self):
+        # the image {1, 2} is induced, and so is 1 + 3 = 4
+        with pytest.raises(ConstructionError):
+            constructions._relabeled(K2, [1, 2], {3, 4})
+
+    def test_one_missing_image_edge(self):
+        # one pair is induced (1 + 2 = 3), as K2 has one edge, but it is not
+        # the image {1, 3}: 1 + 3 = 4 is no label
+        with pytest.raises(ConstructionError):
+            constructions._relabeled(K2, [1, 3], {2})
+
+    def test_repeated_vertex_label(self):
+        # vertices 1 and 2 share label 2; vertex 2 is isolated, and the one
+        # induced pair {1, 2} is the image of the one edge
+        with pytest.raises(ConstructionError):
+            constructions._relabeled(graph(3, [(0, 1)]), [1, 2, 2], {3})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_when_induced_edges_are_the_image(self, data):
+        def some_of(values):
+            return data.draw(st.sets(st.sampled_from(values)) if values else st.just(set()))
+
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        target = graph(n, some_of([(u, v) for u in range(n) for v in range(u + 1, n)]))
+        vertex_label = data.draw(
+            st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True)
+        )
+        # some of the edge sums, so that the output is often exact, and a
+        # few labels drawn freely
+        sums = sorted({vertex_label[u] + vertex_label[v] for u, v in target.edges})
+        isolates = some_of(sums) | data.draw(st.sets(st.integers(1, 60), max_size=3))
+        labels = sorted(set(vertex_label) | isolates)
+        induced, _ = naive_induce(labels)
+        image = {
+            tuple(sorted((vertex_label[u], vertex_label[v]))) for u, v in target.edges
+        }
+        expected = {(labels[i], labels[j]) for i, j in induced} == image
+        try:
+            lab = constructions._relabeled(target, vertex_label, isolates)
+        except ConstructionError:
+            assert not expected
+        else:
+            assert expected and lab.labels == tuple(labels)
+
+
+# two isolate-free 13-vertex graphs that are no family member: C13 with six
+# chords, and P13 with four
+CHORDED_C13 = graph(
+    13,
+    [(i, (i + 1) % 13) for i in range(13)]
+    + [(0, 5), (1, 8), (2, 10), (3, 7), (4, 11), (6, 12)],
+)
+CHORDED_P13 = graph(
+    13, [(i, i + 1) for i in range(12)] + [(0, 6), (3, 9), (6, 12), (1, 11)]
+)
+
+
 class TestAboveIsomorphismCap:
     """Inputs and outputs past the 24-vertex explicit isomorphism cap."""
 
@@ -936,6 +1009,27 @@ class TestAboveIsomorphismCap:
         assert len(edges) == len(target.edges)
         assert degrees == sorted(target.degrees())
         assert core == 60 and isolates == len(labels) - 60
+
+    @pytest.mark.parametrize(
+        "combiner, combined_graph",
+        [
+            (disjoint_union_scaled, disjoint_union_graph),
+            (disjoint_union_translated, disjoint_union_graph),
+            (join, join_graph),
+        ],
+    )
+    def test_thirteen_plus_thirteen_sd_general(self, combiner, combined_graph):
+        # 26 output vertices, past the cap, from inputs no family recognizer
+        # identifies: the output is proved by its labeled edges alone
+        assert identify(CHORDED_C13) is None and identify(CHORDED_P13) is None
+        lab1 = sd_general(CHORDED_C13).labeling
+        lab2 = sd_general(CHORDED_P13).labeling
+        report = combiner(lab1, CHORDED_C13, lab2, CHORDED_P13)
+        target = combined_graph(CHORDED_C13, CHORDED_P13)
+        assert target.n == 26 > ISO_CAP_DEFAULT
+        assert report.valid and report.achieved_range <= report.claimed_range_bound
+        assert report.target.n == 26 and len(report.target.edges) == len(target.edges)
+        assert_oracle_graph(report.labeling.labels, target)
 
     @pytest.mark.parametrize(
         "name, operation, edit",

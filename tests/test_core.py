@@ -156,6 +156,21 @@ class TestLabeling:
         with pytest.raises(ValueError, match="exceeds the 64-bit signed range$"):
             labeling([Size.LARGE, 1])
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 2, 3, 4], [5, 13, 8, 1000, 2], [-7, -1, 0, 3, 64], [-300, -9, -8, -1], [9]],
+        ids=["positive", "positive-sparse", "mixed", "all-negative", "single"],
+    )
+    def test_indicator_equals_per_label_or(self, values):
+        lab = labeling(values)
+        low = lab.labels[0]
+        expected = 0
+        for v in lab.labels:
+            expected |= 1 << (v - low)
+        assert lab.indicator() == expected
+        assert lab.indicator() is lab.indicator()  # built once, then kept
+        assert lab == labeling(values)  # the kept indicator is not a field
+
     def test_label_range(self):
         assert label_range(labeling([3, 10])) == 7
         assert label_range(labeling([-5, 0, 2])) == 7
@@ -226,8 +241,10 @@ class TestInduce:
     @settings(max_examples=200, deadline=None)
     @given(label_sets)
     def test_bitset_path_agrees_with_pairwise_path(self, values):
-        values = tuple(sorted(values))
-        assert sorted(core._masked_pairs(values, core._hit_masks(values))) == sorted(
+        lab = labeling(values)
+        values = lab.labels
+        masks = core._hit_masks(values, lab.indicator())
+        assert sorted(core._masked_pairs(values, masks)) == sorted(
             core._pairwise_pairs(values)
         )
 
@@ -236,7 +253,7 @@ class TestInduce:
         monkeypatch.setattr(core, "_pairwise_pairs", None)
         for values in (tuple(range(2000, 4002)), tuple(range(-300, 301))):
             lo, hi = values[0], values[-1]
-            pairs = core._induced_pairs(values)
+            pairs = core._induced_pairs(labeling(values))
             expected = sum(
                 1 for i, a in enumerate(values) for b in values[i + 1 :] if lo <= a + b <= hi
             )
@@ -291,10 +308,11 @@ class TestSpanRule:
             sides[span <= bound * len(values)] += 1
             at_bound += span == bound * len(values)
             edges, _ = naive_induce(values)
-            pairs = core._induced_pairs(values)
+            lab = labeling(values)
+            pairs = core._induced_pairs(lab)
             assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
-            assert core._induced_pairs(values, len(edges)) == pairs
-            assert core._induced_pairs(values, len(edges) + 1) is None
+            assert core._induced_pairs(lab, len(edges)) == pairs
+            assert core._induced_pairs(lab, len(edges) + 1) is None
         assert sides[True] > 100 and sides[False] > 50 and at_bound >= 30
 
     def test_bound_itself_takes_the_bitset(self, monkeypatch):
@@ -304,8 +322,8 @@ class TestSpanRule:
             core, "_pairwise_pairs", _recorder(calls, "pairwise", core._pairwise_pairs)
         )
         bound = core._BITSET_SPAN_PER_LABEL
-        core._induced_pairs((1, 2, 1 + 3 * bound))
-        core._induced_pairs((1, 2, 2 + 3 * bound))
+        core._induced_pairs(labeling((1, 2, 1 + 3 * bound)))
+        core._induced_pairs(labeling((1, 2, 2 + 3 * bound)))
         assert calls == ["bitset", "pairwise"]
 
     def test_count_comes_before_listing(self, monkeypatch):
@@ -680,6 +698,13 @@ class TestSerialization:
             parse_labels("[1, 2.5]")
         with pytest.raises(ValueError):
             parse_labels("a,b")
+
+    # int() reads each of these as an integer; a label list does not
+    @pytest.mark.parametrize("item", ["1_0", "+4", "\uff11\uff10", "0x3", "", "-", "4 2"])
+    def test_parse_labels_comma_items_are_plain_integers(self, item):
+        message = f"^label {re.escape(repr(item))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            parse_labels(f"1,{item},3")
 
     def test_labels_to_text_round_trip(self):
         labels = (-3, -1, 2, 7)

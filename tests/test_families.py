@@ -40,6 +40,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             parse_spec("path:0")
 
+    @pytest.mark.parametrize("n_text", ["1_0", "+4", "\uff11\uff10", "0x3"])
+    def test_parameter_is_a_plain_integer(self, n_text):
+        with pytest.raises(ValueError, match="^family parameter .* is not an integer$"):
+            parse_spec(f"path:{n_text}")
+
 
 class TestGenerate:
     @pytest.mark.parametrize(

@@ -738,7 +738,10 @@ class TestKernel:
         for lab in validated:
             assert type(lab.labels) is tuple
             assert all(a < b for a, b in zip(lab.labels, lab.labels[1:]))
-            assert lab == labeling(lab.labels, lab.domain)
+            fresh = labeling(lab.labels, lab.domain)
+            assert lab == fresh
+            # the kernel's mask is handed over as the leaf's indicator
+            assert lab.indicator() == fresh.indicator()
             if lab.labels[0] >= 1:
                 seen["positive"] += 1
             else:
