@@ -88,20 +88,29 @@ def labeling(values, domain: Domain | None = None) -> Labeling:
 
 
 def _labeling_unchecked(
-    labels: tuple[int, ...], domain: Domain, indicator: int
+    labels: tuple[int, ...], domain: Domain, indicator: int, pair_count: int
 ) -> Labeling:
     """A Labeling built without __post_init__'s sort and checks.
 
     Only for a caller that already holds labels as a tuple of ints, sorted,
     distinct, within the 64-bit signed range and >= 1 when domain is
-    POSITIVE, and their indicator (bit v - labels[0] set for each label v):
-    the search kernel's leaf. Everything else goes through labeling() or
-    Labeling(...).
+    POSITIVE, their indicator (bit v - labels[0] set for each label v) and
+    the number of index pairs i<j whose sum is a label: the search kernel's
+    leaf. Everything else goes through labeling() or Labeling(...).
+
+    The kernel counts each pair {a, b} once, when the largest of a, b and
+    a + b is included, since the other two are chosen by then; its edge-cap
+    prune rests on that same count. _induced_pairs rejects a labeling whose
+    kept count differs from the edge count it is asked for, and counts a
+    labeling with a matching count again, so the kept count can reject a
+    labeling but never accept one.
     """
     lab = object.__new__(Labeling)
-    # one dict update in place of three object.__setattr__ calls: this runs
+    # one dict update in place of four object.__setattr__ calls: this runs
     # once per search leaf
-    lab.__dict__.update(labels=labels, domain=domain, _indicator=indicator)
+    lab.__dict__.update(
+        labels=labels, domain=domain, _indicator=indicator, _counted_pairs=pair_count
+    )
     return lab
 
 
@@ -239,9 +248,15 @@ def _induced_pairs(
 ) -> list[tuple[int, int]] | None:
     """Index pairs i<j of lab's sorted labels whose sum is a label.
 
-    Given edge_count, None unless there are exactly that many pairs; the
-    bitset path counts its masks' bits before it lists any pair.
+    Given edge_count, None unless there are exactly that many pairs: at
+    once when lab keeps a different pair count (_labeling_unchecked), and
+    otherwise once the pairs are counted; the bitset path counts its masks'
+    bits before it lists any pair.
     """
+    if edge_count is not None:
+        kept = lab.__dict__.get("_counted_pairs")
+        if kept is not None and kept != edge_count:
+            return None
     count, listed = _pair_count(lab)
     if edge_count is not None and count != edge_count:
         return None
@@ -396,8 +411,13 @@ def identify_structure(g: SimpleGraph) -> tuple[str, int] | None:
 
 def _joint_colors(
     g: SimpleGraph, h: SimpleGraph
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Degree refinement on the disjoint union, so color ids are comparable."""
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Degree refinement on the disjoint union, so color ids are comparable.
+
+    None as soon as a round leaves g's sorted colors unequal to h's: each
+    new color determines its old one, so the counts would still differ when
+    refinement ends. The caller has compared the degrees, the first colors.
+    """
     adj = list(g.adjacency()) + [
         frozenset(w + g.n for w in s) for s in h.adjacency()
     ]
@@ -412,6 +432,8 @@ def _joint_colors(
         if new_colors == colors:
             break
         colors = new_colors
+        if sorted(colors[: g.n]) != sorted(colors[g.n :]):
+            return None
     return tuple(colors[: g.n]), tuple(colors[g.n :])
 
 
@@ -463,9 +485,10 @@ def find_isomorphism(
             return paired
     if g.n > cap:
         raise ValueError(f"explicit isomorphism search capped at {cap} vertices")
-    gc, hc = _joint_colors(g, h)
-    if sorted(gc) != sorted(hc):
+    colors = _joint_colors(g, h)
+    if colors is None:
         return None
+    gc, hc = colors
     g_adj = g.adjacency()
     h_adj = h.adjacency()
     by_color: dict[int, list[int]] = {}

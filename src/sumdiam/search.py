@@ -125,7 +125,8 @@ def _window_first_hit(
 
     A leaf's labels come off the mask ascending and distinct, and the window
     is checked against the domain and the 64-bit range before the first
-    node, so each leaf is handed to is_valid_labeling as built.
+    node, so each leaf is handed to is_valid_labeling as built, with mask as
+    its indicator and edges, its exact pair count, to reject it on.
     """
     Labeling((lo, hi), domain)  # raises for a window outside the domain
     capacity = _degree_capacity(g)
@@ -155,8 +156,9 @@ def _window_first_hit(
                     rest ^= bit
                 labels = tuple(chosen)
                 # sorted, distinct and inside the window checked above; lo is
-                # always chosen, so mask is the labels' indicator
-                candidate = _labeling_unchecked(labels, domain, mask)
+                # always chosen, so mask is the labels' indicator, and edges
+                # counts their induced pairs
+                candidate = _labeling_unchecked(labels, domain, mask, edges)
                 if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
                     return labels, nodes, False
             o = top  # hi is always chosen and has no exclude branch

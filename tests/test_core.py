@@ -336,6 +336,27 @@ class TestSpanRule:
         assert induce_if_valid(lab, path_graph(3)) == (2, 1, 3)
         assert listed == ["list"]
 
+    def test_kept_count_can_only_reject(self, monkeypatch):
+        # a search leaf keeps the kernel's pair count: a count unlike the
+        # edge count rejects before any pair is counted, and an equal one is
+        # counted again, so even a wrong kept count accepts nothing
+        counted = []
+        monkeypatch.setattr(core, "_pair_count", _recorder(counted, "count", core._pair_count))
+        labels = (1, 2, 3, 4)  # the path 2-1-3 plus the isolate 4
+        indicator = labeling(labels).indicator()
+
+        def leaf(pair_count):
+            return core._labeling_unchecked(labels, Domain.POSITIVE, indicator, pair_count)
+
+        assert induce_if_valid(leaf(2), complete_graph(3)) is None
+        assert induce_if_valid(leaf(2), path_graph(2)) is None
+        assert counted == []
+        # three kept pairs, as many as the triangle has edges, but two induced
+        assert induce_if_valid(leaf(3), complete_graph(3)) is None
+        assert counted == ["count"]
+        assert induce_if_valid(leaf(2), path_graph(3)) == (2, 1, 3)
+        assert counted == ["count", "count"]
+
 
 class TestStructurePredicates:
     def test_path(self):
@@ -531,6 +552,47 @@ class TestIsomorphism:
         assert isomorphic(g, h) == naive_isomorphic(
             g.n, g.edges, h.n, h.edges
         )
+
+    def test_degree_twins_match_permutation_oracle(self, monkeypatch):
+        # a graph and a double-edge swap of it share their degrees, so only
+        # color refinement or the backtracking can tell them apart; record
+        # which refinements end early on unequal color counts
+        refined = []
+        real = core._joint_colors
+
+        def joint_colors(g, h):
+            colors = real(g, h)
+            refined.append(colors is None)
+            return colors
+
+        monkeypatch.setattr(core, "_joint_colors", joint_colors)
+        rng = random.Random(20)
+        swapped = found = 0
+        for _ in range(150):
+            n = rng.choice((5, 6, 6, 7, 7, 8))
+            pairs = list(combinations(range(n), 2))
+            g = graph(n, rng.sample(pairs, rng.randint(n - 1, len(pairs) - n + 1)))
+            edges = set(g.edges)
+            for _ in range(20):
+                (a, b), (c, d) = rng.sample(sorted(edges), 2)
+                if rng.random() < 0.5:
+                    c, d = d, c
+                new = {tuple(sorted(e)) for e in ((a, c), (b, d))}
+                if len({a, b, c, d}) == 4 and not new & edges:
+                    edges = edges - {(a, b), tuple(sorted((c, d)))} | new
+                    break
+            else:
+                continue  # no swap applies
+            h = graph(n, edges)
+            assert sorted(h.degrees()) == sorted(g.degrees())
+            swapped += 1
+            mapping = find_isomorphism(g, h)
+            assert (mapping is not None) == naive_isomorphic(n, g.edges, n, h.edges)
+            if mapping is not None:
+                found += 1
+                assert carries_edges(mapping, g, h)
+        assert swapped >= 100 and found >= 10
+        assert refined.count(True) >= 40 and refined.count(False) >= 20
 
 
 class TestValidity:

@@ -753,6 +753,43 @@ class TestKernel:
             assert witness == labeling(witness.labels, witness.domain)
             assert witness in validated
 
+    def test_leaves_carry_their_pair_count(self, monkeypatch):
+        # validation rejects a leaf whose kept count differs from the edge
+        # count without counting its pairs, so the count the kernel hands
+        # over must be the induced edge count of every leaf, in every sign;
+        # each leaf is checked as it arrives, since a wrong count would
+        # reject every leaf and the ascent would not end
+        seen = {}
+        name = None
+        real = search.is_valid_labeling
+
+        def checking(lab, *args, **kwargs):
+            edges, _isolated = naive_induce(lab.labels)
+            assert lab.__dict__["_counted_pairs"] == len(edges), (name, lab.labels)
+            sign = "positive" if lab.labels[0] >= 1 else (
+                "negative" if lab.labels[-1] < 0 else "crosses 0"
+            )
+            seen[name, sign] = seen.get((name, sign), 0) + 1
+            return real(lab, *args, **kwargs)
+
+        monkeypatch.setattr(search, "is_valid_labeling", checking)
+        for name, run in [
+            ("sd", lambda: search_sd(P4)),
+            ("sd", lambda: search_sd(CLASS_191)),
+            ("isd", lambda: search_isd(P4)),
+            ("isd", lambda: search_isd(C4)),
+            ("spum", lambda: search_spum(P4, 1)),
+            ("ispum", lambda: search_ispum(family(FamilyKind.CYCLE, 5), cycle_zeta(5))),
+            ("ispum", lambda: search_ispum(K3, 2)),
+        ]:
+            run()
+        assert set(seen) == {
+            ("sd", "positive"),
+            ("spum", "positive"),
+            *((name, sign) for name in ("isd", "ispum")
+              for sign in ("positive", "crosses 0", "negative")),
+        }, seen
+
     @pytest.mark.parametrize(
         ("lo", "hi", "domain"),
         [
