@@ -145,24 +145,35 @@ def _field_width(n: int, k: int) -> int:
     return max(n**k, math.factorial(k)).bit_length() + 1
 
 
-def _fields_within(value: int, max_index: int, limit: int, width: int) -> bool:
-    """Check that every width-bit little-endian field of value stays <= limit.
+def _field_masks(fields: int, limit: int, width: int) -> tuple[int, int]:
+    """(bias, top bits) that test the low `fields` width-bit fields against limit.
 
     Adding 2**(width - 1) - 1 - limit to a field sets its top bit exactly when
     the field exceeds limit.  The caller sizes width so that every field and
     limit stay below 2**(width - 1), so the sum never carries into the next
-    field.
+    field.  A field above value's highest one reads 0 + bias, below its top
+    bit, so masks with more fields than value needs give the same answer.
     """
-    ones = ((1 << (width * (max_index + 1))) - 1) // ((1 << width) - 1)
-    top_bits = ones << (width - 1)
-    return (value + ((1 << (width - 1)) - 1 - limit) * ones) & top_bits == 0
+    ones = ((1 << (width * fields)) - 1) // ((1 << width) - 1)
+    return ((1 << (width - 1)) - 1 - limit) * ones, ones << (width - 1)
+
+
+def _fields_within(value: int, max_index: int, limit: int, width: int) -> bool:
+    """Check that every width-bit little-endian field of value stays <= limit."""
+    bias, top_bits = _field_masks(max_index + 1, limit, width)
+    return (value + bias) & top_bits == 0
 
 
 def is_bk_set(elements, k: int) -> bool:
     """Certify the B_k property: coefficients of the k-th power stay <= k!.
 
     At k = 2 that says the n(n+1)/2 sums a + b with a <= b are distinct,
-    which is checked directly; higher orders take the packed power.
+    which is checked directly; higher orders take the packed power.  For
+    k >= 3 True means that no coefficient of P^k, P the sum of z^a over the
+    elements, exceeds k!; the orders below k are not tested.  That makes
+    every k-subset sum distinct (two k-subsets with one sum would give it
+    2 * k! ordered tuples) but not every k-multiset sum:
+    is_bk_set((1, 2, 4, 8), 3) is True although 1 + 1 + 8 = 2 + 4 + 4.
     """
     if k < 2:
         raise ValueError("B_k order must be >= 2")
@@ -202,7 +213,9 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
     Order 2 is tested on the prefix's pairwise sums: the prefix is B_2, so
     adding c keeps it B_2 exactly when no new sum c + a (a chosen) is already
     one; 2c exceeds every old sum.  Orders 3 to k take packed powers of the
-    prefix, and only for candidates that pass order 2.
+    prefix, and only for candidates that pass order 2.  So for k >= 3 the
+    output has no coefficient of P^j above j!, for each j <= k: its j-subset
+    sums are distinct, its k-multiset sums need not be.
     """
     if (n + 1) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
         raise ValueError("coefficient fields could overflow for this input size")
@@ -213,6 +226,9 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
     pair_sums: set[int] = set()  # a + b over chosen a <= b
     packed = 0
     powers = [1] + [0] * k  # powers[j] = prefix polynomial ** j, kept for k >= 3
+    # masks[j] = (fields, bias, top bits) for order j, rebuilt at twice the
+    # fields needed once (P + z^c)^j, of degree j * c, outgrows them
+    masks = [(0, 0, 0)] * (k + 1)
     candidate = 1
     while len(chosen) < n:
         if pair_sums.isdisjoint(candidate + a for a in chosen):
@@ -221,7 +237,12 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
                 total = powers[j]
                 for i in range(1, j + 1):
                     total += (binoms[j][i] * powers[j - i]) << (width * i * candidate)
-                if not _fields_within(total, j * candidate, limits[j], width):
+                fields, bias, top_bits = masks[j]
+                if j * candidate >= fields:
+                    fields = 2 * j * candidate + 1
+                    bias, top_bits = _field_masks(fields, limits[j], width)
+                    masks[j] = fields, bias, top_bits
+                if (total + bias) & top_bits:
                     break
             else:  # every order passed
                 chosen.append(candidate)
@@ -246,7 +267,12 @@ def sidon_set(n: int) -> SidonSet:
 
 
 def bk_set(n: int, k: int) -> SidonSet:
-    """Greedy-from-1 B_k set of size n, certified element by element."""
+    """Greedy-from-1 B_k set of size n, certified element by element.
+
+    For k >= 3 the certificate is that no coefficient of P^j exceeds j!,
+    for each j <= k.  Every k-subset sum is then distinct, but k-multiset
+    sums can collide: bk_set(4, 3) is (1, 2, 4, 8), and 1 + 1 + 8 = 2 + 4 + 4.
+    """
     if n < 1:
         raise ValueError("B_k set size must be >= 1")
     if k < 2:

@@ -142,7 +142,10 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     Vertex v gets k^2*s_v+1 and each edge the label k^2*(sum of its s) + k;
     the two residue classes mod k^2 keep edge labels from inducing anything
     beyond the intended k-subsets, so the edge labels are exactly the
-    isolates.
+    isolates.  For k >= 3 bk_set certifies that no coefficient of P^j
+    exceeds j!, for each j <= k: its k-subset sums are distinct, so k vertex
+    labels sum to an edge label only when they are that edge's.  That is all
+    this needs; its k-multiset sums can collide, but no edge repeats a vertex.
     """
     if h.n == 0 or h.isolated_vertices():
         raise ValueError("target must be isolate-free and nonempty")

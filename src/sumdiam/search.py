@@ -88,14 +88,12 @@ class ConjectureReport:
 
 
 def _degree_capacity(g: SimpleGraph) -> list[int]:
-    """capacity[d] = number of vertices of g with degree >= d."""
+    """capacity[d] = number of vertices of g with degree > d, for d < max degree."""
     degrees = g.degrees()
-    delta = max(degrees)
-    capacity = [0] * (delta + 1)
+    capacity = [0] * max(degrees)
     for d in degrees:
-        for i in range(1, d + 1):
+        for i in range(d):
             capacity[i] += 1
-    capacity[0] = g.n
     return capacity
 
 
@@ -120,8 +118,24 @@ def _window_first_hit(
     The DFS is one loop over Python-int bitmasks, so its depth is not bounded
     by the recursion limit. Bit i of `mask` is set when label lo + i is
     chosen, and bit top - i of `rev` mirrors it; levels[d - 1] holds the chosen
-    labels of degree >= d. Each include pushes (offset, levels before it,
-    edges it added), and backtracking pops to the deepest live exclude.
+    labels of degree >= d. Each include pushes its frame (offset, and the
+    levels, isolate masks and earliest deadline before it, edges it added),
+    and backtracking pops to the deepest live exclude.
+
+    With a fixed isolate count, an include is refused once more than
+    exact_isolates chosen labels are hopeless: of degree 0 with no pair left
+    that could give them an edge. With nxt the next undecided value, a label
+    a outside the band [nxt - hi, hi - nxt] has every possible partner
+    decided: for a >= 0 a chosen b != a, b <= hi - a, whose sum a + b is
+    still undecided; for a < 0 an undecided b whose sum c = a + b <= a + hi
+    is chosen. The largest such b or c stays on the path for the whole
+    subtree, so the offset of a + b or c - a is a deadline fixed for it:
+    past it, a is hopeless, and with no b or c it is hopeless at once. The
+    band only shrinks, so hopelessness is monotone down the path. An include
+    frame holds `dead` (labels found hopeless), `live` (labels judged with a
+    deadline still ahead, kept in `deadline` by offset) and `due` (the
+    earliest live deadline); an include judges only the idle labels outside
+    the band in neither mask, and re-reads live only once due has passed.
 
     A leaf's labels come off the mask ascending and distinct, and the window
     is checked against the domain and the 64-bit range before the first
@@ -130,7 +144,7 @@ def _window_first_hit(
     """
     Labeling((lo, hi), domain)  # raises for a window outside the domain
     capacity = _degree_capacity(g)
-    delta = len(capacity) - 1
+    delta = len(capacity)
     edge_cap = len(g.edges)
     top = hi - lo
     # offsets of the negative labels, and of label 0 when the window holds it
@@ -140,7 +154,12 @@ def _window_first_hit(
     mask = rev = 0
     levels = [0] * delta
     count = edges = nodes = 0
-    stack: list[tuple[int, list[int], int]] = []
+    # label lo + i can gain a degree only while the value at offset
+    # deadline[i] is undecided; valid while bit i is in live
+    dead = live = 0
+    due = top + 1
+    deadline: dict[int, int] = {}
+    stack: list[tuple[int, list[int], int, int, int, int]] = []
     o = 0  # offset of the value decided next, v = lo + o
     while True:
         nodes += 1
@@ -195,22 +214,31 @@ def _window_first_hit(
                 else:
                     # thermometer increment: each endpoint gains one degree
                     # and v gains k; degrees only grow within one include,
-                    # so checking the final counts is exact. No endpoint is
-                    # in levels[-1], so the carry is spent within delta levels
+                    # so a level past its capacity as the carry sets it
+                    # stays past it. No endpoint is in levels[-1], so the
+                    # carry is spent within delta levels
                     new_levels = levels.copy()
+                    if k:
+                        for e in range(k):
+                            new_levels[e] |= vbit
                     carry = ends
                     d = 0
                     while carry:
                         below = new_levels[d]
-                        new_levels[d] = below | carry
-                        carry &= below
-                        d += 1
-                    for e in range(k):
-                        new_levels[e] |= vbit
-                    for e in range(d if d > k else k):
-                        if new_levels[e].bit_count() > capacity[e + 1]:
+                        now = below | carry
+                        if now.bit_count() > capacity[d]:
                             ok = False
                             break
+                        new_levels[d] = now
+                        carry &= below
+                        d += 1
+                    else:
+                        while d < k:  # levels that only v reaches
+                            if new_levels[d].bit_count() > capacity[d]:
+                                ok = False
+                                break
+                            d += 1
+            new_dead, new_live, new_due = dead, live, due
             if ok and exact_isolates is not None:
                 chosen = mask | vbit
                 idle = chosen & ~new_levels[0]
@@ -225,39 +253,61 @@ def _window_first_hit(
                         idle &= ~((1 << (last + 1)) - (1 << first))
                 left = idle.bit_count()
                 if left > exact_isolates:
-                    # the rest are hopeless unless a chosen partner b != a
-                    # has an undecided sum, b in [nxt - a, hi - a], or,
-                    # for a < 0, an undecided partner has a chosen sum,
-                    # in [a + nxt, a + hi]; both ranges are top - o wide.
-                    # The loop stops once the labels left cannot lift the
-                    # hopeless count past exact_isolates
-                    width = (1 << (top - o)) - 1
-                    hopeless = 0
-                    while hopeless + left > exact_isolates:
-                        bit = idle & -idle
-                        idle ^= bit
+                    if o >= due:
+                        # a live deadline has passed: its label is dead, and
+                        # a label that gained a degree leaves live
+                        rest = live & idle
+                        new_live = 0
+                        new_due = top + 1
+                        while rest:
+                            bit = rest & -rest
+                            rest ^= bit
+                            when = deadline[bit.bit_length() - 1]
+                            if when <= o:
+                                new_dead |= bit
+                            else:
+                                new_live |= bit
+                                if when < new_due:
+                                    new_due = when
+                    hopeless = new_dead.bit_count()
+                    fresh = idle & ~(new_dead | new_live)
+                    left = fresh.bit_count()
+                    # judge each fresh label a: the largest chosen b != a,
+                    # b <= hi - a (a >= 0), or c <= a + hi (a < 0), is at
+                    # offset partner <= top - |a|, and a + b or c - a at
+                    # partner + |a|. The loop stops once the count is past
+                    # exact_isolates or the labels left cannot lift it past
+                    while hopeless <= exact_isolates < hopeless + left:
+                        bit = fresh & -fresh
+                        fresh ^= bit
                         left -= 1
                         i = bit.bit_length() - 1
-                        first = o + 1 - lo - i
-                        others = chosen ^ bit
-                        near = others >> first if first >= 0 else others << -first
-                        if near & width:
-                            continue
-                        if i < -lo:
-                            first = i + lo + o + 1
-                            near = chosen >> first if first >= 0 else chosen << -first
-                            if near & width:
-                                continue
-                        hopeless += 1
-                        if hopeless > exact_isolates:
-                            ok = False
-                            break
+                        a = lo + i
+                        if a < 0:
+                            partners, a = chosen, -a
+                        else:
+                            partners = chosen ^ bit
+                        partner = -1
+                        if a <= top:
+                            below = partners & ((2 << (top - a)) - 1)
+                            partner = below.bit_length() - 1
+                        if partner >= 0 and partner + a > o:
+                            when = deadline[i] = partner + a
+                            new_live |= bit
+                            if when < new_due:
+                                new_due = when
+                        else:
+                            new_dead |= bit
+                            hopeless += 1
+                    if hopeless > exact_isolates:
+                        ok = False
             if ok:
-                stack.append((o, levels, added))
+                stack.append((o, levels, added, dead, live, due))
                 mask |= vbit
                 rev |= 1 << (top - o)
                 levels = new_levels
                 edges += added
+                dead, live, due = new_dead, new_live, new_due
                 count += 1
                 o += 1
                 continue
@@ -266,7 +316,7 @@ def _window_first_hit(
         while o == 0 or o == top or count + (top - o) < min_size:
             if not stack:
                 return None, nodes, False
-            o, levels, added = stack.pop()
+            o, levels, added, dead, live, due = stack.pop()
             mask ^= 1 << o
             rev ^= 1 << (top - o)
             edges -= added

@@ -129,7 +129,11 @@ def power_coefficients(elements, k):
 
 
 def is_bk_oracle(elements, k):
-    """B_k test: every coefficient of the k-th power is <= k!."""
+    """B_k test: every coefficient of the k-th power is <= k!.
+
+    For k >= 3 that makes every k-subset sum distinct, not every k-multiset
+    sum: (1, 2, 4, 8) passes at k = 3 although 1 + 1 + 8 = 2 + 4 + 4.
+    """
     if not elements:
         return True
     return max(power_coefficients(elements, k).values()) <= math.factorial(k)

@@ -171,6 +171,30 @@ class TestBkSets:
         for size in range(1, n + 1):
             assert bk_set(size, k).elements == tuple(chosen[:size]), size
 
+    def test_benchmark_sizes_pinned(self):
+        # the greedy reuses its field masks across candidates; these are the
+        # sets it built when it rebuilt them for every candidate
+        assert bk_set(10, 4).elements == (1, 2, 4, 8, 20, 56, 131, 281, 581, 1055)
+        assert bk_set(12, 3).elements == (
+            1, 2, 4, 8, 16, 32, 64, 128, 201, 347, 511, 785,
+        )
+
+    def test_certificate_separates_subsets_not_multisets(self):
+        # for k >= 3 the certificate makes every k-subset sum distinct,
+        # which hyper_general needs, but not every k-multiset sum
+        assert is_bk_set((1, 2, 4, 8), 3) and is_bk_oracle((1, 2, 4, 8), 3)
+        assert 1 + 1 + 8 == 2 + 4 + 4
+        for k in (3, 4):
+            for n in range(3, 13):
+                elements = bk_set(n, k).elements
+                subsets = [sum(c) for c in itertools.combinations(elements, k)]
+                assert len(set(subsets)) == len(subsets), (n, k)
+                multisets = [
+                    sum(c)
+                    for c in itertools.combinations_with_replacement(elements, k)
+                ]
+                assert len(set(multisets)) < len(multisets), (n, k)
+
     def test_mian_chowla_hundred_pinned(self):
         elements = bk_set(100, 2).elements
         assert elements[-1] == 27219
@@ -261,6 +285,12 @@ class TestBkSets:
                 want = all(f <= limit for f in fields)
                 got = constructions._fields_within(value, count - 1, limit, width)
                 assert got == want, (width, limit, fields)
+                # masks for more fields than the value needs: each extra
+                # field reads 0 + bias, below its top bit
+                bias, top_bits = constructions._field_masks(
+                    count + rng.randint(1, 4), limit, width
+                )
+                assert ((value + bias) & top_bits == 0) == want, (width, limit, fields)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_certifier_matches_oracle_on_all_small_subsets(self, k):

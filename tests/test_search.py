@@ -632,6 +632,36 @@ def literal_first_hit(g, lo, hi, exact_size, min_size, exact_isolates):
     return min(hits, default=None)
 
 
+# (lo, hi, isolates, first hit, nodes) of each window drawn by
+# TestKernel.test_larger_isolate_counts_pinned
+LARGER_ISOLATE_WINDOWS = [
+    (-4, 8, 4, None, 315),
+    (-10, -3, 3, None, 32),
+    (-5, 1, 4, None, 6),
+    (-12, -1, 3, None, 369),
+    (-3, 7, 3, None, 154),
+    (-15, -2, 4, None, 1386),
+    (-2, 11, 3, None, 831),
+    (-13, -4, 3, None, 93),
+    (-8, 2, 3, None, 78),
+    (-16, -5, 3, (-16, -15, -14, -11, -9, -7, -5), 28),
+    (-5, 6, 3, None, 227),
+    (-18, -5, 3, (-18, -17, -16, -12, -11, -10, -8, -7, -5), 155),
+    (-6, 2, 3, None, 46),
+    (-17, -3, 4, None, 4228),
+    (-3, 11, 3, (-3, -2, -1, 3, 4, 5, 9, 11), 115),
+    (-15, -3, 3, (-15, -13, -11, -10, -8, -5, -3), 1123),
+    (-1, 7, 3, None, 19),
+    (-14, -5, 4, (-14, -13, -12, -11, -9, -8, -7, -5), 11),
+    (0, 13, 4, None, 252),
+    (-8, -1, 3, None, 27),
+    (-1, 9, 3, None, 159),
+    (-9, -2, 4, None, 8),
+    (-4, 7, 3, None, 310),
+    (-20, -7, 4, None, 749),
+]
+
+
 class TestKernel:
     """The window DFS: wide windows, the pinned search tree, mixed signs."""
 
@@ -851,6 +881,63 @@ class TestKernel:
             total += nodes
             hits += hit is not None
         assert (total, hits) == (36_265, 21)
+
+    def test_larger_isolate_counts_pinned(self):
+        # zeta = 3 or 4, mixed windows (even draws) and all-negative ones
+        # (odd draws): the isolate prune must cut the same nodes and find
+        # the same first hit in each window
+        rng = random.Random(21)
+        got = []
+        for draw in range(24):
+            n = rng.randint(4, 6)
+            pairs = list(combinations(range(n), 2))
+            while True:
+                g = graph(n, rng.sample(pairs, rng.randint(n // 2, n + 2)))
+                if not g.isolated_vertices():
+                    break
+            isolates = rng.randint(3, 4)
+            x = rng.randint(2 * n - 2, 2 * n + 4)
+            lo = rng.randint(n - 1 - 2 * x, -x - 1) if draw % 2 else rng.randint(-x, 0)
+            hit, nodes, aborted = search._window_first_hit(
+                g,
+                lo,
+                lo + x,
+                exact_size=n + isolates,
+                min_size=n + isolates,
+                exact_isolates=isolates,
+                domain=Domain.INTEGRAL,
+                node_cap=10**9,
+            )
+            assert not aborted
+            got.append((lo, lo + x, isolates, hit, nodes))
+        assert got == LARGER_ISOLATE_WINDOWS
+
+    @pytest.mark.parametrize(
+        ("lo", "hi", "want"),
+        [
+            pytest.param(-11, -4, (None, 21), id="no-partner"),
+            pytest.param(
+                -13, -4, ((-13, -12, -11, -8, -7, -5, -4), 35), id="expired-only"
+            ),
+        ],
+    )
+    def test_isolate_deadline_edges_pinned(self, lo, hi, want):
+        # ispum C4 with zeta 3 in all-negative windows: in [-11, -4] a low
+        # label's a + hi falls below the window, so it has no partner at
+        # all; in [-13, -4] deadlines that pass push the hopeless count past
+        # zeta at an include with no fresh label to judge
+        hit, nodes, aborted = search._window_first_hit(
+            C4,
+            lo,
+            hi,
+            exact_size=7,
+            min_size=7,
+            exact_isolates=cycle_zeta(4),
+            domain=Domain.INTEGRAL,
+            node_cap=10**9,
+        )
+        assert not aborted
+        assert (hit, nodes) == want
 
     @pytest.mark.parametrize("pinned", [True, False], ids=["exact", "open"])
     def test_first_hit_matches_enumeration(self, pinned):
