@@ -37,7 +37,13 @@ class Domain(Enum):
 
 @dataclass(frozen=True)
 class Labeling:
-    """Sorted distinct labels plus their domain."""
+    """Sorted distinct labels plus their domain.
+
+    A search kernel's leaf (_labeling_unchecked) holds no label tuple: it
+    lists `labels` from its indicator the first time they are read and then
+    keeps them, so a leaf that validation rejects on its kept pair count
+    never lists them. Every other Labeling holds its labels from the start.
+    """
 
     labels: tuple[int, ...]
     domain: Domain
@@ -58,6 +64,21 @@ class Labeling:
         if self.domain is Domain.POSITIVE and labels[0] < 1:
             raise ValueError("positive-domain labels must be >= 1")
         object.__setattr__(self, "labels", labels)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not in the instance dict; a kernel
+        # leaf's labels are the set bits of its indicator, bit i for _low + i
+        low = self.__dict__.get("_low")
+        if name != "labels" or low is None:
+            raise AttributeError(name)
+        chosen = []
+        rest = self.__dict__["_indicator"]
+        while rest:  # peel the low bit: one step per label, ascending
+            bit = rest & -rest
+            chosen.append(low + bit.bit_length() - 1)
+            rest ^= bit
+        labels = self.__dict__["labels"] = tuple(chosen)
+        return labels
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -88,28 +109,29 @@ def labeling(values, domain: Domain | None = None) -> Labeling:
 
 
 def _labeling_unchecked(
-    labels: tuple[int, ...], domain: Domain, indicator: int, pair_count: int
+    low: int, domain: Domain, indicator: int, pair_count: int
 ) -> Labeling:
-    """A Labeling built without __post_init__'s sort and checks.
+    """A Labeling built without __post_init__'s sort and checks, and without
+    its labels: they are listed from indicator the first time they are read.
 
-    Only for a caller that already holds labels as a tuple of ints, sorted,
-    distinct, within the 64-bit signed range and >= 1 when domain is
-    POSITIVE, their indicator (bit v - labels[0] set for each label v) and
-    the number of index pairs i<j whose sum is a label: the search kernel's
-    leaf. Everything else goes through labeling() or Labeling(...).
+    Only for a caller that holds the labels as an indicator (bit v - low set
+    for each label v, bit 0 set), whose labels are within the 64-bit signed
+    range and >= 1 when domain is POSITIVE, and the number of label pairs
+    whose sum is a label: the search kernel's leaf. Everything else goes
+    through labeling() or Labeling(...).
 
     The kernel counts each pair {a, b} once, when the largest of a, b and
     a + b is included, since the other two are chosen by then; its edge-cap
     prune rests on that same count. _induced_pairs rejects a labeling whose
-    kept count differs from the edge count it is asked for, and counts a
-    labeling with a matching count again, so the kept count can reject a
-    labeling but never accept one.
+    kept count differs from the edge count it is asked for before the labels
+    are listed, and counts a labeling with a matching count again, so the
+    kept count can reject a labeling but never accept one.
     """
     lab = object.__new__(Labeling)
     # one dict update in place of four object.__setattr__ calls: this runs
     # once per search leaf
     lab.__dict__.update(
-        labels=labels, domain=domain, _indicator=indicator, _counted_pairs=pair_count
+        domain=domain, _low=low, _indicator=indicator, _counted_pairs=pair_count
     )
     return lab
 
@@ -543,17 +565,19 @@ def induce_if_valid(
     The edge count is compared before any pair is listed, then the core size,
     isolate count and degree sequence on the induced pairs before any graph is
     built; find_isomorphism makes the same checks first, so the result is the
-    same as running it directly.
+    same as running it directly. A search leaf whose kept pair count differs
+    from the edge count is rejected before its labels are read, so they are
+    never listed.
     """
     if g.n == 0:
         raise ValueError("target graph must have at least one vertex")
     target_deg = g.degrees()
     if 0 in target_deg:
         raise ValueError("target graph must not contain isolated vertices")
-    labels = lab.labels
     pairs = _induced_pairs(lab, len(g.edges))
     if pairs is None:
         return None
+    labels = lab.labels
     deg = _pair_degrees(pairs, len(labels))
     core_ids = [i for i in range(len(labels)) if deg[i] > 0]
     if len(core_ids) != g.n:

@@ -47,11 +47,16 @@ class Hypergraph:
         object.__setattr__(self, "edges", frozenset(normalized))
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return tuple(deg)
+        """Degree of each vertex; computed once, then kept on the instance."""
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            counts = [0] * self.n
+            for e in self.edges:
+                for v in e:
+                    counts[v] += 1
+            deg = tuple(counts)
+            object.__setattr__(self, "_degrees", deg)
+        return deg
 
     def isolated_vertices(self) -> tuple[int, ...]:
         deg = self.degrees()
@@ -185,6 +190,33 @@ def _isomorphic_hyper(a: Hypergraph, b: Hypergraph) -> bool:
     return False
 
 
+def _hyper_leaf_matches(
+    labels: list[int], h: Hypergraph, target_degrees: list[int]
+) -> bool:
+    """Does the k-sum hypergraph of labels have a core isomorphic to h?
+
+    labels are ascending and distinct, target_degrees is sorted(h.degrees()).
+    The k-subsets summing to a label are listed and each label's degree
+    counted; the core size and sorted degree sequence are compared before
+    the core Hypergraph is built for _isomorphic_hyper. The result is that
+    of _isomorphic_hyper(induce_hyper(labeling(labels), k).core_hypergraph,
+    h), which compares the same degrees first.
+    """
+    members = set(labels)
+    edges = [combo for combo in combinations(labels, h.k) if sum(combo) in members]
+    degree: dict[int, int] = {}
+    for combo in edges:
+        for v in combo:
+            degree[v] = degree.get(v, 0) + 1
+    if len(degree) != h.n or sorted(degree.values()) != target_degrees:
+        return False
+    remap = {v: i for i, v in enumerate(sorted(degree))}
+    core = Hypergraph(
+        h.n, h.k, frozenset(tuple(remap[v] for v in combo) for combo in edges)
+    )
+    return _isomorphic_hyper(core, h)
+
+
 def _hyper_window_first_hit(
     h: Hypergraph,
     lo: int,
@@ -205,7 +237,11 @@ def _hyper_window_first_hit(
     the window's labels fits the width. Positive summands are smaller than
     their sum, so field v of sums[k] is final once every label below v is
     decided, and it counts the edges whose sum is v. A candidate whose edge
-    count is not len(h.edges) is rejected without inducing it.
+    count is not len(h.edges) is rejected on that count alone; one with the
+    target's edge count lists its k-subsets summing to a label and is
+    rejected on core size and sorted degree sequence before any Hypergraph
+    is built (_hyper_leaf_matches). No leaf builds a Labeling or calls
+    induce_hyper.
     """
     k = h.k
     top = hi - lo
@@ -216,6 +252,7 @@ def _hyper_window_first_hit(
         return None, 0, True
     if top + 1 < min_size:
         return None, 0, False
+    target_degrees = sorted(h.degrees())
     width = max(math.comb(top + 1, j) for j in range(k + 1)).bit_length()
     field = (1 << width) - 1
     hi_shift = hi * width
@@ -238,8 +275,7 @@ def _hyper_window_first_hit(
         nodes += 1
         if edges + (sums[k] >> hi_shift & field) == target_edges:
             candidate = chosen + [hi]
-            result = induce_hyper(labeling(candidate, Domain.POSITIVE), k)
-            if _isomorphic_hyper(result.core_hypergraph, h):
+            if _hyper_leaf_matches(candidate, h, target_degrees):
                 return tuple(candidate), nodes, False
         # back to the deepest include whose exclude branch can still reach
         # min_size labels with hi

@@ -137,10 +137,11 @@ def _window_first_hit(
     earliest live deadline); an include judges only the idle labels outside
     the band in neither mask, and re-reads live only once due has passed.
 
-    A leaf's labels come off the mask ascending and distinct, and the window
-    is checked against the domain and the 64-bit range before the first
-    node, so each leaf is handed to is_valid_labeling as built, with mask as
-    its indicator and edges, its exact pair count, to reject it on.
+    The window is checked against the domain and the 64-bit range before
+    the first node, so each leaf is handed to is_valid_labeling as built:
+    mask is its indicator, edges its exact pair count to reject it on, and
+    its labels are listed off the mask, ascending, only when validation
+    reads them, which a leaf rejected on its count never does.
     """
     Labeling((lo, hi), domain)  # raises for a window outside the domain
     capacity = _degree_capacity(g)
@@ -167,19 +168,12 @@ def _window_first_hit(
             return None, nodes, True
         if o > top:
             if count >= min_size and (exact_size is None or count == exact_size):
-                chosen = []
-                rest = mask
-                while rest:  # peel the low bit: one step per chosen label
-                    bit = rest & -rest
-                    chosen.append(lo + bit.bit_length() - 1)
-                    rest ^= bit
-                labels = tuple(chosen)
-                # sorted, distinct and inside the window checked above; lo is
-                # always chosen, so mask is the labels' indicator, and edges
-                # counts their induced pairs
-                candidate = _labeling_unchecked(labels, domain, mask, edges)
+                # inside the window checked above; lo is always chosen, so
+                # mask is the labels' indicator, and edges counts their
+                # induced pairs. The labels are listed only if read
+                candidate = _labeling_unchecked(lo, domain, mask, edges)
                 if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
-                    return labels, nodes, False
+                    return candidate.labels, nodes, False
             o = top  # hi is always chosen and has no exclude branch
         elif exact_size is None or count + (1 if o == top else 2) <= exact_size:
             v = lo + o

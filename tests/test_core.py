@@ -338,24 +338,82 @@ class TestSpanRule:
 
     def test_kept_count_can_only_reject(self, monkeypatch):
         # a search leaf keeps the kernel's pair count: a count unlike the
-        # edge count rejects before any pair is counted, and an equal one is
-        # counted again, so even a wrong kept count accepts nothing
+        # edge count rejects before any pair is counted or any label is
+        # listed, and an equal one is counted again, so even a wrong kept
+        # count accepts nothing
         counted = []
         monkeypatch.setattr(core, "_pair_count", _recorder(counted, "count", core._pair_count))
         labels = (1, 2, 3, 4)  # the path 2-1-3 plus the isolate 4
         indicator = labeling(labels).indicator()
 
         def leaf(pair_count):
-            return core._labeling_unchecked(labels, Domain.POSITIVE, indicator, pair_count)
+            return core._labeling_unchecked(1, Domain.POSITIVE, indicator, pair_count)
 
-        assert induce_if_valid(leaf(2), complete_graph(3)) is None
-        assert induce_if_valid(leaf(2), path_graph(2)) is None
+        for target in (complete_graph(3), path_graph(2)):
+            lab = leaf(2)
+            assert induce_if_valid(lab, target) is None
+            assert "labels" not in lab.__dict__
         assert counted == []
         # three kept pairs, as many as the triangle has edges, but two induced
         assert induce_if_valid(leaf(3), complete_graph(3)) is None
         assert counted == ["count"]
-        assert induce_if_valid(leaf(2), path_graph(3)) == (2, 1, 3)
+        lab = leaf(2)
+        assert induce_if_valid(lab, path_graph(3)) == (2, 1, 3)
         assert counted == ["count", "count"]
+        assert lab.__dict__["labels"] == labels
+
+
+class TestKernelLeaf:
+    """core._labeling_unchecked: a leaf lists its labels from its indicator."""
+
+    # (low, domain) of positive, mixed and all-negative windows [low, low + 12]
+    WINDOWS = [(1, Domain.POSITIVE), (5, Domain.POSITIVE), (-6, Domain.INTEGRAL),
+               (-20, Domain.INTEGRAL)]
+    WIDTH = 12
+
+    @classmethod
+    def _masks(cls, seed, count):
+        """Seeded window masks: low always chosen, the rest at random."""
+        rng = random.Random(seed)
+        return [1 | rng.getrandbits(cls.WIDTH) << 1 for _ in range(count)]
+
+    @pytest.mark.parametrize(
+        ("low", "domain"), WINDOWS, ids=["positive-from-1", "positive", "mixed", "negative"]
+    )
+    def test_listed_labels_are_the_mask_bits(self, low, domain):
+        for mask in self._masks(low, 200):
+            lab = core._labeling_unchecked(low, domain, mask, 0)
+            assert "labels" not in lab.__dict__
+            want = tuple(low + i for i in range(self.WIDTH + 1) if mask >> i & 1)
+            assert lab.labels == want
+            assert lab.__dict__["labels"] is lab.labels  # listed once, then kept
+            assert lab.indicator() == mask == labeling(want, domain).indicator()
+
+    def test_same_value_as_a_checked_labeling(self):
+        # ==, hash, repr and len each read the labels; each runs on a fresh
+        # leaf, so each lists them itself
+        for low, domain in self.WINDOWS:
+            for mask in self._masks(20261019 + low, 50):
+                checked = labeling(
+                    [low + i for i in range(self.WIDTH + 1) if mask >> i & 1], domain
+                )
+
+                def leaf():
+                    return core._labeling_unchecked(low, domain, mask, 0)
+
+                assert leaf() == checked and checked == leaf()
+                assert hash(leaf()) == hash(checked)
+                assert repr(leaf()) == repr(checked)
+                assert len(leaf()) == len(checked)
+                if domain is Domain.POSITIVE:
+                    assert leaf() != labeling(checked.labels, Domain.INTEGRAL)
+
+    def test_only_labels_are_listed_on_demand(self):
+        lab = core._labeling_unchecked(2, Domain.POSITIVE, 0b101, 0)
+        with pytest.raises(AttributeError):
+            lab.vertex_count
+        assert not hasattr(labeling((1, 2)), "vertex_count")
+        assert lab.labels == (2, 4)
 
 
 class TestStructurePredicates:

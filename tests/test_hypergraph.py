@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -59,6 +60,17 @@ class TestHypergraphType:
     def test_degrees_and_isolates(self):
         assert OVERLAP_3.degrees() == (1, 2, 2, 1)
         assert hypergraph(4, 3, [(0, 1, 2)]).isolated_vertices() == (3,)
+
+    def test_degrees_are_counted_once(self):
+        h = hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        first = h.degrees()
+        assert first == (2, 2, 2, 2, 1)
+        assert h.degrees() is first
+        assert h.isolated_vertices() == ()
+        assert h.degrees() is first
+        # equality and hashing see only n, k and edges
+        assert h == hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        assert hash(h) == hash(hypergraph(5, 3, [(2, 3, 4), (0, 1, 3), (0, 1, 2)]))
 
     def test_json_round_trip(self):
         text = hyper_to_json(TWO_EDGE_3)
@@ -339,3 +351,76 @@ class TestHyperWindow:
         assert len(core.edges) == len(naive_hyper_induce(labels, k)[0])
         got = hypergraph_module._hyper_window_first_hit(core, lo, lo + 16, node_cap=0)
         assert got == (labels, 1, False)
+
+
+class TestHyperLeafCheck:
+    """The kernel's leaf check agrees with induce_hyper plus _isomorphic_hyper."""
+
+    real_iso = staticmethod(hypergraph_module._isomorphic_hyper)
+
+    @classmethod
+    def _reference(cls, labels, h):
+        """The check as a leaf made it before: induce, then brute force."""
+        core = induce_hyper(labeling(labels), h.k).core_hypergraph
+        return cls.real_iso(core, h), core
+
+    @classmethod
+    def _agree(cls, labels, h, monkeypatch):
+        """Assert that both checks agree on labels against h; return why."""
+        want, core = cls._reference(labels, h)
+        built = []
+        monkeypatch.setattr(
+            hypergraph_module, "_isomorphic_hyper",
+            lambda a, b: built.append(a) or cls.real_iso(a, b),
+        )
+        got = hypergraph_module._hyper_leaf_matches(list(labels), h, sorted(h.degrees()))
+        assert got == want, (labels, h)
+        if core.n != h.n:
+            reason = "core size"
+        elif sorted(core.degrees()) != sorted(h.degrees()):
+            reason = "degrees"
+        else:
+            assert built == [core], (labels, h)
+            return "isomorphic" if want else "same degrees, not isomorphic"
+        assert built == [], (labels, h)  # rejected before any hypergraph
+        return reason
+
+    def test_agrees_on_seeded_label_sets(self, monkeypatch):
+        # each target is the core of a seeded label set, checked against
+        # the label sets drawn next to it and against its own
+        rng = random.Random(22051)
+        reasons = Counter()
+        for _ in range(150):
+            k = rng.choice((3, 4))
+            drawn = []
+            while len(drawn) < 6:
+                lo = rng.randint(1, 4)
+                labels = sorted(rng.sample(range(lo, lo + 14), rng.randint(k + 2, 8)))
+                core = induce_hyper(labeling(labels), k).core_hypergraph
+                if 0 < core.n <= 6:
+                    drawn.append((labels, core))
+            for labels, _ in drawn:
+                for _, h in drawn:
+                    reasons[self._agree(labels, h, monkeypatch)] += 1
+        # equal degrees without isomorphism is rare here; the enumeration
+        # below finds it
+        assert min(reasons[r] for r in ("core size", "degrees", "isomorphic")) >= 40, reasons
+
+    def test_equal_degrees_not_isomorphic(self, monkeypatch):
+        # every 7-label set of [1, 12] holding 1: pairs of 3-sum cores with
+        # one size and degree sequence that are not isomorphic
+        pairs = []
+        by_degrees = {}
+        for rest in combinations(range(2, 13), 6):
+            labels = (1, *rest)
+            core = induce_hyper(labeling(labels), 3).core_hypergraph
+            key = (core.n, tuple(sorted(core.degrees())))
+            for other_labels, other in by_degrees.get(key, ()):
+                if not self.real_iso(core, other):
+                    pairs.append((labels, other_labels, other))
+            by_degrees.setdefault(key, []).append((labels, core))
+        assert len(pairs) >= 10
+        for labels, other_labels, other in pairs[:10]:
+            reason = self._agree(labels, other, monkeypatch)
+            assert reason == "same degrees, not isomorphic"
+            assert self._agree(other_labels, other, monkeypatch) == "isomorphic"
