@@ -2,9 +2,9 @@
 
 Every construction checks its output against the promised target and
 raises if it does not match, so a returned report is always self-verified.
-Combinators and sd_general check their output by its exact labeled edges,
-counted rather than listed; the closed-form family labelings check theirs
-through the family recognizers.
+Combinators, sd_general and hypergraph.hyper_general check their output by
+its exact labeled edges, counted rather than listed (_relabeled); the
+closed-form family labelings check theirs through the family recognizers.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from .core import (
     Domain,
     Labeling,
     SimpleGraph,
+    _EdgeSet,
+    _induced_subsets,
     _pair_count,
     find_isomorphism,
     graph,
@@ -61,7 +63,7 @@ class ConstructionError(RuntimeError):
     """A construction's self-verification failed (indicates an internal bug)."""
 
 
-def _report(lab: Labeling, target: SimpleGraph, claimed: int) -> ConstructionReport:
+def _report(lab: Labeling, target: _EdgeSet, claimed: int) -> ConstructionReport:
     achieved = label_range(lab)
     if achieved > claimed:
         raise ConstructionError("construction exceeded its claimed range bound")
@@ -84,25 +86,31 @@ def _family_report(
     return _report(lab, target, claimed)
 
 
-def _relabeled(target: SimpleGraph, vertex_label, isolates) -> Labeling:
+def _relabeled(target: _EdgeSet, vertex_label, isolates) -> Labeling:
     """Labels vertex_label[i] on target vertex i plus the isolates, checked.
 
-    The labeling induces target, with every other label isolated, exactly
-    when its induced edge set I equals the image E of target's edges. With
-    distinct vertex labels, E has one pair of distinct labels per target
-    edge, and each such pair is in I when its sum is a label. So E is a
-    subset of I, and an induced pair count equal to len(target.edges) makes
-    the two sets equal. The pairs are counted, never listed, and no
-    isomorphism search is involved, so there is no size cap.
+    target is a SimpleGraph or a k-uniform Hypergraph; an edge is induced
+    when the labels of its vertices sum to a label. The labeling induces
+    target, with every other label isolated, exactly when its induced edge
+    set I equals the image E of target's edges. With distinct vertex labels,
+    E has one set of distinct labels per target edge, and each such set is
+    in I when its sum is a label. So E is a subset of I, and an induced edge
+    count equal to len(target.edges) makes the two sets equal. Pairs are
+    counted, never listed (_pair_count), k-subsets for k >= 3 listed only
+    where they sum to a label (_induced_subsets), and no isomorphism search
+    is involved, so there is no size cap.
     """
     distinct = set(vertex_label)
     members = distinct | isolates
     lab = labeling(sorted(members), Domain.POSITIVE)
-    sums = {vertex_label[u] + vertex_label[v] for u, v in target.edges}
+    sums = {sum(map(vertex_label.__getitem__, e)) for e in target.edges}
+    pairs = isinstance(target, SimpleGraph)
     if (
         len(distinct) != target.n
         or not members.issuperset(sums)
-        or _pair_count(lab)[0] != len(target.edges)
+        or len(target.edges) != (
+            _pair_count(lab)[0] if pairs else len(_induced_subsets(lab.labels, target.k))
+        )
     ):
         raise ConstructionError("construction output failed re-induction check")
     return lab
@@ -474,28 +482,40 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     return _report(_relabeled(g, [a + x for a in vertex_label], isolates), g, claimed)
 
 
+def _fresh_vertex(
+    lab: Labeling, vertex_label, sums, rest, neighbors, target: SimpleGraph
+) -> ConstructionReport:
+    """Input vertices rest plus a fresh last vertex adjacent to neighbors.
+
+    Labels are translated by r - min label and doubled, so all are even; the
+    fresh vertex gets the odd label b = 2r + 1 and each neighbor w the odd
+    isolate b + doubled[w], onto which nothing sums. Range <= 4r - 1.
+    """
+    r = label_range(lab)
+    x = r - lab.labels[0]
+    b = 2 * r + 1
+    doubled = [2 * (a + x) for a in vertex_label]
+    isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in neighbors}
+    lab2 = _relabeled(target, [doubled[w] for w in rest] + [b], isolates)
+    return _report(lab2, target, 4 * r - 1)
+
+
 def add_vertex(
     lab: Labeling, g: SimpleGraph, neighbors
 ) -> ConstructionReport:
     """Extend g by one vertex adjacent to `neighbors`; range <= 4r-1.
 
     Works by translating and doubling (all labels even), then inserting the
-    odd label 2r+1 for the new vertex plus one odd edge label per neighbor.
-    An empty neighborhood leaves the new vertex isolated.
+    odd label 2r+1 for the new vertex plus one odd edge label per neighbor
+    (_fresh_vertex). An empty neighborhood leaves the new vertex isolated.
     """
     neighbors = sorted(set(neighbors))
     if any(not 0 <= u < g.n for u in neighbors):
         raise ValueError("neighbor ids must be vertices of the graph")
     vertex_label = _input_labels(lab, g)
-    r = label_range(lab)
-    x = r - lab.labels[0]
-    b = 2 * r + 1
-    doubled = [2 * (a + x) for a in vertex_label] + [b]
-    # the new odd edge labels are isolated: nothing sums onto them
-    isolates = {2 * (t + 2 * x) for t in _sums(vertex_label, g)}
-    isolates |= {b + doubled[u] for u in neighbors}
     target = graph(g.n + 1, set(g.edges) | {(u, g.n) for u in neighbors})
-    return _report(_relabeled(target, doubled, isolates), target, 4 * r - 1)
+    sums = _sums(vertex_label, g)
+    return _fresh_vertex(lab, vertex_label, sums, range(g.n), neighbors, target)
 
 
 def join_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -605,8 +625,7 @@ def modify(
         base_edges = set(g.edges)
 
     # vertex u (and v when contracting) is replaced by a fresh vertex whose
-    # neighborhood is new_neighbors, realized by one odd label b after
-    # translating by r-mu and doubling
+    # neighborhood is new_neighbors (_fresh_vertex)
     rest = [w for w in range(g.n) if w not in removed]
     remap = {w: i for i, w in enumerate(rest)}
     new_id = len(rest)
@@ -616,10 +635,4 @@ def modify(
         if a in remap and b in remap
     } | {(remap[w], new_id) for w in new_neighbors}
     target = _checked_target(len(rest) + 1, target_edges)
-
-    x = r - lab.labels[0]
-    b = 2 * r + 1
-    doubled = [2 * (a + x) for a in vertex_label]
-    isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in new_neighbors}
-    lab2 = _relabeled(target, [doubled[w] for w in rest] + [b], isolates)
-    return _report(lab2, target, 4 * r - 1)
+    return _fresh_vertex(lab, vertex_label, sums, rest, new_neighbors, target)

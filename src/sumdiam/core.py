@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 MAX_LABEL = 2**63 - 1  # labels must fit in a signed 64-bit integer
 # the most vertices, edges or labels built from one number given from
@@ -141,8 +142,28 @@ def label_range(lab: Labeling) -> int:
     return lab.labels[-1] - lab.labels[0]
 
 
+class _EdgeSet:
+    """What SimpleGraph and Hypergraph share: vertices 0..n-1 and `edges`, a
+    frozenset of ascending vertex tuples."""
+
+    def degrees(self) -> tuple[int, ...]:
+        """Degree of each vertex; computed once, then kept on the instance."""
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            deg = tuple(_pair_degrees(self.edges, self.n))
+            object.__setattr__(self, "_degrees", deg)
+        return deg
+
+    def isolated_vertices(self) -> tuple[int, ...]:
+        deg = self.degrees()
+        return tuple(v for v in range(self.n) if deg[v] == 0)
+
+    def edge_list(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(self.edges))
+
+
 @dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_EdgeSet):
     """Simple undirected graph on vertices 0..n-1 with normalized edges."""
 
     n: int
@@ -160,31 +181,12 @@ class SimpleGraph:
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def degrees(self) -> tuple[int, ...]:
-        """Degree of each vertex; computed once, then kept on the instance."""
-        deg = self.__dict__.get("_degrees")
-        if deg is None:
-            counts = [0] * self.n
-            for u, v in self.edges:
-                counts[u] += 1
-                counts[v] += 1
-            deg = tuple(counts)
-            object.__setattr__(self, "_degrees", deg)
-        return deg
-
     def adjacency(self) -> tuple[frozenset[int], ...]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        deg = self.degrees()
-        return tuple(v for v in range(self.n) if deg[v] == 0)
-
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
 
 def graph(n: int, edges) -> SimpleGraph:
@@ -285,19 +287,37 @@ def _induced_pairs(
     return listed()
 
 
-def _pair_degrees(pairs: list[tuple[int, int]], k: int) -> list[int]:
-    """Degree of each of k labels under the induced pairs."""
-    deg = [0] * k
-    for i, j in pairs:
-        deg[i] += 1
-        deg[j] += 1
+def _induced_subsets(labels: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """Index k-tuples i1 < ... < ik of the sorted labels whose labels sum to a
+    label; for k >= 3, as _pair_count serves k = 2.
+
+    A subset summing to a label sums to at most the largest, so none holds a
+    label above the largest minus the k - 1 smallest; those are left out.
+    The label values are summed, not looked up by index, and only the hits
+    are mapped to indices.
+    """
+    members = set(labels)
+    usable = labels[: bisect_right(labels, labels[-1] - sum(labels[: k - 1]))]
+    hits = [combo for combo in combinations(usable, k) if sum(combo) in members]
+    index = {v: i for i, v in enumerate(labels)}.__getitem__
+    return [tuple(map(index, combo)) for combo in hits]
+
+
+def _pair_degrees(edges, n: int) -> list[int]:
+    """Degree of each of n labels under the induced index tuples (any size)."""
+    deg = [0] * n
+    for e in edges:
+        for v in e:
+            deg[v] += 1
     return deg
 
 
-def _core_graph(pairs: list[tuple[int, int]], core_ids: list[int]) -> SimpleGraph:
-    """The induced pairs renumbered onto the non-isolated labels core_ids."""
-    remap = {old: new for new, old in enumerate(core_ids)}
-    return SimpleGraph(len(core_ids), frozenset((remap[u], remap[v]) for u, v in pairs))
+def _core_graph(edges, core_ids: list[int], build=SimpleGraph):
+    """The induced index tuples renumbered onto the non-isolated labels
+    core_ids, as build(n=..., edges=...): a SimpleGraph unless the caller
+    passes another edge-set type."""
+    remap = {old: new for new, old in enumerate(core_ids)}.__getitem__
+    return build(n=len(core_ids), edges=frozenset(tuple(map(remap, e)) for e in edges))
 
 
 def induce(lab: Labeling) -> InducedResult:

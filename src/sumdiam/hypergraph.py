@@ -5,15 +5,21 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
+from itertools import permutations
 
-from .constructions import ConstructionError, ConstructionReport, bk_set
+from .constructions import ConstructionError, ConstructionReport, _relabeled, _report
+from .constructions import bk_set
+# labeling is not called here; it stays bound because perfbench/tracing.py
+# wraps hypergraph.labeling
 from .core import (
     Domain,
     Labeling,
+    _core_graph,
+    _EdgeSet,
+    _induced_subsets,
+    _pair_degrees,
     json_int,
     json_vertex_count,
-    label_range,
     labeling,
     load_json,
 )
@@ -24,7 +30,7 @@ SEARCH_MAX_RANGE = 16
 
 
 @dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_EdgeSet):
     """Simple k-uniform hypergraph on vertices 0..n-1 with normalized edges."""
 
     n: int
@@ -39,31 +45,12 @@ class Hypergraph:
         normalized = set()
         for e in self.edges:
             key = tuple(sorted(e))
-            if len(set(key)) != self.k:
+            if len(key) != self.k or len(set(key)) != self.k:
                 raise ValueError(f"edge {e!r} needs exactly {self.k} distinct vertices")
             if not (0 <= key[0] and key[-1] < self.n):
                 raise ValueError(f"edge {e!r} out of range for n={self.n}")
             normalized.add(key)
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    def degrees(self) -> tuple[int, ...]:
-        """Degree of each vertex; computed once, then kept on the instance."""
-        deg = self.__dict__.get("_degrees")
-        if deg is None:
-            counts = [0] * self.n
-            for e in self.edges:
-                for v in e:
-                    counts[v] += 1
-            deg = tuple(counts)
-            object.__setattr__(self, "_degrees", deg)
-        return deg
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        deg = self.degrees()
-        return tuple(v for v in range(self.n) if deg[v] == 0)
-
-    def edge_list(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.edges))
 
 
 def hypergraph(n: int, k: int, edges) -> Hypergraph:
@@ -83,10 +70,13 @@ def hyper_from_json(text: str) -> Hypergraph:
     data = load_json(text)
     if not isinstance(data, dict) or not {"n", "k", "edges"} <= set(data):
         raise ValueError('hypergraph JSON must be {"n": ..., "k": ..., "edges": [...]}')
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        raise ValueError("hypergraph JSON edges must be a list of vertex lists")
     return hypergraph(
         json_vertex_count(data["n"]),
         json_int(data["k"], "uniformity"),
-        [tuple(json_int(v, "vertex id") for v in e) for e in data["edges"]],
+        [tuple(json_int(v, "vertex id") for v in e) for e in edges],
     )
 
 
@@ -109,26 +99,15 @@ def induce_hyper(lab: Labeling, k: int) -> InducedHyperResult:
     labels = lab.labels
     if len(labels) < k:
         raise ValueError(f"need at least {k} labels for {k}-uniform induction")
-    members = set(labels)
-    edges = set()
-    for combo in combinations(range(len(labels)), k):
-        if sum(labels[i] for i in combo) in members:
-            edges.add(combo)
-    full = Hypergraph(len(labels), k, frozenset(edges))
-    deg = full.degrees()
+    edges = _induced_subsets(labels, k)
+    deg = _pair_degrees(edges, len(labels))
     core_ids = [i for i in range(len(labels)) if deg[i] > 0]
-    remap = {old: new for new, old in enumerate(core_ids)}
-    core = Hypergraph(
-        len(core_ids),
-        k,
-        frozenset(tuple(remap[v] for v in e) for e in edges),
-    )
     isolated = tuple(labels[i] for i in range(len(labels)) if deg[i] == 0)
     return InducedHyperResult(
-        hypergraph=full,
+        hypergraph=Hypergraph(len(labels), k, frozenset(edges)),
         label_of=labels,
         isolated_labels=isolated,
-        core_hypergraph=core,
+        core_hypergraph=_core_graph(edges, core_ids, partial(Hypergraph, k=k)),
         core_label_of=tuple(labels[i] for i in core_ids),
         isolate_count=len(isolated),
     )
@@ -151,29 +130,20 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     exceeds j!, for each j <= k: its k-subset sums are distinct, so k vertex
     labels sum to an edge label only when they are that edge's.  That is all
     this needs; its k-multiset sums can collide, but no edge repeats a vertex.
+    The output is proved as the graph constructions prove theirs
+    (constructions._relabeled): distinct vertex labels, each edge's label
+    sum a label, and as many k-subsets summing to a label as h has edges.
     """
     if h.n == 0 or h.isolated_vertices():
         raise ValueError("target must be isolate-free and nonempty")
     k = h.k
     s = bk_set(h.n, k).elements
-    vertex_labels = {v: k * k * s[v] + 1 for v in range(h.n)}
+    vertex_label = [k * k * s[v] + 1 for v in range(h.n)]
     edge_labels = {k * k * sum(s[v] for v in e) + k for e in h.edges}
-    labels = sorted(set(vertex_labels.values()) | edge_labels)
-    if len(labels) != h.n + len(h.edges):
+    if len(set(vertex_label) | edge_labels) != h.n + len(h.edges):
         raise ConstructionError("label collision in B_k construction")
-    lab = labeling(labels, Domain.POSITIVE)
-    result = induce_hyper(lab, k)
-    expected = {tuple(sorted(vertex_labels[v] for v in e)) for e in h.edges}
-    got = {
-        tuple(result.label_of[i] for i in e) for e in result.hypergraph.edges
-    }
-    if got != expected or result.isolate_count != len(h.edges):
-        raise ConstructionError("B_k construction failed re-induction check")
     claimed = k**3 * s[-1] + k - (k * k * s[0] + 1)
-    achieved = label_range(lab)
-    if achieved > claimed:
-        raise ConstructionError("B_k construction exceeded its claimed bound")
-    return ConstructionReport(lab, h, claimed, achieved, True)
+    return _report(_relabeled(h, vertex_label, edge_labels), h, claimed)
 
 
 def _isomorphic_hyper(a: Hypergraph, b: Hypergraph) -> bool:
@@ -196,25 +166,20 @@ def _hyper_leaf_matches(
     """Does the k-sum hypergraph of labels have a core isomorphic to h?
 
     labels are ascending and distinct, target_degrees is sorted(h.degrees()).
-    The k-subsets summing to a label are listed and each label's degree
-    counted; the core size and sorted degree sequence are compared before
-    the core Hypergraph is built for _isomorphic_hyper. The result is that
-    of _isomorphic_hyper(induce_hyper(labeling(labels), k).core_hypergraph,
-    h), which compares the same degrees first.
+    The k-subsets summing to a label are listed as induce_hyper lists them
+    (core._induced_subsets) and each label's degree counted; the core's
+    sorted degree sequence, and with it its size, is compared before the
+    core Hypergraph is built for _isomorphic_hyper. The result is that of
+    _isomorphic_hyper(induce_hyper(labeling(labels), k).core_hypergraph, h),
+    which compares the same degrees first.
     """
-    members = set(labels)
-    edges = [combo for combo in combinations(labels, h.k) if sum(combo) in members]
-    degree: dict[int, int] = {}
-    for combo in edges:
-        for v in combo:
-            degree[v] = degree.get(v, 0) + 1
-    if len(degree) != h.n or sorted(degree.values()) != target_degrees:
+    edges = _induced_subsets(labels, h.k)
+    deg = _pair_degrees(edges, len(labels))
+    # the core's sorted degrees; equal lists also mean equal core sizes
+    if sorted(filter(None, deg)) != target_degrees:
         return False
-    remap = {v: i for i, v in enumerate(sorted(degree))}
-    core = Hypergraph(
-        h.n, h.k, frozenset(tuple(remap[v] for v in combo) for combo in edges)
-    )
-    return _isomorphic_hyper(core, h)
+    core_ids = [i for i, d in enumerate(deg) if d]
+    return _isomorphic_hyper(_core_graph(edges, core_ids, partial(Hypergraph, k=h.k)), h)
 
 
 def _hyper_window_first_hit(

@@ -9,7 +9,8 @@ import pytest
 
 from oracles import naive_hyper_induce, naive_hyper_sd, naive_hyper_window
 from sumdiam import hypergraph as hypergraph_module
-from sumdiam.core import induce, labeling
+from sumdiam.constructions import ConstructionError, _relabeled
+from sumdiam.core import _induced_subsets, induce, labeling
 from sumdiam.hypergraph import (
     Hypergraph,
     hyper_from_json,
@@ -56,6 +57,19 @@ class TestHypergraphType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             hypergraph(3, 3, [(0, 1, 3)])
+
+    def test_rejects_edge_longer_than_k(self):
+        # three distinct vertices in four slots: once built with degrees
+        # (1, 1, 2), which hyper_general and search_hyper_sd could not match
+        with pytest.raises(ValueError, match="needs exactly 3 distinct vertices"):
+            hypergraph(3, 3, [(0, 1, 2, 2)])
+        with pytest.raises(ValueError, match="needs exactly 3 distinct vertices"):
+            hyper_from_json('{"n": 3, "k": 3, "edges": [[0, 1, 2, 2]]}')
+
+    @pytest.mark.parametrize("edges", ["5", "[5]", '"012"', '[[0, 1, 2], "345"]'])
+    def test_json_edges_must_be_vertex_lists(self, edges):
+        with pytest.raises(ValueError, match="edges must be a list of vertex lists"):
+            hyper_from_json(f'{{"n": 6, "k": 3, "edges": {edges}}}')
 
     def test_degrees_and_isolates(self):
         assert OVERLAP_3.degrees() == (1, 2, 2, 1)
@@ -150,6 +164,85 @@ class TestInduceHyper:
             assert edges == induce(labeling(labels)).graph.edges
 
 
+class TestInducedSubsets:
+    """core._induced_subsets, the one k-subset enumeration behind
+    induce_hyper, the search leaf check and the hypergraph output proof."""
+
+    @staticmethod
+    def _agree(labels, k):
+        got = _induced_subsets(labels, k)
+        assert got == sorted(got) and len(set(got)) == len(got), labels
+        assert frozenset(got) == naive_hyper_induce(labels, k)[0], (labels, k)
+        return got
+
+    def test_matches_naive_on_seeded_label_sets(self):
+        rng = random.Random(7781)
+        hits = 0
+        for _ in range(400):
+            k = rng.choice((3, 4, 5))
+            labels = tuple(sorted(rng.sample(range(-25, 45), rng.randint(k, 12))))
+            hits += bool(self._agree(labels, k))
+        assert hits > 200
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("lo", [1, 2, 3, 4])
+    def test_matches_naive_on_full_windows(self, k, lo):
+        # the 17-label windows of test_densest_leaf_is_counted_exactly;
+        # at k = 4, lo = 4 even the smallest four labels sum past the top
+        self._agree(tuple(range(lo, lo + 17)), k)
+
+
+class TestHyperRelabeled:
+    """constructions._relabeled proves a hypergraph output as it proves a
+    graph's: distinct vertex labels, each edge's label sum a label, and the
+    count of k-subsets summing to a label equal to the edge count."""
+
+    def test_accepts_exact_image(self):
+        assert _relabeled(SINGLE_EDGE_3, [1, 2, 3], {6}).labels == (1, 2, 3, 6)
+
+    def test_one_extra_induced_subset(self):
+        # 1 + 2 + 3 = 6 is the image of the edge, and 1 + 2 + 4 = 7 a second
+        # 3-subset summing to a label
+        assert len(induce_hyper(labeling([1, 2, 3, 4, 6, 7]), 3).hypergraph.edges) == 2
+        with pytest.raises(ConstructionError, match="failed re-induction check"):
+            _relabeled(SINGLE_EDGE_3, [1, 2, 3], {4, 6, 7})
+
+    def test_one_missing_image_edge(self):
+        # 1 + 2 + 4 = 7 is one induced 3-subset, as the target has one
+        # edge, but the image {1, 2, 5} sums to 8, no label
+        with pytest.raises(ConstructionError, match="failed re-induction check"):
+            _relabeled(SINGLE_EDGE_3, [1, 2, 5], {4, 7})
+
+    def test_repeated_vertex_label(self):
+        with pytest.raises(ConstructionError, match="failed re-induction check"):
+            _relabeled(hypergraph(4, 3, [(0, 1, 2)]), [1, 2, 3, 3], {6})
+
+    def test_accepts_exactly_when_induced_edges_are_the_image(self):
+        rng = random.Random(31337)
+        outcomes = Counter()
+        for _ in range(300):
+            k = rng.choice((3, 4))
+            n = rng.randint(k, 6)
+            edges = [e for e in combinations(range(n), k) if rng.random() < 0.4]
+            h = hypergraph(n, k, edges)
+            vertex_label = rng.sample(range(1, 25), n)
+            sums = sorted({sum(vertex_label[v] for v in e) for e in h.edges})
+            isolates = {t for t in sums if rng.random() < 0.8}
+            isolates |= set(rng.sample(range(1, 80), rng.randint(0, 2)))
+            labels = tuple(sorted(set(vertex_label) | isolates))
+            induced = naive_hyper_induce(labels, k)[0]
+            image = {tuple(sorted(vertex_label[v] for v in e)) for e in h.edges}
+            expected = {tuple(labels[i] for i in e) for e in induced} == image
+            try:
+                lab = _relabeled(h, vertex_label, isolates)
+            except ConstructionError:
+                assert not expected, (h, vertex_label, isolates)
+            else:
+                assert expected and lab.labels == labels
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+
 class TestLowerBound:
     @pytest.mark.parametrize(
         ("h", "want"),
@@ -177,17 +270,41 @@ class TestHyperGeneral:
         assert len(r.core_hypergraph.edges) == 2
         assert r.isolate_count == 2
 
-    def test_complete_3_uniform_on_5(self):
-        h = hypergraph(5, 3, combinations(range(5), 3))
-        rep = hyper_general(h)
-        assert len(rep.labeling.labels) == 15
-        r = induce_hyper(rep.labeling, 3)
-        assert len(r.core_hypergraph.edges) == 10
-        assert r.isolate_count == 10
-
     def test_rejects_isolated_vertices(self):
         with pytest.raises(ValueError):
             hyper_general(hypergraph(5, 3, [(0, 1, 2)]))
+
+    def test_proved_without_induce_hyper(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hyper_general called induce_hyper")
+
+        monkeypatch.setattr(hypergraph_module, "induce_hyper", refuse)
+        for h in (SINGLE_EDGE_3, OVERLAP_3, CHAIN_3, SINGLE_EDGE_4):
+            assert len(hyper_general(h).labeling) == h.n + len(h.edges)
+
+    # complete k-uniform hypergraphs K_n^(k): (label count, range, claimed
+    # bound) as hyper_general gave them when it proved its output by
+    # induce_hyper and an edge-set comparison
+    @pytest.mark.parametrize(
+        ("n", "k", "count", "achieved", "claimed"),
+        [(5, 3, 15, 245, 425), (6, 4, 21, 1395, 3571), (7, 3, 42, 1001, 1721)],
+        ids=["K5-3", "K6-4", "K7-3"],
+    )
+    def test_complete_hypergraphs_pinned(self, n, k, count, achieved, claimed):
+        h = hypergraph(n, k, combinations(range(n), k))
+        rep = hyper_general(h)
+        assert len(rep.labeling) == count
+        assert rep.achieved_range == achieved
+        assert rep.claimed_range_bound == claimed
+        r = induce_hyper(rep.labeling, k)
+        assert r.core_hypergraph.edges == h.edges
+        assert r.isolate_count == len(h.edges)
+
+    def test_failed_proof_is_reported(self, monkeypatch):
+        # the message sd_general and the combinators raise
+        monkeypatch.setattr(hypergraph_module, "_relabeled", lambda *a: labeling([1, 10**6]))
+        with pytest.raises(ConstructionError, match="exceeded its claimed range bound"):
+            hyper_general(SINGLE_EDGE_3)
 
     def test_vertex_and_edge_residues(self):
         for h in (TWO_EDGE_3, CHAIN_3, SINGLE_EDGE_4):
