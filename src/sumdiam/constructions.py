@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# induce and find_isomorphism are not called here; they stay bound because
-# perfbench/tracing.py wraps constructions.induce and
-# constructions.find_isomorphism
+# induce, is_valid_labeling and find_isomorphism are not called here; they
+# stay bound because perfbench/tracing.py wraps constructions.induce,
+# constructions.is_valid_labeling and constructions.find_isomorphism
 from .core import (
     MAX_BUILD_SIZE,
     MAX_LABEL,
@@ -42,13 +42,15 @@ _MAX_BUILD_LABELS = MAX_BUILD_SIZE
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """A labeling, the graph it induces, and its range accounting."""
+    """A labeling, the graph it induces, its range accounting, and the
+    label of each target vertex as the builder proved it (None: no target)."""
 
     labeling: Labeling
     target: object
     claimed_range_bound: int
     achieved_range: int
     valid: bool
+    vertex_label: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,9 @@ class ConstructionError(RuntimeError):
     """A construction's self-verification failed (indicates an internal bug)."""
 
 
-def _report(lab: Labeling, target: _EdgeSet, claimed: int) -> ConstructionReport:
+def _report(
+    lab: Labeling, target: _EdgeSet, claimed: int, vertex_label
+) -> ConstructionReport:
     achieved = label_range(lab)
     if achieved > claimed:
         raise ConstructionError("construction exceeded its claimed range bound")
@@ -73,6 +77,7 @@ def _report(lab: Labeling, target: _EdgeSet, claimed: int) -> ConstructionReport
         claimed_range_bound=claimed,
         achieved_range=achieved,
         valid=True,
+        vertex_label=tuple(vertex_label),
     )
 
 
@@ -81,37 +86,45 @@ def _family_report(
 ) -> ConstructionReport:
     """Report on a closed-form family labeling, checked by the family recognizers."""
     target = generate(FamilySpec(kind, n))
-    if not is_valid_labeling(lab, target, exact_isolates=isolates):
+    vertex_label = induce_if_valid(lab, target, exact_isolates=isolates)
+    if vertex_label is None:
         raise ConstructionError("construction output failed re-induction check")
-    return _report(lab, target, claimed)
+    return _report(lab, target, claimed, vertex_label)
 
 
-def _relabeled(target: _EdgeSet, vertex_label, isolates) -> Labeling:
-    """Labels vertex_label[i] on target vertex i plus the isolates, checked.
+def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
+    """Does lab induce target, with label vertex_label[i] on vertex i and
+    every other label isolated? In either domain.
 
     target is a SimpleGraph or a k-uniform Hypergraph; an edge is induced
-    when the labels of its vertices sum to a label. The labeling induces
-    target, with every other label isolated, exactly when its induced edge
-    set I equals the image E of target's edges. With distinct vertex labels,
-    E has one set of distinct labels per target edge, and each such set is
-    in I when its sum is a label. So E is a subset of I, and an induced edge
+    when the labels of its vertices sum to a label. With distinct vertex
+    labels in lab, the image E of target's edges has one set of distinct
+    labels per target edge, and each such set is in the induced edge set I
+    when its sum is a label. So E is a subset of I, and an induced edge
     count equal to len(target.edges) makes the two sets equal. Pairs are
     counted, never listed (_pair_count), k-subsets for k >= 3 listed only
     where they sum to a label (_induced_subsets), and no isomorphism search
     is involved, so there is no size cap.
     """
+    members = set(lab.labels)
     distinct = set(vertex_label)
-    members = distinct | isolates
-    lab = labeling(sorted(members), Domain.POSITIVE)
     sums = {sum(map(vertex_label.__getitem__, e)) for e in target.edges}
     pairs = isinstance(target, SimpleGraph)
-    if (
-        len(distinct) != target.n
-        or not members.issuperset(sums)
-        or len(target.edges) != (
+    return (
+        len(distinct) == target.n
+        and members.issuperset(distinct)
+        and members.issuperset(sums)
+        and len(target.edges) == (
             _pair_count(lab)[0] if pairs else len(_induced_subsets(lab.labels, target.k))
         )
-    ):
+    )
+
+
+def _relabeled(target: _EdgeSet, vertex_label, isolates) -> Labeling:
+    """Labels vertex_label[i] on target vertex i plus the isolates, proved
+    by induces_as_labeled."""
+    lab = labeling(sorted(set(vertex_label) | isolates), Domain.POSITIVE)
+    if not induces_as_labeled(lab, target, vertex_label):
         raise ConstructionError("construction output failed re-induction check")
     return lab
 
@@ -378,7 +391,8 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
     if len(set(vertex_label) | edge_labels) != g.n + len(g.edges):
         raise ConstructionError("label collision in Sidon construction")
     claimed = 64 * g.n * g.n - 64 * g.n + 9
-    return _report(_relabeled(g, vertex_label, edge_labels), g, claimed)
+    lab = _relabeled(g, vertex_label, edge_labels)
+    return _report(lab, g, claimed, vertex_label)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +448,8 @@ def disjoint_union_scaled(
     isolates = set(lab1.labels).difference(vl1)
     isolates |= {c * v for v in set(lab2.labels).difference(vl2)}
     claimed = 2 * (2 * r1 - 1) * (2 * r2 - 1) - 1
-    return _report(_relabeled(target, vertex_label, isolates), target, claimed)
+    lab = _relabeled(target, vertex_label, isolates)
+    return _report(lab, target, claimed, vertex_label)
 
 
 def disjoint_union_translated(
@@ -450,7 +465,8 @@ def disjoint_union_translated(
     target = disjoint_union_graph(g1, g2)
     vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
     isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
-    return _report(_relabeled(target, vertex_label, isolates), target, 11 * r1 + r2 + 2)
+    lab = _relabeled(target, vertex_label, isolates)
+    return _report(lab, target, 11 * r1 + r2 + 2, vertex_label)
 
 
 def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
@@ -468,10 +484,10 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     mu = lab.labels[0]
     claimed = max(k, 4 * r) + k - 5
     if len(lab) - g.n >= k:
-        return _report(lab, g, claimed)  # the input, validated above
+        return _report(lab, g, claimed, vertex_label)  # the input, validated above
     if k <= 2:
         isolates = set(lab.labels).difference(vertex_label) | {4 * r - 2}
-        return _report(_relabeled(g, vertex_label, isolates), g, claimed)
+        return _report(_relabeled(g, vertex_label, isolates), g, claimed, vertex_label)
     sums = _sums(vertex_label, g)
     m = max(r - 1, k + r - 1 - len(sums))
     x = m - mu
@@ -479,7 +495,8 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     extreme = max(2 * m, max(sums, default=0) + 2 * x)
     _check_label(extreme, g.n + len(sums) + m - r + 1)
     isolates = {t + 2 * x for t in sums} | set(range(m + r, 2 * m + 1))
-    return _report(_relabeled(g, [a + x for a in vertex_label], isolates), g, claimed)
+    shifted = [a + x for a in vertex_label]
+    return _report(_relabeled(g, shifted, isolates), g, claimed, shifted)
 
 
 def _fresh_vertex(
@@ -496,8 +513,9 @@ def _fresh_vertex(
     b = 2 * r + 1
     doubled = [2 * (a + x) for a in vertex_label]
     isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in neighbors}
-    lab2 = _relabeled(target, [doubled[w] for w in rest] + [b], isolates)
-    return _report(lab2, target, 4 * r - 1)
+    vertex_label = [doubled[w] for w in rest] + [b]
+    lab = _relabeled(target, vertex_label, isolates)
+    return _report(lab, target, 4 * r - 1, vertex_label)
 
 
 def add_vertex(
@@ -539,9 +557,8 @@ def join(
     vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
     isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
     isolates |= set(range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3))
-    return _report(
-        _relabeled(target, vertex_label, isolates), target, 11 * r1 + 8 * r2 - 5
-    )
+    lab = _relabeled(target, vertex_label, isolates)
+    return _report(lab, target, 11 * r1 + 8 * r2 - 5, vertex_label)
 
 
 MODIFY_OPERATIONS = (
@@ -597,7 +614,7 @@ def modify(
         x = r - 1 - lab.labels[0]
         kept = [vertex_label[v] + x for v in keep]
         lab2 = _relabeled(target, kept, {t + 2 * x for t in sums})
-        return _report(lab2, target, 2 * r - 2)
+        return _report(lab2, target, 2 * r - 2, kept)
 
     if edge is None or len(edge) != 2:
         raise ValueError(f"{operation} needs an edge as two vertex ids")
@@ -610,29 +627,25 @@ def modify(
             raise ValueError("edge to add is already present")
         new_neighbors = set(adjacency[u]) | {v}
         removed = (u,)
-        base_edges = set(g.edges)
     elif operation == "delete-edge":
         if not present:
             raise ValueError("edge to modify does not exist")
         new_neighbors = set(adjacency[u]) - {v}
         removed = (u,)
-        base_edges = set(g.edges) - {(u, v)}
     else:  # contract-edge
         if not present:
             raise ValueError("edge to modify does not exist")
         new_neighbors = (set(adjacency[u]) | set(adjacency[v])) - {u, v}
         removed = (u, v)
-        base_edges = set(g.edges)
 
     # vertex u (and v when contracting) is replaced by a fresh vertex whose
-    # neighborhood is new_neighbors (_fresh_vertex)
+    # neighborhood is new_neighbors (_fresh_vertex); every edge at u, the
+    # edited one too, leaves with it
     rest = [w for w in range(g.n) if w not in removed]
     remap = {w: i for i, w in enumerate(rest)}
     new_id = len(rest)
     target_edges = {
-        (remap[a], remap[b])
-        for a, b in base_edges
-        if a in remap and b in remap
+        (remap[a], remap[b]) for a, b in g.edges if a in remap and b in remap
     } | {(remap[w], new_id) for w in new_neighbors}
     target = _checked_target(len(rest) + 1, target_edges)
     return _fresh_vertex(lab, vertex_label, sums, rest, new_neighbors, target)

@@ -320,24 +320,23 @@ def _core_graph(edges, core_ids: list[int], build=SimpleGraph):
     return build(n=len(core_ids), edges=frozenset(tuple(map(remap, e)) for e in edges))
 
 
+def _split_induced(labels: tuple[int, ...], edges, build=SimpleGraph):
+    """The induced index tuples of the sorted labels, split four ways: the
+    full edge set, the isolated labels, the core and the core's labels;
+    build makes both edge sets, as for _core_graph."""
+    deg = _pair_degrees(edges, len(labels))
+    core_ids = [i for i, d in enumerate(deg) if d]
+    isolated = tuple(labels[i] for i, d in enumerate(deg) if not d)
+    core = _core_graph(edges, core_ids, build)
+    full = build(n=len(labels), edges=frozenset(edges))
+    return full, isolated, core, tuple(labels[i] for i in core_ids)
+
+
 def induce(lab: Labeling) -> InducedResult:
     """Induced sum graph: vertex per label, edge when the pair sum is a label."""
     labels = lab.labels
-    k = len(labels)
-    pairs = _induced_pairs(lab)
-    full = SimpleGraph(k, frozenset(pairs))
-    deg = _pair_degrees(pairs, k)
-    core_ids = [i for i in range(k) if deg[i] > 0]
-    core = _core_graph(pairs, core_ids)
-    isolated = tuple(labels[i] for i in range(k) if deg[i] == 0)
-    return InducedResult(
-        graph=full,
-        label_of=labels,
-        isolated_labels=isolated,
-        core_graph=core,
-        core_label_of=tuple(labels[i] for i in core_ids),
-        isolate_count=len(isolated),
-    )
+    full, isolated, core, core_labels = _split_induced(labels, _induced_pairs(lab))
+    return InducedResult(full, labels, isolated, core, core_labels, len(isolated))
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +732,21 @@ def graph_to_json(g: SimpleGraph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edge_list()]})
 
 
+def json_edges(value, k: int) -> list[tuple[int, ...]]:
+    """Edges of k vertex ids each, read from JSON for a graph (k = 2) or a
+    hypergraph: the list shape and each edge's length before any id."""
+    if not isinstance(value, list) or not all(isinstance(e, list) for e in value):
+        raise ValueError("edges must be a list of vertex lists")
+    for e in value:
+        if len(e) != k:
+            raise ValueError(f"edge {e!r} needs exactly {k} distinct vertices")
+    return [tuple(json_int(v, "vertex id") for v in e) for e in value]
+
+
 def graph_from_json(text: str) -> SimpleGraph:
     """Parse the canonical graph JSON form."""
     data = load_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be {"n": ..., "edges": [...]}')
     n = json_vertex_count(data["n"])
-    edges = [(json_int(u, "vertex id"), json_int(v, "vertex id")) for u, v in data["edges"]]
-    return graph(n, edges)
+    return graph(n, json_edges(data["edges"], 2))

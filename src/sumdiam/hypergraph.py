@@ -18,6 +18,8 @@ from .core import (
     _EdgeSet,
     _induced_subsets,
     _pair_degrees,
+    _split_induced,
+    json_edges,
     json_int,
     json_vertex_count,
     labeling,
@@ -70,14 +72,9 @@ def hyper_from_json(text: str) -> Hypergraph:
     data = load_json(text)
     if not isinstance(data, dict) or not {"n", "k", "edges"} <= set(data):
         raise ValueError('hypergraph JSON must be {"n": ..., "k": ..., "edges": [...]}')
-    edges = data["edges"]
-    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
-        raise ValueError("hypergraph JSON edges must be a list of vertex lists")
-    return hypergraph(
-        json_vertex_count(data["n"]),
-        json_int(data["k"], "uniformity"),
-        [tuple(json_int(v, "vertex id") for v in e) for e in edges],
-    )
+    n = json_vertex_count(data["n"])
+    k = json_int(data["k"], "uniformity")
+    return hypergraph(n, k, json_edges(data["edges"], k))
 
 
 @dataclass(frozen=True)
@@ -99,18 +96,10 @@ def induce_hyper(lab: Labeling, k: int) -> InducedHyperResult:
     labels = lab.labels
     if len(labels) < k:
         raise ValueError(f"need at least {k} labels for {k}-uniform induction")
-    edges = _induced_subsets(labels, k)
-    deg = _pair_degrees(edges, len(labels))
-    core_ids = [i for i in range(len(labels)) if deg[i] > 0]
-    isolated = tuple(labels[i] for i in range(len(labels)) if deg[i] == 0)
-    return InducedHyperResult(
-        hypergraph=Hypergraph(len(labels), k, frozenset(edges)),
-        label_of=labels,
-        isolated_labels=isolated,
-        core_hypergraph=_core_graph(edges, core_ids, partial(Hypergraph, k=k)),
-        core_label_of=tuple(labels[i] for i in core_ids),
-        isolate_count=len(isolated),
+    full, isolated, core, core_labels = _split_induced(
+        labels, _induced_subsets(labels, k), partial(Hypergraph, k=k)
     )
+    return InducedHyperResult(full, labels, isolated, core, core_labels, len(isolated))
 
 
 def hyper_sd_lower_bound(h: Hypergraph) -> int:
@@ -143,7 +132,8 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     if len(set(vertex_label) | edge_labels) != h.n + len(h.edges):
         raise ConstructionError("label collision in B_k construction")
     claimed = k**3 * s[-1] + k - (k * k * s[0] + 1)
-    return _report(_relabeled(h, vertex_label, edge_labels), h, claimed)
+    lab = _relabeled(h, vertex_label, edge_labels)
+    return _report(lab, h, claimed, vertex_label)
 
 
 def _isomorphic_hyper(a: Hypergraph, b: Hypergraph) -> bool:

@@ -251,6 +251,22 @@ class TestConstruct:
         assert out == ""
         assert err.startswith(f"error: {flag} does not apply to --name {name}\n")
 
+    def test_verify_above_the_isomorphism_cap(self, capsys, tmp_path):
+        # C30(1, 2, 5) plus the chord 0-15: 30 vertices and no family, so an
+        # isomorphism search would refuse it; --verify re-runs the builder's
+        # count on the printed labels instead
+        edges = [[i, (i + d) % 30] for i in range(30) for d in (1, 2, 5)] + [[0, 15]]
+        path = tmp_path / "c30.json"
+        path.write_text(json.dumps({"n": 30, "edges": edges}))
+        assert families.identify(cli._read_graph_file(str(path))) is None
+        argv = ("construct", "--name", "sd-general", "--graph", str(path))
+        plain, _ = run(capsys, *argv, "--format", "json")
+        out, _ = run(capsys, *argv, "--verify", "--format", "json")
+        data = json.loads(out)
+        assert data["range"] == 14401
+        assert data["verified"] is True
+        assert data == dict(json.loads(plain), verified=True)
+
     def test_output_roundtrips_through_verify(self, capsys):
         out, _ = run(
             capsys, "construct", "--name", "sd-path", "--n", "6", "--format", "json"
@@ -417,12 +433,33 @@ class TestBounds:
         '{"n": "3", "edges": [[0, 1]]}',
         '{"n": 2, "edges": [["0", "1"]]}',
         '{"n": true, "edges": []}',
-    ], ids=["deep", "infinite-n", "float", "string-n", "string-ids", "bool-n"])
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [5]}',
+        '{"n": 3, "edges": [[0]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+    ], ids=[
+        "deep", "infinite-n", "float", "string-n", "string-ids", "bool-n",
+        "int-edges", "int-edge", "one-id-edge", "three-id-edge",
+    ])
     def test_bad_graph_file_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         _, err = run(capsys, "bounds", "--graph", str(path), expect=2)
         assert err.startswith(f"error: bad graph JSON in {str(path)!r}: ")
+        # a message the program states, not one of Python's own
+        assert "unpack" not in err and "iterable" not in err
+
+    @pytest.mark.parametrize("edges, message", [
+        ("[[0]]", "edge [0] needs exactly 2 distinct vertices"),
+        ("[[0, 0]]", "self-loop at vertex 0"),
+        ("[[0, 5]]", "edge (0,5) out of range for n=3"),
+    ], ids=["one-id", "self-loop", "out-of-range"])
+    def test_bad_graph_file_edge_message(self, capsys, tmp_path, edges, message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 3, "edges": {edges}}}')
+        out, err = run(capsys, "bounds", "--graph", str(path), expect=2)
+        assert out == ""
+        assert err.startswith(f"error: bad graph JSON in {str(path)!r}: {message}\n")
 
     def test_zero_vertex_graph_reports_the_bound(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

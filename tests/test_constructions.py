@@ -1,6 +1,7 @@
 """Construction and combinator tests with brute-force cross-checks."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -19,6 +20,7 @@ from sumdiam.constructions import (
     disjoint_union_graph,
     disjoint_union_scaled,
     disjoint_union_translated,
+    induces_as_labeled,
     is_bk_set,
     is_sidon_set,
     ispum_cycle_odd,
@@ -1096,3 +1098,64 @@ class TestAboveIsomorphismCap:
         report = add_vertex(lab, P30, [])
         assert report.target.n == 31
         assert_oracle_path(report.labeling.labels, 30)
+
+
+# C30(1, 2, 5) plus the chord 0-15: 30 vertices, no family member
+CHORDED_C30 = graph(
+    30, [(i, (i + d) % 30) for i in range(30) for d in (1, 2, 5)] + [(0, 15)]
+)
+
+
+def verify_report(report):
+    """What construct --verify prints: the builder's proof re-run on the
+    printed labels with the vertex labels the builder proved."""
+    return induces_as_labeled(report.labeling, report.target, report.vertex_label)
+
+
+class TestVerifyReport:
+    """induces_as_labeled re-runs a builder's proof on the labels it printed."""
+
+    def test_every_builder_report_verifies(self):
+        lab, g = sd_path(6).labeling, generate(FamilySpec(FamilyKind.PATH, 6))
+        reports = [
+            spum_path_even(6), sd_path(6), spum_cycle4(), ispum_cycle_odd(15),
+            spum_matching(3), ispum_matching(3), sd_general(CHORDED_C13),
+            add_isolated(lab, g, 1), add_isolated(lab, g, 2), add_isolated(lab, g, 5),
+            add_vertex(lab, g, [0, 3]), join(lab, g, LAB_P3, P3),
+            modify(lab, g, "contract-edge", edge=(1, 2)),
+            modify(lab, g, "induced-subgraph", vertices=[0, 1, 2]),
+        ]
+        for report in reports:
+            assert len(report.vertex_label) == report.target.n
+            assert verify_report(report)
+            assert is_valid_labeling(report.labeling, report.target)
+
+    def test_integral_labels_are_counted_in_their_own_domain(self):
+        report = ispum_cycle_odd(15)
+        assert report.labeling.domain is Domain.INTEGRAL
+        assert report.labeling.labels[0] < 0
+        assert verify_report(report)
+
+    def test_above_the_isomorphism_cap(self):
+        assert identify(CHORDED_C30) is None
+        report = sd_general(CHORDED_C30)
+        assert report.achieved_range == 14401
+        assert verify_report(report)
+        with pytest.raises(ValueError, match="capped at 24 vertices"):
+            is_valid_labeling(report.labeling, CHORDED_C30)
+
+    def test_changed_labels_fail(self):
+        report = sd_path(5)  # [4, 8] + {11, 12}
+        assert report.labeling.labels == (4, 5, 6, 7, 8, 11, 12)
+        extra = labeling(report.labeling.labels + (9,))  # 4 + 5 = 9: one more pair
+        missing = labeling((4, 5, 6, 7, 8, 11))  # 5 + 7 = 12 is gone
+        for lab in (extra, missing):
+            assert not verify_report(dataclasses.replace(report, labeling=lab))
+
+    def test_changed_vertex_labels_fail(self):
+        report = sd_path(5)
+        vertex_label = list(report.vertex_label)
+        # vertices 0 and 1 trade labels: the map no longer carries edges onto pairs
+        vertex_label[0], vertex_label[1] = vertex_label[1], vertex_label[0]
+        swapped = dataclasses.replace(report, vertex_label=tuple(vertex_label))
+        assert not verify_report(swapped)

@@ -190,6 +190,14 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 0), "^self-loop at vertex 0$"),
+        ((0, 5), r"^edge \(0,5\) out of range for n=3$"),
+    ])
+    def test_edge_error_messages(self, edge, message):
+        with pytest.raises(ValueError, match=message):
+            graph(3, [edge])
+
     def test_degrees_and_isolates(self):
         g = graph(4, [(0, 1)])
         assert g.degrees() == (1, 1, 0, 0)
@@ -849,6 +857,18 @@ class TestSerialization:
     def test_graph_json_takes_integers_only(self, text):
         with pytest.raises(ValueError, match="must be an integer, not "):
             graph_from_json(text)
+
+    @pytest.mark.parametrize("edges, message", [
+        ("5", "^edges must be a list of vertex lists$"),
+        ("[5]", "^edges must be a list of vertex lists$"),
+        ("[[0]]", r"^edge \[0\] needs exactly 2 distinct vertices$"),
+        ("[[0, 1, 2]]", r"^edge \[0, 1, 2\] needs exactly 2 distinct vertices$"),
+        # the length is checked before any vertex id is read
+        ('[["0"]]', r"^edge \['0'\] needs exactly 2 distinct vertices$"),
+    ], ids=["int", "list-of-int", "one-id", "three-ids", "one-string-id"])
+    def test_graph_json_edge_shapes(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            graph_from_json(f'{{"n": 3, "edges": {edges}}}')
 
     def test_graph_json_vertex_cap(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_BUILD_SIZE", 3)
