@@ -259,8 +259,8 @@ def _report_output(name: str, report: ConstructionReport, verify: bool) -> Outpu
     }
     csv_keys = tuple(fields)  # the CSV row has no verified column
     if verify:
-        # the builder's own proof, re-run on the printed labels: no
-        # isomorphism search, so no 24-vertex cap
+        # the builder's own proof, re-run on the printed labels with the
+        # vertex map it proved; no isomorphism is searched for
         fields["verified"] = induces_as_labeled(
             report.labeling, report.target, report.vertex_label
         )

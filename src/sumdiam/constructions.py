@@ -103,8 +103,8 @@ def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
     when its sum is a label. So E is a subset of I, and an induced edge
     count equal to len(target.edges) makes the two sets equal. Pairs are
     counted, never listed (_pair_count), k-subsets for k >= 3 listed only
-    where they sum to a label (_induced_subsets), and no isomorphism search
-    is involved, so there is no size cap.
+    where they sum to a label (_induced_subsets); it checks the builder's
+    own vertex map, so it searches for no isomorphism.
     """
     members = set(lab.labels)
     distinct = set(vertex_label)

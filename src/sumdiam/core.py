@@ -19,7 +19,6 @@ MAX_LABEL = 2**63 - 1  # labels must fit in a signed 64-bit integer
 # the most vertices, edges or labels built from one number given from
 # outside, so that no input makes the program allocate without bound
 MAX_BUILD_SIZE = 2**20
-ISO_CAP_DEFAULT = 24  # generic isomorphism backtracking refuses larger graphs
 # picks no induce path; perfbench/tracing.py files inductions of more labels
 # than this under core.induce.big_*
 _BIG_INDUCE_THRESHOLD = 1024
@@ -450,32 +449,66 @@ def identify_structure(g: SimpleGraph) -> tuple[str, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _joint_colors(
-    g: SimpleGraph, h: SimpleGraph
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Degree refinement on the disjoint union, so color ids are comparable.
-
-    None as soon as a round leaves g's sorted colors unequal to h's: each
-    new color determines its old one, so the counts would still differ when
-    refinement ends. The caller has compared the degrees, the first colors.
-    """
-    adj = list(g.adjacency()) + [
-        frozenset(w + g.n for w in s) for s in h.adjacency()
-    ]
-    colors = list(g.degrees()) + list(h.degrees())
-    total = g.n + h.n
-    for _ in range(total):
+def _refine(adj, colors: list[int], n: int) -> list[int] | None:
+    """Refine the joint coloring of g (nodes below n) and h (the rest) until
+    a round adds no color; each round recolors a node by its color and its
+    neighbors' sorted colors, with ids in sorted signature order, so they
+    compare across the sides. None after the first round that leaves the
+    sides with different color counts: each new color determines its old
+    one, so the counts would still differ when refinement ends."""
+    count = len(set(colors))
+    while True:
         signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(total)
+            (c, tuple(sorted([colors[w] for w in nbrs]))) for c, nbrs in zip(colors, adj)
         ]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [palette[sig] for sig in signatures]
-        if new_colors == colors:
-            break
-        colors = new_colors
-        if sorted(colors[: g.n]) != sorted(colors[g.n :]):
+        colors = [palette[sig] for sig in signatures]
+        if sorted(colors[:n]) != sorted(colors[n:]):
             return None
-    return tuple(colors[: g.n]), tuple(colors[g.n :])
+        if len(palette) == count:
+            return colors
+        count = len(palette)
+
+
+def _refined_map(g_adj, g_colors, h_adj, h_colors) -> dict[int, int] | None:
+    """Node map g -> h, two graphs of one size given as neighbor sets, that
+    keeps the start colors and carries every edge onto an edge, or None.
+
+    Individualization and refinement, the core of nauty and Traces (McKay
+    and Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+    2014), depth first on an explicit stack: a stable joint coloring that
+    is not discrete gives the first g-node of g's smallest non-singleton
+    cell a fresh color together with each h-node of that cell in ascending
+    order, and refines again. A discrete coloring pairs the two nodes of
+    each color; refinement has matched the degrees, so the pairing is an
+    isomorphism once it carries every edge of g onto an edge of h.
+    """
+    n = len(g_adj)
+    adj = list(g_adj) + [[w + n for w in nbrs] for nbrs in h_adj]
+    colors = _refine(adj, list(g_colors) + list(h_colors), n)
+    stack = []
+    while True:
+        if colors is not None:
+            cells: dict[int, list[int]] = {}
+            for v in range(n):
+                cells.setdefault(colors[v], []).append(v)
+            cell = min((c for c in cells.values() if len(c) > 1), key=len, default=None)
+            if cell is None:
+                image = {colors[w]: w - n for w in range(n, 2 * n)}
+                paired = {v: image[colors[v]] for v in range(n)}
+                if all(paired[w] in h_adj[paired[v]] for v in range(n) for w in g_adj[v]):
+                    return paired
+            else:
+                c = colors[cell[0]]
+                stack.append((colors, cell[0], [w for w in range(n, 2 * n) if colors[w] == c]))
+        while stack and not stack[-1][2]:
+            stack.pop()  # every candidate of this cell is tried
+        if not stack:
+            return None
+        base, u, candidates = stack[-1]
+        colors = list(base)
+        colors[u] = colors[candidates.pop(0)] = len(base)
+        colors = _refine(adj, colors, n)
 
 
 def _bfs_order(g: SimpleGraph) -> list[int]:
@@ -499,15 +532,13 @@ def _bfs_order(g: SimpleGraph) -> list[int]:
     return order
 
 
-def find_isomorphism(
-    g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT
-) -> dict[int, int] | None:
-    """Vertex map g -> h witnessing isomorphism, or None.
+def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> dict[int, int] | None:
+    """Vertex map g -> h witnessing isomorphism, or None, at any size.
 
-    Recognized families are matched at any size: two members of one family
-    pair up along their breadth-first orders, and that map is returned once
-    it carries every edge onto an edge. Other graphs go to a backtracking
-    search that refuses more than cap vertices.
+    Two members of one recognized family pair up along their breadth-first
+    orders, and that map is returned once it carries every edge onto an
+    edge. Other graphs go to individualization and refinement
+    (_refined_map), with their degrees as start colors.
     """
     if g.n != h.n or len(g.edges) != len(h.edges):
         return None
@@ -524,51 +555,12 @@ def find_isomorphism(
             for u, v in g.edges
         ):
             return paired
-    if g.n > cap:
-        raise ValueError(f"explicit isomorphism search capped at {cap} vertices")
-    colors = _joint_colors(g, h)
-    if colors is None:
-        return None
-    gc, hc = colors
-    g_adj = g.adjacency()
-    h_adj = h.adjacency()
-    by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_color.setdefault(hc[v], []).append(v)
-    # map most-constrained colors first, ids ascending for determinism
-    order = sorted(range(g.n), key=lambda v: (len(by_color.get(gc[v], ())), gc[v], v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for w in by_color.get(gc[u], ()):
-            if w in used:
-                continue
-            ok = True
-            for prev, image in mapping.items():
-                if (prev in g_adj[u]) != (image in h_adj[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[u]
-                used.remove(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    return _refined_map(g.adjacency(), g.degrees(), h.adjacency(), h.degrees())
 
 
-def isomorphic(g: SimpleGraph, h: SimpleGraph, cap: int = ISO_CAP_DEFAULT) -> bool:
-    """Is g isomorphic to h? See find_isomorphism for the cap."""
-    return find_isomorphism(g, h, cap=cap) is not None
+def isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
+    """Is g isomorphic to h? See find_isomorphism."""
+    return find_isomorphism(g, h) is not None
 
 
 # ---------------------------------------------------------------------------

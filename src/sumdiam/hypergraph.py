@@ -5,7 +5,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 
 from .constructions import ConstructionError, ConstructionReport, _relabeled, _report
 from .constructions import bk_set
@@ -18,6 +17,7 @@ from .core import (
     _EdgeSet,
     _induced_subsets,
     _pair_degrees,
+    _refined_map,
     _split_induced,
     json_edges,
     json_int,
@@ -136,18 +136,25 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     return _report(lab, h, claimed, vertex_label)
 
 
+def _incidence(h: Hypergraph) -> tuple[list[set[int]], list[int]]:
+    """h's vertex-edge incidence graph as neighbor sets (vertex v is node v,
+    the i-th sorted edge node n + i) and its start colors: each vertex its
+    degree and each edge node -1, so no map mixes the two kinds."""
+    adj: list[set[int]] = [set() for _ in range(h.n)]
+    for node, e in enumerate(h.edge_list(), h.n):
+        adj.append(set(e))
+        for v in e:
+            adj[v].add(node)
+    return adj, list(h.degrees()) + [-1] * len(h.edges)
+
+
 def _isomorphic_hyper(a: Hypergraph, b: Hypergraph) -> bool:
-    """Brute-force isomorphism for tiny k-uniform hypergraphs."""
+    """Are a and b isomorphic? A map of their incidence graphs that keeps
+    the start colors and every incidence sends each edge of a onto an edge
+    of b, and the edge counts are equal."""
     if a.n != b.n or a.k != b.k or len(a.edges) != len(b.edges):
         return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    target = b.edges
-    for perm in permutations(range(a.n)):
-        mapped = frozenset(tuple(sorted(perm[v] for v in e)) for e in a.edges)
-        if mapped == target:
-            return True
-    return False
+    return _refined_map(*_incidence(a), *_incidence(b)) is not None
 
 
 def _hyper_leaf_matches(
@@ -161,7 +168,7 @@ def _hyper_leaf_matches(
     sorted degree sequence, and with it its size, is compared before the
     core Hypergraph is built for _isomorphic_hyper. The result is that of
     _isomorphic_hyper(induce_hyper(labeling(labels), k).core_hypergraph, h),
-    which compares the same degrees first.
+    whose first refinement round compares the same degrees.
     """
     edges = _induced_subsets(labels, h.k)
     deg = _pair_degrees(edges, len(labels))

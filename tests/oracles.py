@@ -169,6 +169,15 @@ def _hyper_core(labels, k):
     return len(core_ids), core_edges
 
 
+def naive_hyper_isomorphic(n, edges1, edges2):
+    """Does some permutation of range(n) carry edges1 onto edges2?"""
+    target = frozenset(tuple(sorted(e)) for e in edges2)
+    return any(
+        frozenset(tuple(sorted(perm[v] for v in e)) for e in edges1) == target
+        for perm in permutations(range(n))
+    )
+
+
 def naive_hyper_sd(n, hyperedges, k, *, max_range=14):
     """Minimum-range positive search for the k-uniform sum hypergraph."""
     target = frozenset(tuple(sorted(e)) for e in hyperedges)
@@ -181,15 +190,8 @@ def naive_hyper_sd(n, hyperedges, k, *, max_range=14):
                 for combo in combinations(interior, size - 2):
                     labels = tuple([window[0], *combo, window[-1]])
                     core_n, core_edges = _hyper_core(labels, k)
-                    if core_n != n:
-                        continue
-                    for perm in permutations(range(n)):
-                        mapped = frozenset(
-                            tuple(sorted(perm[v] for v in e)) for e in core_edges
-                        )
-                        if mapped == target:
-                            solutions.append(labels)
-                            break
+                    if core_n == n and naive_hyper_isomorphic(n, core_edges, target):
+                        solutions.append(labels)
         if solutions:
             return x, min(solutions)
     return None, None
@@ -231,12 +233,7 @@ def naive_hyper_window(h, lo, hi, node_cap):
         if _sum_edge_count(labels, h.k) != len(target):
             return False
         core_n, core_edges = _hyper_core(labels, h.k)
-        if core_n != h.n:
-            return False
-        return any(
-            frozenset(tuple(sorted(perm[v] for v in e)) for e in core_edges) == target
-            for perm in permutations(range(h.n))
-        )
+        return core_n == h.n and naive_hyper_isomorphic(h.n, core_edges, target)
 
     def visit(idx, chosen):
         nonlocal nodes

@@ -84,6 +84,20 @@ class TestInduce:
         assert err.startswith("error: JSON is nested too deeply\n")
 
 
+def write_chorded_c30(tmp_path, capsys):
+    """C30(1, 2, 5) plus the chord 0-15, a 30-vertex graph of no family, as
+    a JSON file; its path and the labels construct --name sd-general prints."""
+    edges = [[i, (i + d) % 30] for i in range(30) for d in (1, 2, 5)] + [[0, 15]]
+    path = tmp_path / "c30.json"
+    path.write_text(json.dumps({"n": 30, "edges": edges}))
+    assert families.identify(cli._read_graph_file(str(path))) is None
+    out, _ = run(
+        capsys, "construct", "--name", "sd-general", "--graph", str(path),
+        "--format", "json",
+    )
+    return str(path), ",".join(map(str, json.loads(out)["labels"]))
+
+
 class TestVerify:
     def test_valid_exit_zero(self, capsys):
         out, _ = run(
@@ -112,6 +126,17 @@ class TestVerify:
             capsys, "verify", "--labels", "3,4,5,6,8,9,10", "--graph", str(path)
         )
         assert "valid: true" in out
+
+    def test_non_family_graph_past_24_vertices(self, capsys, tmp_path):
+        path, labels = write_chorded_c30(tmp_path, capsys)
+        assert labels.count(",") == 120
+        out, _ = run(
+            capsys, "verify", "--labels", labels, "--graph", path, "--format", "json"
+        )
+        data = json.loads(out)
+        assert data["valid"] is True
+        assert data["isolate_count"] == 91
+        assert data["range"] == 14401
 
     def test_target_and_graph_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "c4.json"
@@ -252,14 +277,10 @@ class TestConstruct:
         assert err.startswith(f"error: {flag} does not apply to --name {name}\n")
 
     def test_verify_above_the_isomorphism_cap(self, capsys, tmp_path):
-        # C30(1, 2, 5) plus the chord 0-15: 30 vertices and no family, so an
-        # isomorphism search would refuse it; --verify re-runs the builder's
-        # count on the printed labels instead
-        edges = [[i, (i + d) % 30] for i in range(30) for d in (1, 2, 5)] + [[0, 15]]
-        path = tmp_path / "c30.json"
-        path.write_text(json.dumps({"n": 30, "edges": edges}))
-        assert families.identify(cli._read_graph_file(str(path))) is None
-        argv = ("construct", "--name", "sd-general", "--graph", str(path))
+        # --verify re-runs the builder's count on the printed labels, with no
+        # isomorphism search
+        path, _ = write_chorded_c30(tmp_path, capsys)
+        argv = ("construct", "--name", "sd-general", "--graph", path)
         plain, _ = run(capsys, *argv, "--format", "json")
         out, _ = run(capsys, *argv, "--verify", "--format", "json")
         data = json.loads(out)
@@ -536,6 +557,16 @@ class TestCombine:
             "--target", "path:2", "--x", "5", "--format", "json",
         )
         assert json.loads(out)["labels"] == [6, 7, 13]
+
+    def test_translate_a_non_family_graph_past_24_vertices(self, capsys, tmp_path):
+        path, labels = write_chorded_c30(tmp_path, capsys)
+        out, _ = run(
+            capsys, "combine", "--name", "translate", "--labels", labels,
+            "--target", path, "--x", "20000", "--format", "json",
+        )
+        data = json.loads(out)
+        assert data["valid"] is True
+        assert data["range"] == 34401
 
     def test_add_isolated(self, capsys):
         out, _ = run(

@@ -515,6 +515,16 @@ FAMILY_MEMBERS = [
 ]
 
 
+def relabeled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    perm = rng.sample(range(g.n), g.n)
+    return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def generic_search_raises(*args):
+    raise AssertionError("reached the generic isomorphism search")
+
+
 def carries_edges(mapping, g, h):
     """Is mapping a bijection of vertices that carries every g edge onto an h edge?"""
     if mapping is None or sorted(mapping) != list(range(g.n)):
@@ -547,14 +557,42 @@ class TestIsomorphism:
     def test_zero_vertex_graphs_map_by_the_empty_map(self):
         assert find_isomorphism(graph(0, []), graph(0, [])) == {}
 
-    def test_cap_raises(self):
-        # two 25-vertex graphs that no family predicate identifies
-        edges = [(i, i + 1) for i in range(24)] + [(0, 2)]
-        g = graph(25, edges)
-        with pytest.raises(ValueError):
-            find_isomorphism(g, g)
+    def test_past_the_old_cap(self):
+        # 25 vertices and no family: the generic search once refused more
+        # than 24
+        g = graph(25, [(i, i + 1) for i in range(24)] + [(0, 2)])
+        assert identify_structure(g) is None
+        h = relabeled(g, random.Random(25))
+        assert carries_edges(find_isomorphism(g, h), g, h)
+        assert carries_edges(find_isomorphism(h, g), h, g)
 
-    def test_family_fast_path_beats_cap(self):
+    def test_strongly_regular_twins_need_individualization(self):
+        # the Shrikhande graph and the 4x4 rook's graph are both
+        # srg(16, 6, 2, 2): refinement alone never splits either, so only
+        # individualization tells them apart
+        cells = [(a, b) for a in range(4) for b in range(4)]
+        steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+        shrikhande = graph(16, [
+            (i, j) for i, j in combinations(range(16), 2)
+            if ((cells[j][0] - cells[i][0]) % 4, (cells[j][1] - cells[i][1]) % 4) in steps
+        ])
+        rook = graph(16, [
+            (i, j) for i, j in combinations(range(16), 2)
+            if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]
+        ])
+        for g in (shrikhande, rook):
+            assert len(g.edges) == 48 and set(g.degrees()) == {6}
+            assert identify_structure(g) is None
+            # g beside a copy of itself, as find_isomorphism refines them
+            joint = list(g.adjacency()) + [{w + 16 for w in s} for s in g.adjacency()]
+            assert core._refine(joint, [6] * 32, 16) == [0] * 32
+        assert find_isomorphism(shrikhande, rook) is None
+        assert find_isomorphism(rook, shrikhande) is None
+        for seed, g in enumerate((shrikhande, rook)):
+            h = relabeled(g, random.Random(seed))
+            assert carries_edges(find_isomorphism(g, h), g, h)
+
+    def test_family_fast_path_at_10000_vertices(self):
         n = 10_000
         g = cycle_graph(n)
         h = graph(n, [((i * 3) % n, ((i + 1) * 3) % n) for i in range(n)])
@@ -566,20 +604,22 @@ class TestIsomorphism:
         assert find_isomorphism(g, two_halves) is None
 
     @pytest.mark.parametrize("spec", FAMILY_MEMBERS, ids=FamilySpec.text)
-    def test_family_members_map_without_backtracking(self, spec):
-        # cap=0 refuses the backtracking search, so the map comes from the
-        # family fast path
+    def test_family_members_map_without_backtracking(self, spec, monkeypatch):
+        # the generic search raises, so the map comes from the family fast
+        # path
+        monkeypatch.setattr(core, "_refined_map", generic_search_raises)
         g = generate(spec)
         rng = random.Random(f"{spec.kind.value}:{spec.n}")
         for _ in range(3):
-            perm = rng.sample(range(g.n), g.n)
-            h = graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-            assert carries_edges(find_isomorphism(g, h, cap=0), g, h)
-            assert carries_edges(find_isomorphism(h, g, cap=0), h, g)
+            h = relabeled(g, rng)
+            assert carries_edges(find_isomorphism(g, h), g, h)
+            assert carries_edges(find_isomorphism(h, g), h, g)
 
-    def test_different_families_have_no_map(self):
+    def test_different_families_have_no_map(self, monkeypatch):
         # members that identify differently are not isomorphic (P3 is also
-        # the star on two leaves, and identifies as the path)
+        # the star on two leaves, and identifies as the path); the generic
+        # search raises, so each answer comes before it
+        monkeypatch.setattr(core, "_refined_map", generic_search_raises)
         by_size = {}
         for spec in FAMILY_MEMBERS:
             by_size.setdefault(generate(spec).n, []).append(generate(spec))
@@ -587,15 +627,15 @@ class TestIsomorphism:
             for g in members:
                 for h in members:
                     if identify_structure(g) != identify_structure(h):
-                        assert find_isomorphism(g, h, cap=0) is None
+                        assert find_isomorphism(g, h) is None
         # same size, edge count and degrees as a family member, but no member
         two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         prism = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                           (0, 3), (1, 4), (2, 5)])
         k33 = generate(FamilySpec(FamilyKind.COMPLETE_BIPARTITE_BALANCED, 3))
-        assert find_isomorphism(cycle_graph(6), two_triangles, cap=0) is None
-        assert find_isomorphism(two_triangles, cycle_graph(6), cap=0) is None
-        assert find_isomorphism(k33, prism, cap=0) is None
+        assert find_isomorphism(cycle_graph(6), two_triangles) is None
+        assert find_isomorphism(two_triangles, cycle_graph(6)) is None
+        assert find_isomorphism(k33, prism) is None
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs, st.randoms(use_true_random=False))
@@ -621,17 +661,17 @@ class TestIsomorphism:
 
     def test_degree_twins_match_permutation_oracle(self, monkeypatch):
         # a graph and a double-edge swap of it share their degrees, so only
-        # color refinement or the backtracking can tell them apart; record
-        # which refinements end early on unequal color counts
+        # refinement and individualization can tell them apart; record which
+        # refinements end early on unequal color counts
         refined = []
-        real = core._joint_colors
+        real = core._refine
 
-        def joint_colors(g, h):
-            colors = real(g, h)
+        def refine(adj, colors, n):
+            colors = real(adj, colors, n)
             refined.append(colors is None)
             return colors
 
-        monkeypatch.setattr(core, "_joint_colors", joint_colors)
+        monkeypatch.setattr(core, "_refine", refine)
         rng = random.Random(20)
         swapped = found = 0
         for _ in range(150):
@@ -704,9 +744,9 @@ class TestValidity:
         checked = []
         real = core.find_isomorphism
 
-        def counting(g, h, cap=core.ISO_CAP_DEFAULT):
+        def counting(g, h):
             checked.append(g.n)
-            return real(g, h, cap)
+            return real(g, h)
 
         monkeypatch.setattr(core, "find_isomorphism", counting)
         assert not is_valid_labeling(lab, cycle_graph(6))

@@ -7,10 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from oracles import naive_hyper_induce, naive_hyper_sd, naive_hyper_window
+from oracles import (
+    naive_hyper_induce,
+    naive_hyper_isomorphic,
+    naive_hyper_sd,
+    naive_hyper_window,
+)
 from sumdiam import hypergraph as hypergraph_module
 from sumdiam.constructions import ConstructionError, _relabeled
-from sumdiam.core import _induced_subsets, induce, labeling
+from sumdiam.core import _induced_subsets, _refined_map, induce, labeling
 from sumdiam.hypergraph import (
     Hypergraph,
     hyper_from_json,
@@ -470,6 +475,61 @@ class TestHyperWindow:
         assert got == (labels, 1, False)
 
 
+def relabeled_hyper(h: Hypergraph, rng: random.Random) -> Hypergraph:
+    """h with its vertices renamed by a random permutation."""
+    perm = rng.sample(range(h.n), h.n)
+    return hypergraph(h.n, h.k, [[perm[v] for v in e] for e in h.edges])
+
+
+class TestIsomorphicHyper:
+    """_isomorphic_hyper against the permutation oracle."""
+
+    # 3-uniform and 3-regular on 8 vertices, and its dual: the incidence
+    # graphs of the two are isomorphic, by a map that swaps vertex and edge
+    # nodes
+    REGULAR = hypergraph(8, 3, [(0, 2, 6), (0, 3, 5), (0, 6, 7), (1, 2, 7),
+                                (1, 3, 4), (1, 3, 6), (2, 4, 5), (4, 5, 7)])
+    DUAL = hypergraph(8, 3, [(0, 1, 2), (0, 2, 5), (0, 3, 6), (1, 4, 5),
+                             (1, 6, 7), (2, 3, 7), (3, 4, 5), (4, 6, 7)])
+
+    def test_start_colors_keep_vertices_apart_from_edges(self):
+        h, dual = self.REGULAR, self.DUAL
+        assert set(h.degrees()) == set(dual.degrees()) == {3}
+        assert not naive_hyper_isomorphic(8, h.edges, dual.edges)
+        assert not hypergraph_module._isomorphic_hyper(h, dual)
+        assert not hypergraph_module._isomorphic_hyper(dual, h)
+        # with one start color for every node the incidence graphs map
+        (h_adj, _), (dual_adj, _) = map(hypergraph_module._incidence, (h, dual))
+        assert _refined_map(h_adj, [0] * 16, dual_adj, [0] * 16) is not None
+        for seed in range(3):
+            other = relabeled_hyper(h, random.Random(seed))
+            assert naive_hyper_isomorphic(8, h.edges, other.edges)
+            assert hypergraph_module._isomorphic_hyper(h, other)
+
+    def test_agrees_with_permutation_oracle(self):
+        # seeded 3-uniform hypergraphs on 6 vertices, compared within each
+        # group of one edge count and sorted degree sequence
+        rng = random.Random(26)
+        pool = list(combinations(range(6), 3))
+        groups = {}
+        for _ in range(400):
+            h = hypergraph(6, 3, rng.sample(pool, rng.randint(3, 6)))
+            groups.setdefault((len(h.edges), tuple(sorted(h.degrees()))), []).append(h)
+        answers = Counter()
+        for members in groups.values():
+            for a, b in combinations(members[:6], 2):
+                want = naive_hyper_isomorphic(6, a.edges, b.edges)
+                assert hypergraph_module._isomorphic_hyper(a, b) == want, (a, b)
+                answers[want] += 1
+        assert answers[True] >= 40 and answers[False] >= 40, answers
+
+    def test_past_the_old_permutation_wall(self):
+        # 12 vertices: 12! permutations for a loop over all of them
+        rng = random.Random(12)
+        h = random_hypergraph(rng, 12, 3)
+        assert hypergraph_module._isomorphic_hyper(h, relabeled_hyper(h, rng))
+
+
 class TestHyperLeafCheck:
     """The kernel's leaf check agrees with induce_hyper plus _isomorphic_hyper."""
 
@@ -477,7 +537,7 @@ class TestHyperLeafCheck:
 
     @classmethod
     def _reference(cls, labels, h):
-        """The check as a leaf made it before: induce, then brute force."""
+        """The check as a leaf made it before: induce, then _isomorphic_hyper."""
         core = induce_hyper(labeling(labels), h.k).core_hypergraph
         return cls.real_iso(core, h), core
 
