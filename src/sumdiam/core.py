@@ -122,16 +122,19 @@ def _labeling_unchecked(
 
     The kernel counts each pair {a, b} once, when the largest of a, b and
     a + b is included, since the other two are chosen by then; its edge-cap
-    prune rests on that same count. _induced_pairs rejects a labeling whose
-    kept count differs from the edge count it is asked for before the labels
-    are listed, and counts a labeling with a matching count again, so the
-    kept count can reject a labeling but never accept one.
+    prune rests on that same count. is_valid_labeling and _induced_pairs
+    reject a labeling whose kept count differs from the edge count they are
+    asked for before the labels are listed, and a labeling with a matching
+    count is counted again, so the kept count can reject a labeling but
+    never accept one.
     """
     lab = object.__new__(Labeling)
-    # one dict update in place of four object.__setattr__ calls: this runs
-    # once per search leaf
-    lab.__dict__.update(
-        domain=domain, _low=low, _indicator=indicator, _counted_pairs=pair_count
+    # the instance dict assigned whole, in place of four object.__setattr__
+    # calls or an update of a dict made first: this runs once per search leaf
+    object.__setattr__(
+        lab,
+        "__dict__",
+        {"domain": domain, "_low": low, "_indicator": indicator, "_counted_pairs": pair_count},
     )
     return lab
 
@@ -143,10 +146,26 @@ def label_range(lab: Labeling) -> int:
 
 class _EdgeSet:
     """What SimpleGraph and Hypergraph share: vertices 0..n-1 and `edges`, a
-    frozenset of ascending vertex tuples."""
+    frozenset of ascending vertex tuples.
+
+    A fact derived from the edges is computed once and kept on the instance
+    as an immutable value (_kept). The dataclass compares, hashes and prints
+    only its fields, so a kept fact changes none of these.
+    """
+
+    def _kept(self, name: str, build):
+        """build(self) on the first call for name, then the kept value. Two
+        threads that both miss build equal values, so either may be kept."""
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = build(self)
+            object.__setattr__(self, name, value)
+            return value
 
     def degrees(self) -> tuple[int, ...]:
-        """Degree of each vertex; computed once, then kept on the instance."""
+        """Degree of each vertex; computed once, then kept on the instance.
+        Read on every search leaf, so it looks itself up without _kept."""
         deg = self.__dict__.get("_degrees")
         if deg is None:
             deg = tuple(_pair_degrees(self.edges, self.n))
@@ -181,11 +200,16 @@ class SimpleGraph(_EdgeSet):
         object.__setattr__(self, "edges", frozenset(normalized))
 
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+        """Neighbor set of each vertex; computed once, then kept."""
+        return self._kept("_adjacency", _neighbor_sets)
+
+
+def _neighbor_sets(g: SimpleGraph) -> tuple[frozenset[int], ...]:
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(frozenset(s) for s in adj)
 
 
 def graph(n: int, edges) -> SimpleGraph:
@@ -309,6 +333,22 @@ def _pair_degrees(edges, n: int) -> list[int]:
         for v in e:
             deg[v] += 1
     return deg
+
+
+def _degree_profile(edges, deg, ids) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Sorted (degree, sorted neighbor degrees) of the vertices ids under the
+    pairs edges, given every vertex's degree deg: the first round of color
+    refinement from degree colors, so isomorphic graphs have equal profiles
+    and unequal profiles rule an isomorphism out."""
+    seen: list[list[int]] = [[] for _ in deg]
+    for u, v in edges:
+        seen[u].append(deg[v])
+        seen[v].append(deg[u])
+    return tuple(sorted((deg[v], tuple(sorted(seen[v]))) for v in ids))
+
+
+def _graph_profile(g: SimpleGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return _degree_profile(g.edges, g.degrees(), range(g.n))
 
 
 def _core_graph(edges, core_ids: list[int], build=SimpleGraph):
@@ -436,7 +476,12 @@ def structure_matches(g: SimpleGraph, kind: str, n: int) -> bool:
 
 
 def identify_structure(g: SimpleGraph) -> tuple[str, int] | None:
-    """Canonical (kind, parameter) for recognized families, else None."""
+    """Canonical (kind, parameter) for recognized families, else None;
+    computed once per graph, then kept."""
+    return g._kept("_structure", _first_structure)
+
+
+def _first_structure(g: SimpleGraph) -> tuple[str, int] | None:
     for kind, (predicate, parameter) in _STRUCTURES.items():
         p = parameter(g.n)
         if p >= 1 and predicate(g, p):
@@ -573,10 +618,11 @@ def induce_if_valid(
 ) -> tuple[int, ...] | None:
     """The label of each vertex of g if lab induces g with the isolate count.
 
-    The edge count is compared before any pair is listed, then the core size,
-    isolate count and degree sequence on the induced pairs before any graph is
-    built; find_isomorphism makes the same checks first, so the result is the
-    same as running it directly. A search leaf whose kept pair count differs
+    The edge count is compared before any pair is listed, then on the
+    induced pairs the core size, isolate count, degree sequence and degree
+    profile (_degree_profile, kept on g) before any graph is built. Each is
+    an isomorphism invariant, so the result is the same as running
+    find_isomorphism directly. A search leaf whose kept pair count differs
     from the edge count is rejected before its labels are read, so they are
     never listed.
     """
@@ -597,6 +643,8 @@ def induce_if_valid(
         return None
     if sorted(deg[i] for i in core_ids) != sorted(target_deg):
         return None
+    if _degree_profile(pairs, deg, core_ids) != g._kept("_profile", _graph_profile):
+        return None
     mapping = find_isomorphism(g, _core_graph(pairs, core_ids))
     if mapping is None:
         return None
@@ -606,7 +654,16 @@ def induce_if_valid(
 def is_valid_labeling(
     lab: Labeling, g: SimpleGraph, exact_isolates: int | None = None
 ) -> bool:
-    """Does lab induce g (as the core) with the required isolate count?"""
+    """Does lab induce g (as the core) with the required isolate count?
+
+    A search leaf (_labeling_unchecked) whose kept pair count differs from
+    g's edge count is rejected here, in one call that lists no label. Any
+    other labeling, and a target with no vertex or an isolated vertex, for
+    which induce_if_valid raises, goes on to induce_if_valid.
+    """
+    kept = lab.__dict__.get("_counted_pairs")
+    if kept is not None and kept != len(g.edges) and g.n and 0 not in g.degrees():
+        return False
     return induce_if_valid(lab, g, exact_isolates) is not None
 
 

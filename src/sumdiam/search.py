@@ -87,14 +87,14 @@ class ConjectureReport:
     witness: Labeling
 
 
-def _degree_capacity(g: SimpleGraph) -> list[int]:
+def _degree_capacity(g: SimpleGraph) -> tuple[int, ...]:
     """capacity[d] = number of vertices of g with degree > d, for d < max degree."""
     degrees = g.degrees()
     capacity = [0] * max(degrees)
     for d in degrees:
         for i in range(d):
             capacity[i] += 1
-    return capacity
+    return tuple(capacity)
 
 
 def _window_first_hit(
@@ -144,10 +144,17 @@ def _window_first_hit(
     reads them, which a leaf rejected on its count never does.
     """
     Labeling((lo, hi), domain)  # raises for a window outside the domain
-    capacity = _degree_capacity(g)
+    capacity = g._kept("_capacity", _degree_capacity)
     delta = len(capacity)
     edge_cap = len(g.edges)
     top = hi - lo
+    # an include below hi must leave room for hi, count + 2 <= exact_size;
+    # hi itself always fits, since every include below it left that room.
+    # With no exact size the test passes, as count <= o <= top
+    size_cap = top if exact_size is None else exact_size - 2
+    # an exclude at o is live while count + (top - o) >= min_size
+    need = min_size - top
+    positive = lo >= 1
     # offsets of the negative labels, and of label 0 when the window holds it
     negative = (1 << -lo) - 1 if lo < 0 else 0
     zero_bit = 1 << -lo if lo <= 0 <= hi else 0
@@ -172,18 +179,17 @@ def _window_first_hit(
                 # mask is the labels' indicator, and edges counts their
                 # induced pairs. The labels are listed only if read
                 candidate = _labeling_unchecked(lo, domain, mask, edges)
-                if is_valid_labeling(candidate, g, exact_isolates=exact_isolates):
+                if is_valid_labeling(candidate, g, exact_isolates):
                     return candidate.labels, nodes, False
             o = top  # hi is always chosen and has no exclude branch
-        elif exact_size is None or count + (1 if o == top else 2) <= exact_size:
-            v = lo + o
+        elif count <= size_cap or o == top:
             vbit = 1 << o
-            # endpoints of the pairs a < b of chosen labels with a + b = v:
-            # b's bit in rev, shifted onto a's bit in mask
-            t = v - 2 * lo
+            # endpoints of the pairs a < b of chosen labels with a + b = v,
+            # v = lo + o: b's bit in rev, shifted onto a's bit in mask
+            t = o - lo
             ends = 0
             if t >= 0:
-                shift = top - t
+                shift = hi - o
                 ends = mask & (rev >> shift if shift >= 0 else rev << -shift)
                 if not t & 1:  # v / 2 is not its own partner
                     ends &= ~(1 << (t >> 1))
@@ -192,6 +198,7 @@ def _window_first_hit(
             # a + v's bit shifted onto a's, and a chosen 0 (0 + v = v)
             k = 0
             if lo <= 0:
+                v = lo + o
                 sums = mask >> v if v >= 0 else mask << -v
                 sub = mask & (negative & sums | zero_bit)
                 if sub:
@@ -232,19 +239,23 @@ def _window_first_hit(
                                 ok = False
                                 break
                             d += 1
-            new_dead, new_live, new_due = dead, live, due
             if ok and exact_isolates is not None:
+                new_dead, new_live, new_due = dead, live, due
                 chosen = mask | vbit
                 idle = chosen & ~new_levels[0]
                 # labels in [nxt - hi, hi - nxt] can still pair with an
-                # undecided partner for an undecided sum
+                # undecided partner for an undecided sum; in a positive
+                # window that band starts at offset 0
                 last = top - o - 1 - lo
                 if last >= 0:
-                    first = o + 1 - top - lo
-                    if first < 0:
-                        first = 0
-                    if first <= last:
-                        idle &= ~((1 << (last + 1)) - (1 << first))
+                    if positive:
+                        idle &= -(2 << last)
+                    else:
+                        first = o + 1 - top - lo
+                        if first < 0:
+                            first = 0
+                        if first <= last:
+                            idle &= ~((1 << (last + 1)) - (1 << first))
                 left = idle.bit_count()
                 if left > exact_isolates:
                     if o >= due:
@@ -301,13 +312,14 @@ def _window_first_hit(
                 rev |= 1 << (top - o)
                 levels = new_levels
                 edges += added
-                dead, live, due = new_dead, new_live, new_due
+                if exact_isolates is not None:  # sd and isd keep no isolate frame
+                    dead, live, due = new_dead, new_live, new_due
                 count += 1
                 o += 1
                 continue
         # o's include branch is done: take its exclude branch if it is live,
         # else undo includes back to the deepest one whose exclude is
-        while o == 0 or o == top or count + (top - o) < min_size:
+        while o == 0 or o == top or count - o < need:
             if not stack:
                 return None, nodes, False
             o, levels, added, dead, live, due = stack.pop()

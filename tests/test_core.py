@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_edges, naive_induce, naive_isomorphic
-from sumdiam import core
+from sumdiam import core, search
 from sumdiam.core import (
     Domain,
     SimpleGraph,
@@ -33,7 +33,7 @@ from sumdiam.core import (
     sd_lower_bound,
     structure_matches,
 )
-from sumdiam.families import FamilyKind, FamilySpec, generate
+from sumdiam.families import FamilyKind, FamilySpec, generate, identify
 
 
 def path_graph(n):
@@ -204,6 +204,80 @@ class TestSimpleGraph:
         assert g.isolated_vertices() == (2, 3)
 
 
+class TestKeptFacts:
+    """Facts derived from a graph's edges are computed once, then kept."""
+
+    GRAPHS = [
+        path_graph(5),
+        cycle_graph(6),
+        complete_graph(4),
+        matching_graph(3),
+        graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # the paw, of no family
+        graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (5, 6)]),
+    ]
+
+    def test_structure_predicates_run_once_per_graph(self, monkeypatch):
+        calls = []
+        for kind, (predicate, parameter) in list(core._STRUCTURES.items()):
+            monkeypatch.setitem(
+                core._STRUCTURES, kind, (_recorder(calls, kind, predicate), parameter)
+            )
+        for g in self.GRAPHS:
+            calls.clear()
+            found = identify_structure(g)
+            first = list(calls)
+            assert first  # the predicates ran on the first call
+            assert identify_structure(g) == found
+            identify(g)
+            assert calls == first
+            fresh = graph(g.n, g.edges)
+            assert identify_structure(fresh) == found
+            assert calls == first * 2
+
+    def test_profile_built_once_per_target(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            core, "_degree_profile", _recorder(built, "profile", core._degree_profile)
+        )
+        lab = labeling([1, 3, 6, 7, 10, 11, 14, 16, 18])  # two triangles, 3 isolates
+        two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert is_valid_labeling(lab, two_triangles)
+        assert built == ["profile", "profile"]  # the core's, then the target's
+        assert is_valid_labeling(lab, two_triangles, 3)
+        assert not is_valid_labeling(lab, cycle_graph(6))
+        assert built == ["profile"] * 5  # one more per core, one for C6
+
+    def test_capacity_built_once_per_target(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            search, "_degree_capacity", _recorder(built, "capacity", search._degree_capacity)
+        )
+        windows = []
+        monkeypatch.setattr(
+            search, "_window_first_hit", _recorder(windows, "window", search._window_first_hit)
+        )
+        g = graph(self.GRAPHS[-1].n, self.GRAPHS[-1].edges)
+        search.search_sd(g)
+        search.search_isd(g)
+        assert len(windows) > 10 and built == ["capacity"]
+
+    def test_kept_values_are_immutable_and_change_no_value(self):
+        for g in self.GRAPHS:
+            want = identify(graph(g.n, g.edges))
+            g = graph(g.n, g.edges)
+            search.search_sd(g)  # capacity, degrees, profile, structure
+            g.adjacency()
+            kept = {name: value for name, value in vars(g).items() if name.startswith("_")}
+            assert set(kept) == {"_degrees", "_adjacency", "_structure", "_profile", "_capacity"}
+            for value in kept.values():
+                assert value is None or isinstance(value, (tuple, frozenset))
+                hash(value)  # immutable all the way down
+            fresh = graph(g.n, g.edges)
+            assert g == fresh and fresh == g and hash(g) == hash(fresh)
+            assert repr(g) == repr(fresh) and {g, fresh} == {fresh}
+            assert identify(g) == want == identify(fresh)
+
+
 class TestInduce:
     def test_documented_example(self):
         # {1,2,3,4}: 1+2=3 and 1+3=4 give edges; 4 is isolated
@@ -297,9 +371,9 @@ def _span_rule_sets(rng):
 
 
 def _recorder(calls, tag, real):
-    def record(*args):
+    def record(*args, **kwargs):
         calls.append(tag)
-        return real(*args)
+        return real(*args, **kwargs)
 
     return record
 
@@ -738,25 +812,90 @@ class TestValidity:
 
     def test_same_counts_and_degrees_reach_the_isomorphism_check(self, monkeypatch):
         # two triangles plus the isolates 16, 17, 18: C6's vertex count, edge
-        # count and degree sequence, so only the full check tells them apart
+        # count, degree sequence and degree profile (every vertex of degree 2
+        # between two of degree 2), so only the full check tells them apart
         lab = labeling([1, 3, 6, 7, 10, 11, 14, 16, 18])
         two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert core._graph_profile(cycle_graph(6)) == core._graph_profile(two_triangles)
         checked = []
+        found = []
         real = core.find_isomorphism
 
         def counting(g, h):
             checked.append(g.n)
-            return real(g, h)
+            mapping = real(g, h)
+            found.append(mapping is not None)
+            return mapping
 
         monkeypatch.setattr(core, "find_isomorphism", counting)
         assert not is_valid_labeling(lab, cycle_graph(6))
         assert is_valid_labeling(lab, two_triangles)
         assert is_valid_labeling(lab, two_triangles, exact_isolates=3)
         assert checked == [6, 6, 6]
+        assert found == [False, True, True]
         assert induce_if_valid(lab, two_triangles, 2) is None
         assert not is_valid_labeling(lab, path_graph(6))
         assert not is_valid_labeling(lab, complete_graph(3))
         assert checked == [6, 6, 6]
+
+    def test_refinement_round_rejects_before_isomorphism(self, monkeypatch):
+        # P6 and K3 + P3 share six vertices, five edges and the degrees
+        # 1, 1, 2, 2, 2, 2, but only P6 has a degree-2 vertex next to a
+        # degree-1 and a degree-2 one: the first refinement round tells the
+        # cores apart before any graph is built
+        p6 = path_graph(6)
+        k3_p3 = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+        assert sorted(p6.degrees()) == sorted(k3_p3.degrees())
+        cases = [
+            (labeling([5, 6, 7, 8, 9, 10, 12, 14, 16]), k3_p3, p6),
+            (labeling([1, 2, 4, 5, 7, 9, 10]), p6, k3_p3),
+        ]
+        for lab, own, _other in cases:
+            assert is_valid_labeling(lab, own)
+
+        def refuse(g, h):
+            raise AssertionError("reached find_isomorphism")
+
+        built = []
+        monkeypatch.setattr(core, "find_isomorphism", refuse)
+        monkeypatch.setattr(core, "_core_graph", _recorder(built, "core", core._core_graph))
+        for lab, _own, other in cases:
+            assert not is_valid_labeling(lab, other)
+            assert induce_if_valid(lab, other, len(lab) - 6) is None
+        assert built == []
+
+    def test_target_errors_for_every_labeling(self):
+        # a target with no vertex or an isolated vertex raises for a checked
+        # labeling and for a search leaf whose kept pair count (5 claimed
+        # for the path 2-1-3 plus the isolate 4) already rules it out
+        leaf = core._labeling_unchecked(1, Domain.POSITIVE, 0b1111, 5)
+        for lab in (labeling([1, 2, 3, 4]), leaf):
+            with pytest.raises(ValueError, match="^target graph must have at least one vertex$"):
+                is_valid_labeling(lab, graph(0, []))
+            with pytest.raises(
+                ValueError, match="^target graph must not contain isolated vertices$"
+            ):
+                is_valid_labeling(lab, graph(3, [(0, 1)]))
+
+    def test_kept_count_rejects_in_one_call(self, monkeypatch):
+        # a leaf whose kept pair count differs from the edge count reaches
+        # neither induce_if_valid nor the listing of its labels
+        reached = []
+        monkeypatch.setattr(
+            core, "induce_if_valid", _recorder(reached, "induce", core.induce_if_valid)
+        )
+        indicator = labeling([1, 2, 3, 4]).indicator()  # the path 2-1-3 plus 4
+
+        def leaf(pair_count):
+            return core._labeling_unchecked(1, Domain.POSITIVE, indicator, pair_count)
+
+        for pair_count, target in ((3, path_graph(3)), (1, path_graph(3)), (2, complete_graph(3))):
+            lab = leaf(pair_count)
+            assert not is_valid_labeling(lab, target, 1)
+            assert "labels" not in lab.__dict__
+        assert reached == []
+        assert is_valid_labeling(leaf(2), path_graph(3), 1)
+        assert reached == ["induce"]
 
     def test_agrees_with_oracle_on_seeded_label_sets(self):
         rng = random.Random(20261018)

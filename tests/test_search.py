@@ -1,15 +1,17 @@
 """Search tests: oracle equivalence, frozen optima, determinism, budgets."""
 from __future__ import annotations
 
+import json
 import random
 import threading
 import sys
 from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
 
 from oracles import naive_induce, naive_isomorphic, naive_search
-from sumdiam import search
+from sumdiam import core, search
 from sumdiam.core import MAX_LABEL, Domain, graph, is_valid_labeling, labeling
 from sumdiam.families import FamilyKind, FamilySpec, generate, known_values
 from sumdiam.hypergraph import hypergraph, search_hyper_sd
@@ -47,6 +49,13 @@ DIAMOND = graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 # golden random-graphs class 191: a degree-6 hub over a triangle's edges
 CLASS_191 = graph(
     7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3)]
+)
+# the golden random-graphs class whose sd leaves most often match the
+# target's edge count, core size and degrees: the house graph (a 4-cycle
+# with a triangle on one edge) plus a disjoint edge
+ISO_HEAVY = graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (5, 6)])
+GOLDEN_RANDOM_GRAPHS = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "random_graphs.json"
 )
 
 ALL_SMALL = {
@@ -753,6 +762,25 @@ class TestKernel:
         assert cert.witness.labels == (4, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17)
         assert (cert.candidates_examined, len(validated)) == (43_885, 8_281)
 
+    def test_isomorphism_heavy_class_pinned(self, monkeypatch):
+        # value, witness and search tree from the golden file, and how many
+        # leaves pass the first refinement round to reach find_isomorphism
+        # (190 of them matched edge count, core size and degrees)
+        validated = count_leaves(monkeypatch)
+        checked = []
+        real = core.find_isomorphism
+
+        def counting(g, h):
+            checked.append(h)
+            return real(g, h)
+
+        monkeypatch.setattr(core, "find_isomorphism", counting)
+        cert = search_sd(ISO_HEAVY)
+        assert cert.value == 13
+        assert cert.witness.labels == (2, 3, 4, 5, 6, 11, 12, 14, 15)
+        assert (cert.candidates_examined, len(validated)) == (24_404, 3_964)
+        assert len(checked) == 1
+
     def test_leaves_equal_validated_labelings(self, monkeypatch):
         # the kernel hands each leaf over without Labeling's sort and checks;
         # every one must be the labeling the checked constructor builds
@@ -1010,6 +1038,19 @@ class TestSlowInstances:
         assert cert.value == 23
         assert cert.witness.labels == (1, 3, 5, 7, 9, 11, 13, 15, 16, 17, 19, 24)
         assert cert.candidates_examined == 2_583_624
+
+    def test_golden_random_graphs(self):
+        # every golden random-graphs class, sd and isd: value, witness and
+        # node count as perfbench/golden/random_graphs.json records them
+        classes = json.loads(GOLDEN_RANDOM_GRAPHS.read_text())["classes"]
+        assert len(classes) == 253
+        for entry in classes:
+            g = graph(entry["n"], entry["edges"])
+            for invariant, run in (("sd", search_sd), ("isd", search_isd)):
+                want = entry[invariant]
+                cert = run(g)
+                got = (cert.value, list(cert.witness.labels), cert.candidates_examined)
+                assert got == (want["value"], want["witness"], want["nodes"]), (entry, invariant)
 
     def test_ispum_cycle_11(self):
         cert = search_ispum(family(FamilyKind.CYCLE, 11), cycle_zeta(11))
