@@ -104,7 +104,11 @@ def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
     count equal to len(target.edges) makes the two sets equal. Pairs are
     counted, never listed (_pair_count), k-subsets for k >= 3 listed only
     where they sum to a label (_induced_subsets); it checks the builder's
-    own vertex map, so it searches for no isomorphism.
+    own vertex map, so it searches for no isomorphism. Both counts try as a
+    summand only the labels whose residue class mod k^2 can hold one
+    (core._summand_classes, on label sets past its size rule): for the
+    outputs of sd_general and hyper_general, whose edge labels sit in a
+    class no k labels sum into, that is the vertex labels alone.
     """
     members = set(lab.labels)
     distinct = set(vertex_label)

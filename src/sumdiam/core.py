@@ -14,6 +14,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from math import comb
 
 MAX_LABEL = 2**63 - 1  # labels must fit in a signed 64-bit integer
 # the most vertices, edges or labels built from one number given from
@@ -26,6 +27,16 @@ _BIG_INDUCE_THRESHOLD = 1024
 # count, pairwise otherwise: the bitset costs about k * span / 64 word
 # operations, the pairwise loop about k**2 / 2 set lookups
 _BITSET_SPAN_PER_LABEL = 200
+# the induced-edge counters leave out the labels of residue classes mod k**2
+# that cannot hold a summand (_summand_classes) only on label sets with at
+# least this many k-subsets. A counter's work grows with that number (pair
+# lookups, or mask words under the span rule, or k-subsets), the filter's
+# with the label count: about 1.5 us plus 0.06 us a label (Python 3.11.7),
+# and on sd_general outputs it breaks even near 70 to 80 labels, where
+# C(n, 2) is 2,300 to 3,200. The rule reads n >= 92 for pairs, 31 for
+# triples and 20 for 4-subsets, so no hypergraph search leaf (17 labels at
+# most) runs it
+_RESIDUE_MIN_SUBSETS = 4096
 
 
 class Domain(Enum):
@@ -122,11 +133,10 @@ def _labeling_unchecked(
 
     The kernel counts each pair {a, b} once, when the largest of a, b and
     a + b is included, since the other two are chosen by then; its edge-cap
-    prune rests on that same count. is_valid_labeling and _induced_pairs
-    reject a labeling whose kept count differs from the edge count they are
-    asked for before the labels are listed, and a labeling with a matching
-    count is counted again, so the kept count can reject a labeling but
-    never accept one.
+    prune rests on that same count. is_valid_labeling rejects a labeling
+    whose kept count differs from the edge count it is asked for before the
+    labels are listed, and a labeling with a matching count is counted
+    again, so the kept count can reject a labeling but never accept one.
     """
     lab = object.__new__(Labeling)
     # the instance dict assigned whole, in place of four object.__setattr__
@@ -229,10 +239,71 @@ class InducedResult:
     isolate_count: int
 
 
+def _summand_classes(labels: Sequence[int], k: int) -> int | None:
+    """Bit r set for each residue class r mod k*k that can hold a summand
+    of k distinct labels summing to a label, or None when no class is ruled
+    out or the filter does not run.
+
+    The class of a sum is the sum of its summands' classes. So a class r
+    can hold a summand only when r plus the classes of some k - 1 labels,
+    repeats allowed, is the class of a label; allowing repeats makes the
+    set of such r a superset, so leaving out the labels of every other class
+    drops no hit. Python's % gives residues in [0, k*k) for negative labels
+    too.
+
+    The general constructions keep their edge labels in such classes:
+    sd_general's 4s + 1 and 4(s_u + s_v) + 2 leave only class 1 (2 + 1 and
+    2 + 2 are 3 and 0 mod 4), hyper_general's k^2 s + 1 and k^2(sum s) + k
+    only class 1 mod k^2.
+
+    Size rule: the filter runs only on label sets with at least
+    _RESIDUE_MIN_SUBSETS k-subsets, and its scan stops, with None, once
+    every class is present, since then each class can hold a summand; so
+    small sets and sets of labels spread over every class pay at most a
+    short scan.
+    """
+    m = k * k
+    if comb(len(labels), k) < _RESIDUE_MIN_SUBSETS:
+        return None
+    full = (1 << m) - 1
+    present = 0
+    for v in labels:
+        present |= 1 << v % m
+        if present == full:
+            return None
+    # bit s of reach: a class s of a sum of j labels, j = 0 .. k - 1;
+    # reach << r, folded at m, adds the class r to each of them
+    reach = 1
+    for _ in range(k - 1):
+        step = 0
+        for r in range(m):
+            if present >> r & 1:
+                step |= reach << r
+        reach = (step | step >> m) & full
+    # r plus a class in reach is a label's class when reach meets present
+    # turned back by r, the bits r .. r + m - 1 of present written twice
+    twice = present | present << m
+    live = 0
+    for r in range(m):
+        if present >> r & 1 and reach & twice >> r:
+            live |= 1 << r
+    return None if live == present else live
+
+
 def _pairwise_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """All index pairs i<j with labels[i]+labels[j] in the label set."""
+    """All index pairs i<j with labels[i]+labels[j] in the label set.
+
+    A hit makes both labels summands, so under the size rule of
+    _summand_classes only labels of a class mod 4 that can hold one are
+    tried, as a and as its partner b.
+    """
     members = set(labels)
     top = labels[-1]
+    live = _summand_classes(labels, 2)
+    index = None
+    if live is not None:
+        index = [i for i, v in enumerate(labels) if live >> (v & 3) & 1]
+        labels = [labels[i] for i in index]
     out = []
     for i, a in enumerate(labels):
         if 2 * a + 1 > top:
@@ -240,7 +311,7 @@ def _pairwise_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
         for j in range(i + 1, bisect_right(labels, top - a)):
             if a + labels[j] in members:
                 out.append((i, j))
-    return out
+    return out if index is None else [(index[i], index[j]) for i, j in out]
 
 
 def _hit_masks(labels: tuple[int, ...], indicator: int) -> list[int]:
@@ -248,13 +319,19 @@ def _hit_masks(labels: tuple[int, ...], indicator: int) -> list[int]:
 
     Bit q of a's mask is set when b = a + 1 + q and a + b are both labels;
     the indicator ANDed with itself shifted by a marks every such b, and one
-    more shift brings b = a + 1 to bit 0.
+    more shift brings b = a + 1 to bit 0. Under the size rule of
+    _summand_classes, a label of a class mod 4 that cannot hold a summand
+    gets the mask 0 without either shift.
     """
     low, top = labels[0], labels[-1]
+    live = _summand_classes(labels, 2)
     masks = []
     for a in labels:
         if 2 * a + 1 > top:
             break  # a + b > top for every later b
+        if live is not None and not live >> (a & 3) & 1:
+            masks.append(0)
+            continue
         sums = indicator >> a if a >= 0 else indicator << -a
         masks.append((indicator & sums) >> (a + 1 - low))
     return masks
@@ -280,7 +357,11 @@ def _pair_count(
     function that lists them.
 
     The span rule picks the path. The bitset path counts its masks' bits and
-    lists pairs only when asked; the pairwise path lists as it counts.
+    lists pairs only when asked; the pairwise path lists as it counts. Both
+    skip the labels of a class mod 4 that cannot hold a summand, under the
+    size rule of _summand_classes, so only an sd_general output's vertex
+    labels are tried as summands; every count is the same as without the
+    skip.
     """
     labels = lab.labels
     if labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels):
@@ -295,15 +376,10 @@ def _induced_pairs(
 ) -> list[tuple[int, int]] | None:
     """Index pairs i<j of lab's sorted labels whose sum is a label.
 
-    Given edge_count, None unless there are exactly that many pairs: at
-    once when lab keeps a different pair count (_labeling_unchecked), and
-    otherwise once the pairs are counted; the bitset path counts its masks'
-    bits before it lists any pair.
+    Given edge_count, None unless there are exactly that many pairs, known
+    once the pairs are counted; the bitset path counts its masks' bits
+    before it lists any pair.
     """
-    if edge_count is not None:
-        kept = lab.__dict__.get("_counted_pairs")
-        if kept is not None and kept != edge_count:
-            return None
     count, listed = _pair_count(lab)
     if edge_count is not None and count != edge_count:
         return None
@@ -315,12 +391,18 @@ def _induced_subsets(labels: Sequence[int], k: int) -> list[tuple[int, ...]]:
     label; for k >= 3, as _pair_count serves k = 2.
 
     A subset summing to a label sums to at most the largest, so none holds a
-    label above the largest minus the k - 1 smallest; those are left out.
-    The label values are summed, not looked up by index, and only the hits
-    are mapped to indices.
+    label above the largest minus the k - 1 smallest; those are left out,
+    and so are the labels of a class mod k*k that cannot hold a summand,
+    under the size rule of _summand_classes. A hyper_general output thus
+    combines its vertex labels alone: the C(9, 4) = 126 4-subsets of its 9
+    vertex labels for K9^(4), of 135 labels. The label values are summed,
+    not looked up by index, and only the hits are mapped to indices.
     """
     members = set(labels)
     usable = labels[: bisect_right(labels, labels[-1] - sum(labels[: k - 1]))]
+    live = _summand_classes(labels, k)
+    if live is not None:
+        usable = [v for v in usable if live >> v % (k * k) & 1]
     hits = [combo for combo in combinations(usable, k) if sum(combo) in members]
     index = {v: i for i, v in enumerate(labels)}.__getitem__
     return [tuple(map(index, combo)) for combo in hits]
@@ -622,9 +704,8 @@ def induce_if_valid(
     induced pairs the core size, isolate count, degree sequence and degree
     profile (_degree_profile, kept on g) before any graph is built. Each is
     an isomorphism invariant, so the result is the same as running
-    find_isomorphism directly. A search leaf whose kept pair count differs
-    from the edge count is rejected before its labels are read, so they are
-    never listed.
+    find_isomorphism directly. A search leaf's kept pair count is not read
+    here; is_valid_labeling rejects on it first.
     """
     if g.n == 0:
         raise ValueError("target graph must have at least one vertex")

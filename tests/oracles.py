@@ -254,3 +254,28 @@ def naive_hyper_window(h, lo, hi, node_cap):
     if found == "abort":
         return None, nodes, True
     return found, nodes, False
+
+
+def residue_class_sets(rng, k, sizes):
+    """Seeded sorted label sets whose labels lie in few residue classes mod
+    k*k: one, two or three classes at random, and the pattern of the
+    general constructions, labels k*k*x + 1 and, for some k of them,
+    k*k*(their x summed) + k. Each comes dense (about two labels' room per
+    label) and sparse (400), with positive, mixed-sign and all-negative
+    labels, at every size in sizes."""
+    m = k * k
+    sets = []
+    for n in sizes:
+        for spread in (2, 400):
+            width = spread * n
+            for low in (1, -(width // 2), -width - 1):
+                room = range(low, low + width)
+                for count in (1, 2, 3):
+                    classes = rng.sample(range(m), count)
+                    sets.append(sorted(m * x + rng.choice(classes) for x in rng.sample(room, n)))
+                xs = rng.sample(room, n // 3 + k)
+                values = {m * x + 1 for x in xs}
+                while len(values) < n:
+                    values.add(m * sum(rng.sample(xs, k)) + k)
+                sets.append(sorted(values))
+    return [tuple(s) for s in sets]

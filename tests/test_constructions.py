@@ -509,6 +509,27 @@ class TestInducePath:
         sd_general(g)
         assert paths == [("bitset", 960, 67633)]
 
+    def test_edge_labels_get_no_mask(self):
+        # an edge label 4(s_u + s_v) + 2 is 2 mod 4, and 2 plus a partner's
+        # class 1 or 2 is no label's class, so _hit_masks shifts the
+        # indicator only by the vertex labels a with 2a + 1 <= max
+        g = graph(30, [(i, (i + d) % 30) for i in range(30) for d in (1, 2, 3)])
+        report = sd_general(g)
+        labels = report.labeling.labels
+        edge_labels = set(labels) - set(report.vertex_label)
+        in_range = {a for a in labels if 2 * a + 1 <= labels[-1]}
+        assert len(labels) == 120 and edge_labels & in_range
+        shifted = []
+
+        class Indicator(int):
+            def __rshift__(self, a):
+                shifted.append(a)
+                return int(self) >> a
+
+        masks = core._hit_masks(labels, Indicator(report.labeling.indicator()))
+        assert sorted(shifted) == sorted(in_range - edge_labels)
+        assert sorted(core._masked_pairs(labels, masks)) == sorted(naive_induce(labels)[0])
+
     def test_sparse_scaled_union_goes_pairwise(self, paths):
         chords = [(0, 5), (1, 8), (2, 10), (3, 7), (4, 11), (6, 12)]
         g = graph(13, [(i, (i + 1) % 13) for i in range(13)] + chords)

@@ -5,12 +5,13 @@ import random
 import re
 from enum import IntEnum
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_edges, naive_induce, naive_isomorphic
+from oracles import canonical_edges, naive_induce, naive_isomorphic, residue_class_sets
 from sumdiam import core, search
 from sumdiam.core import (
     Domain,
@@ -419,10 +420,10 @@ class TestSpanRule:
         assert listed == ["list"]
 
     def test_kept_count_can_only_reject(self, monkeypatch):
-        # a search leaf keeps the kernel's pair count: a count unlike the
-        # edge count rejects before any pair is counted or any label is
-        # listed, and an equal one is counted again, so even a wrong kept
-        # count accepts nothing
+        # a search leaf keeps the kernel's pair count, and is_valid_labeling
+        # rejects on it: a count unlike the edge count rejects before any
+        # pair is counted or any label is listed, and an equal one is
+        # counted again, so even a wrong kept count accepts nothing
         counted = []
         monkeypatch.setattr(core, "_pair_count", _recorder(counted, "count", core._pair_count))
         labels = (1, 2, 3, 4)  # the path 2-1-3 plus the isolate 4
@@ -433,16 +434,58 @@ class TestSpanRule:
 
         for target in (complete_graph(3), path_graph(2)):
             lab = leaf(2)
-            assert induce_if_valid(lab, target) is None
+            assert not is_valid_labeling(lab, target)
             assert "labels" not in lab.__dict__
         assert counted == []
         # three kept pairs, as many as the triangle has edges, but two induced
-        assert induce_if_valid(leaf(3), complete_graph(3)) is None
+        assert not is_valid_labeling(leaf(3), complete_graph(3))
         assert counted == ["count"]
         lab = leaf(2)
-        assert induce_if_valid(lab, path_graph(3)) == (2, 1, 3)
+        assert is_valid_labeling(lab, path_graph(3))
         assert counted == ["count", "count"]
         assert lab.__dict__["labels"] == labels
+
+
+class TestResidueFilter:
+    """The pair counters skip the labels of residue classes mod 4 that
+    cannot hold a summand (core._summand_classes) and still find every
+    pair, on both paths and on both sides of the size rule."""
+
+    def test_agrees_with_oracle_on_residue_class_sets(self):
+        rule = core._RESIDUE_MIN_SUBSETS
+        first = next(n for n in range(2, rule) if comb(n, 2) >= rule)
+        sizes = (12, 40, first - 1, first, first + 30)
+        seen = {"small": 0, "pruned": 0, "pruned with pairs": 0}
+        for values in residue_class_sets(random.Random(20261020), 2, sizes):
+            edges, _ = naive_induce(values)
+            lab = labeling(values)
+            pairs = core._induced_pairs(lab)
+            assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
+            masks = core._hit_masks(values, lab.indicator())
+            assert sorted(core._masked_pairs(values, masks)) == sorted(edges), values
+            assert sorted(core._pairwise_pairs(values)) == sorted(edges), values
+            live = core._summand_classes(values, 2)
+            if comb(len(values), 2) < rule:
+                assert live is None
+                seen["small"] += 1
+            elif live is not None:
+                seen["pruned"] += 1
+                seen["pruned with pairs"] += bool(edges)
+        assert seen["small"] >= 72 and seen["pruned"] >= 30, seen
+        assert seen["pruned with pairs"] >= 10, seen
+
+    def test_classes_of_the_general_construction(self):
+        # vertex labels 1 and edge labels 2 mod 4: 1 + 1 = 2 is a label's
+        # class, 2 + 1 = 3 and 2 + 2 = 0 are not
+        labels = [4 * x + 1 for x in range(100)] + [4 * x + 2 for x in range(100)]
+        assert core._summand_classes(labels, 2) == 0b10
+        assert core._summand_classes([-v for v in labels], 2) is not None
+        # every class present: nothing is ruled out, and the scan stops there
+        assert core._summand_classes(list(range(-50, 50)), 2) is None
+        # hyper_general's 1 and k mod k*k: only the vertex class holds a summand
+        for k in (3, 4, 5):
+            labels = [k * k * x + 1 for x in range(40)] + [k * k * x + k for x in range(40)]
+            assert core._summand_classes(labels, k) == 0b10
 
 
 class TestKernelLeaf:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -12,7 +13,9 @@ from oracles import (
     naive_hyper_isomorphic,
     naive_hyper_sd,
     naive_hyper_window,
+    residue_class_sets,
 )
+from sumdiam import core
 from sumdiam import hypergraph as hypergraph_module
 from sumdiam.constructions import ConstructionError, _relabeled
 from sumdiam.core import _induced_subsets, _refined_map, induce, labeling
@@ -195,6 +198,44 @@ class TestInducedSubsets:
         # the 17-label windows of test_densest_leaf_is_counted_exactly;
         # at k = 4, lo = 4 even the smallest four labels sum past the top
         self._agree(tuple(range(lo, lo + 17)), k)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_naive_on_residue_class_sets(self, k):
+        # labels in few classes mod k*k, where core._summand_classes drops
+        # the classes that cannot hold a summand, on both sides of its size
+        # rule
+        rule = core._RESIDUE_MIN_SUBSETS
+        first = next(n for n in range(k, rule) if comb(n, k) >= rule)
+        sizes = (2 * k + 2, first - 1, first, first + 4)
+        seen = {"small": 0, "pruned": 0, "pruned with hits": 0}
+        for labels in residue_class_sets(random.Random(5200 + k), k, sizes):
+            hits = self._agree(labels, k)
+            live = core._summand_classes(labels, k)
+            if comb(len(labels), k) < rule:
+                assert live is None
+                seen["small"] += 1
+            elif live is not None:
+                seen["pruned"] += 1
+                seen["pruned with hits"] += bool(hits)
+        assert seen["small"] >= 48 and seen["pruned"] >= 20 and seen["pruned with hits"] >= 6, seen
+
+    def test_k9_4_output_combines_only_vertex_labels(self, monkeypatch):
+        # hyper_general gives vertices 16s + 1 and edges 16(sum of s) + 4;
+        # 4 plus three classes from {1, 4} is 7, 10, 13 or 0 mod 16, no
+        # label's class, so only the 9 vertex labels are combined
+        labels = hyper_general(hypergraph(9, 4, combinations(range(9), 4))).labeling.labels
+        assert len(labels) == 135
+        combined = []
+        real = core.combinations
+
+        def counting(pool, r):
+            for combo in real(pool, r):
+                combined.append(combo)
+                yield combo
+
+        monkeypatch.setattr(core, "combinations", counting)
+        assert len(_induced_subsets(labels, 4)) == 126
+        assert len(combined) == comb(9, 4) == 126
 
 
 class TestHyperRelabeled:

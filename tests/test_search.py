@@ -693,55 +693,77 @@ class TestKernel:
         assert is_valid_labeling(labeling(hit), P3)
 
     # nodes and leaves from perfbench/golden/tables.json; a kernel change
-    # that keeps results but walks a different tree fails here
+    # that keeps results but walks a different tree fails here. Each search
+    # runs on a budget of its pinned node count, so a fault that rejects a
+    # valid leaf ends in BudgetExceededError instead of ascending for hours
     @pytest.mark.parametrize(
         ("run", "nodes", "leaves"),
         [
             pytest.param(
-                lambda: search_spum(family(FamilyKind.PATH, 7), 1), 223, 5, id="spum-P7"
+                lambda budget: search_spum(family(FamilyKind.PATH, 7), 1, budget=budget),
+                223,
+                5,
+                id="spum-P7",
             ),
             pytest.param(
-                lambda: search_spum(family(FamilyKind.PATH, 8), 1),
+                lambda budget: search_spum(family(FamilyKind.PATH, 8), 1, budget=budget),
                 17_834,
                 10,
                 id="spum-P8",
             ),
             pytest.param(
-                lambda: search_ispum(C4, cycle_zeta(4)), 109, 3, id="ispum-C4"
+                lambda budget: search_ispum(C4, cycle_zeta(4), budget=budget),
+                109,
+                3,
+                id="ispum-C4",
             ),
             pytest.param(
-                lambda: search_ispum(family(FamilyKind.CYCLE, 8), cycle_zeta(8)),
+                lambda budget: search_ispum(
+                    family(FamilyKind.CYCLE, 8), cycle_zeta(8), budget=budget
+                ),
                 37_916,
                 148,
                 id="ispum-C8",
             ),
             pytest.param(
-                lambda: search_sd(family(FamilyKind.PATH, 7)), 3_343, 203, id="sd-P7"
+                lambda budget: search_sd(family(FamilyKind.PATH, 7), budget=budget),
+                3_343,
+                203,
+                id="sd-P7",
             ),
             pytest.param(
-                lambda: search_isd(family(FamilyKind.PATH, 7)), 5_086, 286, id="isd-P7"
+                lambda budget: search_isd(family(FamilyKind.PATH, 7), budget=budget),
+                5_086,
+                286,
+                id="isd-P7",
             ),
             # non-family targets with a degree-3 and a degree-4 vertex, from
             # perfbench/golden/random_graphs.json
             pytest.param(
-                lambda: search_sd(
-                    graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)])
+                lambda budget: search_sd(
+                    graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]),
+                    budget=budget,
                 ),
                 2_477,
                 445,
                 id="sd-6v-maxdeg4",
             ),
             pytest.param(
-                lambda: search_isd(
-                    graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5)])
+                lambda budget: search_isd(
+                    graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5)]),
+                    budget=budget,
                 ),
                 5_044,
                 962,
                 id="isd-6v-maxdeg3",
             ),
-            # a jobs=2 batch validates the leaves of both its windows
+            # a jobs=2 batch validates the leaves of both its windows; the
+            # window after the hit visits 4,778 nodes that are not counted
+            # but must fit the budget
             pytest.param(
-                lambda: search_spum(family(FamilyKind.PATH, 8), 1, jobs=2),
+                lambda budget: search_spum(
+                    family(FamilyKind.PATH, 8), 1, jobs=2, budget=budget + 4_778
+                ),
                 17_834,
                 17,
                 id="spum-P8-jobs2",
@@ -750,14 +772,14 @@ class TestKernel:
     )
     def test_search_tree_pinned(self, monkeypatch, run, nodes, leaves):
         validated = count_leaves(monkeypatch)
-        cert = run()
+        cert = run(nodes)
         assert (cert.candidates_examined, len(validated)) == (nodes, leaves)
 
     def test_class_191_pinned(self, monkeypatch):
         # golden random-graphs class 191, the one with the most leaves: value,
         # witness and the search tree from one run
         validated = count_leaves(monkeypatch)
-        cert = search_sd(CLASS_191)
+        cert = search_sd(CLASS_191, budget=43_885)
         assert cert.value == 13
         assert cert.witness.labels == (4, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17)
         assert (cert.candidates_examined, len(validated)) == (43_885, 8_281)
@@ -775,7 +797,7 @@ class TestKernel:
             return real(g, h)
 
         monkeypatch.setattr(core, "find_isomorphism", counting)
-        cert = search_sd(ISO_HEAVY)
+        cert = search_sd(ISO_HEAVY, budget=24_404)
         assert cert.value == 13
         assert cert.witness.labels == (2, 3, 4, 5, 6, 11, 12, 14, 15)
         assert (cert.candidates_examined, len(validated)) == (24_404, 3_964)
@@ -1023,7 +1045,8 @@ class TestSpumCycles:
         ],
     )
     def test_spum_cycle(self, n, labels, nodes):
-        cert = search_spum(family(FamilyKind.CYCLE, n), 2)
+        # on a budget of the pinned node count: a validation fault fails fast
+        cert = search_spum(family(FamilyKind.CYCLE, n), 2, budget=nodes)
         assert cert.value == 2 * n - 1
         assert cert.witness.labels == labels
         assert cert.candidates_examined == nodes
