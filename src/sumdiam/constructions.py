@@ -2,9 +2,8 @@
 
 Every construction checks its output against the promised target and
 raises if it does not match, so a returned report is always self-verified.
-Combinators, sd_general and hypergraph.hyper_general check their output by
-its exact labeled edges, counted rather than listed (_relabeled); the
-closed-form family labelings check theirs through the family recognizers.
+Each one states the label of every target vertex, and its output is checked
+by those exact labeled edges, counted rather than listed (_relabeled).
 """
 from __future__ import annotations
 
@@ -35,9 +34,6 @@ from .families import FamilyKind, FamilySpec, generate
 
 # the certifier refuses inputs whose coefficient bound n**k reaches 2**63
 _BK_MAX_COEFFICIENT_BITS = 63
-# closed forms and add_isolated build at most this many labels, so that one
-# integer argument cannot make them allocate without bound
-_MAX_BUILD_LABELS = MAX_BUILD_SIZE
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,13 @@ def _report(
 
 
 def _family_report(
-    lab: Labeling, kind: FamilyKind, n: int, claimed: int, isolates: int
+    kind: FamilyKind, n: int, claimed: int, vertex_label, isolates=frozenset(),
+    domain: Domain = Domain.POSITIVE,
 ) -> ConstructionReport:
-    """Report on a closed-form family labeling, checked by the family recognizers."""
+    """Report on a closed form: the label of each vertex of the family member
+    generate(FamilySpec(kind, n)) plus the isolates, proved by _relabeled."""
     target = generate(FamilySpec(kind, n))
-    vertex_label = induce_if_valid(lab, target, exact_isolates=isolates)
-    if vertex_label is None:
-        raise ConstructionError("construction output failed re-induction check")
+    lab = _relabeled(target, vertex_label, isolates, domain)
     return _report(lab, target, claimed, vertex_label)
 
 
@@ -124,10 +120,12 @@ def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
     )
 
 
-def _relabeled(target: _EdgeSet, vertex_label, isolates) -> Labeling:
+def _relabeled(
+    target: _EdgeSet, vertex_label, isolates, domain: Domain = Domain.POSITIVE
+) -> Labeling:
     """Labels vertex_label[i] on target vertex i plus the isolates, proved
     by induces_as_labeled."""
-    lab = labeling(sorted(set(vertex_label) | isolates), Domain.POSITIVE)
+    lab = labeling(sorted(set(vertex_label) | isolates), domain)
     if not induces_as_labeled(lab, target, vertex_label):
         raise ConstructionError("construction output failed re-induction check")
     return lab
@@ -314,69 +312,70 @@ def _check_label(extreme: int, count: int) -> None:
     """Refuse an output with too big a label or too many labels, before building it."""
     if abs(extreme) > MAX_LABEL:
         raise ValueError(f"label {extreme} exceeds the 64-bit signed range")
-    if count > _MAX_BUILD_LABELS:
-        raise ValueError(f"{count} labels exceed the cap of {_MAX_BUILD_LABELS}")
+    if count > MAX_BUILD_SIZE:
+        raise ValueError(f"{count} labels exceed the cap of {MAX_BUILD_SIZE}")
 
 
 def spum_path_even(n: int) -> ConstructionReport:
-    """Even-path labeling {1,3,...,2n-3} + {2n-4, 2n}: range 2n-1, one isolate."""
+    """Even-path labeling {1,3,...,2n-3} + {2n-4, 2n}: range 2n-1, one isolate;
+    vertex 0 gets 2n-4, vertex i+1 gets 1+2i (i even) or 2n-3-2i (i odd)."""
     if n < 4 or n % 2:
         raise ValueError("defined for even n >= 4")
     _check_label(2 * n, n + 1)
-    labels = set(range(1, 2 * n - 2, 2)) | {2 * n - 4, 2 * n}
-    lab = labeling(sorted(labels), Domain.POSITIVE)
-    return _family_report(lab, FamilyKind.PATH, n, 2 * n - 1, 1)
+    tail = [2 * n - 3 - 2 * i if i % 2 else 1 + 2 * i for i in range(n - 1)]
+    return _family_report(FamilyKind.PATH, n, 2 * n - 1, [2 * n - 4] + tail, {2 * n})
 
 
 def sd_path(n: int) -> ConstructionReport:
-    """Path labeling [n-1, 2n-2] + {3n-4, 3n-3}: range 2n-2, two isolates."""
+    """Path labeling [n-1, 2n-2] + {3n-4, 3n-3}: range 2n-2, two isolates;
+    vertex i gets 2n-2-i/2 (i even) or n-1+(i-1)/2 (i odd)."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     _check_label(3 * n - 3, n + 2)
-    labels = list(range(n - 1, 2 * n - 1)) + [3 * n - 4, 3 * n - 3]
-    lab = labeling(labels, Domain.POSITIVE)
-    return _family_report(lab, FamilyKind.PATH, n, 2 * n - 2, 2)
+    order = [n - 1 + i // 2 if i % 2 else 2 * n - 2 - i // 2 for i in range(n)]
+    return _family_report(FamilyKind.PATH, n, 2 * n - 2, order, {3 * n - 4, 3 * n - 3})
 
 
 def spum_cycle4() -> ConstructionReport:
-    """The 4-cycle at its exact minimum: [3,6] + [8,10], range 7."""
-    lab = labeling([3, 4, 5, 6, 8, 9, 10], Domain.POSITIVE)
-    return _family_report(lab, FamilyKind.CYCLE, 4, 7, 3)
+    """The 4-cycle at its exact minimum: [3,6] + [8,10], range 7; vertices
+    0..3 get 3, 5, 4, 6."""
+    return _family_report(FamilyKind.CYCLE, 4, 7, [3, 5, 4, 6], {8, 9, 10})
 
 
 def ispum_cycle_odd(n: int) -> ConstructionReport:
-    """Odd-cycle integral labeling with no isolates; range 16k = 8(n-9)."""
+    """Odd-cycle integral labeling with no isolates; range 16k = 8(n-9) for
+    k = (n-9)/2. Vertices 0..2k+1 get the pairs -8k+i, 5k-i (i = 0..k), the
+    last seven -7k+1, -k-1, 8k, -3k, -5k, -3k+1, 7k-1."""
     if n < 15 or n % 2 == 0:
         raise ValueError("defined for odd n >= 15")
     k = (n - 9) // 2
     _check_label(-8 * k, n)
-    labels = (
-        list(range(-8 * k, -7 * k + 2))
-        + list(range(4 * k, 5 * k + 1))
-        + [-3 * k, -3 * k + 1, -5 * k, -k - 1, 7 * k - 1, 8 * k]
-    )
-    lab = labeling(labels, Domain.INTEGRAL)
-    return _family_report(lab, FamilyKind.CYCLE, n, 8 * (n - 9), 0)
+    order = [a for i in range(k + 1) for a in (-8 * k + i, 5 * k - i)]
+    order += [-7 * k + 1, -k - 1, 8 * k, -3 * k, -5 * k, -3 * k + 1, 7 * k - 1]
+    return _family_report(FamilyKind.CYCLE, n, 16 * k, order, domain=Domain.INTEGRAL)
 
 
 def spum_matching(p: int) -> ConstructionReport:
-    """Matching labeling [2p-1, 4p-2] + {6p-3}: range 4p-2, one isolate."""
+    """Matching labeling [2p-1, 4p-2] + {6p-3}: range 4p-2, one isolate;
+    edge i (vertices 2i, 2i+1) gets 2p-1+i and 4p-2-i."""
     if p < 1:
         raise ValueError("defined for p >= 1")
     _check_label(6 * p - 3, 2 * p + 1)
-    labels = list(range(2 * p - 1, 4 * p - 1)) + [6 * p - 3]
-    lab = labeling(labels, Domain.POSITIVE)
-    return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 2, 1)
+    order = [a for i in range(p) for a in (2 * p - 1 + i, 4 * p - 2 - i)]
+    return _family_report(FamilyKind.MATCHING, p, 4 * p - 2, order, {6 * p - 3})
 
 
 def ispum_matching(p: int) -> ConstructionReport:
-    """Matching labeling {-1,1,3,...,4p-5} + {4p-4}: range 4p-3, no isolates."""
+    """Matching labeling {-1,1,3,...,4p-5} + {4p-4}: range 4p-3, no isolates;
+    edge 0 gets -1 and 4p-4, edge i+1 gets 1+2i and 4p-5-2i."""
     if p < 3:
         raise ValueError("defined for p >= 3")
     _check_label(4 * p - 4, 2 * p)
-    labels = [-1] + list(range(1, 4 * p - 4, 2)) + [4 * p - 4]
-    lab = labeling(labels, Domain.INTEGRAL)
-    return _family_report(lab, FamilyKind.MATCHING, p, 4 * p - 3, 0)
+    order = [-1, 4 * p - 4]
+    order += [a for i in range(p - 1) for a in (1 + 2 * i, 4 * p - 5 - 2 * i)]
+    return _family_report(
+        FamilyKind.MATCHING, p, 4 * p - 3, order, domain=Domain.INTEGRAL
+    )
 
 
 def sd_general(g: SimpleGraph) -> ConstructionReport:

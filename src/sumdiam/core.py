@@ -164,8 +164,8 @@ class _EdgeSet:
     """
 
     def _kept(self, name: str, build):
-        """build(self) on the first call for name, then the kept value. Two
-        threads that both miss build equal values, so either may be kept."""
+        """build(self) on the first call for name, then the kept value; build
+        reads only the edges, so the kept value is what a new call would build."""
         try:
             return self.__dict__[name]
         except KeyError:

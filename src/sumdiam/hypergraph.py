@@ -1,4 +1,4 @@
-"""k-uniform sum hypergraphs: induction, bounds, construction, tiny search."""
+"""k-uniform sum hypergraphs: induction, bounds, construction, exact search."""
 from __future__ import annotations
 
 import json
@@ -27,7 +27,6 @@ from .core import (
 )
 from .search import DEFAULT_NODE_BUDGET, SearchCertificate, ascend, check_limits
 
-SEARCH_MAX_N = 5
 SEARCH_MAX_RANGE = 16
 
 
@@ -263,8 +262,6 @@ def search_hyper_sd(
     check_limits(1, budget)
     if h.n == 0 or h.isolated_vertices():
         raise ValueError("search targets must be isolate-free and nonempty")
-    if h.n > SEARCH_MAX_N:
-        raise ValueError(f"exhaustive hypergraph search is capped at n <= {SEARCH_MAX_N}")
     if max_range > SEARCH_MAX_RANGE:
         raise ValueError(f"max_range is capped at {SEARCH_MAX_RANGE}")
     k, n = h.k, h.n

@@ -418,6 +418,72 @@ class TestFamilyConstructions:
         assert ispum_matching(301).achieved_range == 1201
 
 
+def _even_path_order(n):
+    tail = [2 * n - 3 - 2 * i if i % 2 else 1 + 2 * i for i in range(n - 1)]
+    return [2 * n - 4] + tail
+
+
+def _integral_matching_order(p):
+    pairs = [a for i in range(p - 1) for a in (1 + 2 * i, 4 * p - 5 - 2 * i)]
+    return [-1, 4 * p - 4] + pairs
+
+
+def _odd_cycle_order(n):
+    k = (n - 9) // 2
+    pairs = [a for i in range(k + 1) for a in (-8 * k + i, 5 * k - i)]
+    return pairs + [-7 * k + 1, -k - 1, 8 * k, -3 * k, -5 * k, -3 * k + 1, 7 * k - 1]
+
+
+# builder, its sizes, and the stated vertex order and isolates at size n
+CLOSED_FORM_ORDERS = {
+    "spum_path_even": (spum_path_even, (4, 10, 398, 400), lambda n: (
+        _even_path_order(n), {2 * n},
+    )),
+    "sd_path": (sd_path, (3, 8, 399, 400), lambda n: (
+        [n - 1 + i // 2 if i % 2 else 2 * n - 2 - i // 2 for i in range(n)],
+        {3 * n - 4, 3 * n - 3},
+    )),
+    "spum_cycle4": (lambda n: spum_cycle4(), (4,), lambda n: (
+        [3, 5, 4, 6], {8, 9, 10},
+    )),
+    "ispum_cycle_odd": (ispum_cycle_odd, (15, 17, 399, 401), lambda n: (
+        _odd_cycle_order(n), set(),
+    )),
+    "spum_matching": (spum_matching, (1, 4, 199, 200), lambda p: (
+        [a for i in range(p) for a in (2 * p - 1 + i, 4 * p - 2 - i)], {6 * p - 3},
+    )),
+    "ispum_matching": (ispum_matching, (3, 6, 199, 200), lambda p: (
+        _integral_matching_order(p), set(),
+    )),
+}
+
+
+class TestClosedFormVertexMaps:
+    """Each closed form states its vertex map and is proved from it alone."""
+
+    @pytest.mark.parametrize("build, sizes, order", [
+        pytest.param(*row, id=name) for name, row in CLOSED_FORM_ORDERS.items()
+    ])
+    def test_builds_from_the_stated_order_without_isomorphism(
+        self, monkeypatch, build, sizes, order
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed form searched for its vertex map")
+
+        monkeypatch.setattr(constructions, "induce_if_valid", refuse)
+        monkeypatch.setattr(core, "induce_if_valid", refuse)
+        monkeypatch.setattr(core, "find_isomorphism", refuse)
+        for n in sizes:
+            report = build(n)
+            vertex_label, isolates = order(n)
+            assert report.vertex_label == tuple(vertex_label)
+            assert report.labeling.labels == tuple(sorted(set(vertex_label) | isolates))
+            labels = set(report.labeling.labels)
+            sums = {vertex_label[u] + vertex_label[v] for u, v in report.target.edges}
+            assert labels.issuperset(sums)
+            assert verify_report(report)
+
+
 class TestSdGeneral:
     def test_single_edge_composed_output(self):
         report = sd_general(K2)
@@ -707,7 +773,7 @@ class TestAddIsolated:
 
 
 class TestBuildCap:
-    """Outputs grown from one integer stop at _MAX_BUILD_LABELS labels."""
+    """Outputs grown from one integer stop at MAX_BUILD_SIZE labels."""
 
     @pytest.mark.parametrize("build, args, count", [
         pytest.param(build, args, count, id=build.__name__)
@@ -721,9 +787,9 @@ class TestBuildCap:
         ]
     ])
     def test_admits_the_cap_and_refuses_one_more(self, monkeypatch, build, args, count):
-        monkeypatch.setattr(constructions, "_MAX_BUILD_LABELS", count)
+        monkeypatch.setattr(constructions, "MAX_BUILD_SIZE", count)
         assert len(build(*args).labeling) == count
-        monkeypatch.setattr(constructions, "_MAX_BUILD_LABELS", count - 1)
+        monkeypatch.setattr(constructions, "MAX_BUILD_SIZE", count - 1)
         with pytest.raises(ValueError, match=f"^{count} labels exceed the cap of"):
             build(*args)
 

@@ -36,6 +36,8 @@ TWO_EDGE_3 = hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
 OVERLAP_3 = hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)])
 CHAIN_3 = hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
 SINGLE_EDGE_4 = hypergraph(4, 4, [(0, 1, 2, 3)])
+TRIANGLE_3 = hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+OVERLAP_4 = hypergraph(6, 4, [(0, 1, 2, 3), (2, 3, 4, 5)])
 UNBOUNDED = 2**32
 
 
@@ -393,7 +395,10 @@ class TestSearchHyperSd:
         assert cert.exhausted_below
         assert cert.value >= hyper_sd_lower_bound(SINGLE_EDGE_3)
 
-    @pytest.mark.parametrize("h", [TWO_EDGE_3, OVERLAP_3, SINGLE_EDGE_4, CHAIN_3])
+    # the last two have 6 vertices: the search has no vertex cap
+    @pytest.mark.parametrize("h", [
+        TWO_EDGE_3, OVERLAP_3, SINGLE_EDGE_4, CHAIN_3, TRIANGLE_3, OVERLAP_4,
+    ])
     def test_matches_naive_enumerator(self, h):
         cert = search_hyper_sd(h)
         edges = [tuple(e) for e in h.edge_list()]
@@ -401,6 +406,17 @@ class TestSearchHyperSd:
         assert cert.value == value
         assert cert.witness.labels == witness
         assert cert.value >= hyper_sd_lower_bound(h)
+
+    def test_seven_vertex_chain_is_pinned(self):
+        # naive_hyper_sd needs over a minute here, so value, witness and node
+        # count are pinned, and the witness's core is checked by permutations
+        h = hypergraph(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+        cert = search_hyper_sd(h)
+        assert cert.value == 13
+        assert cert.witness.labels == (2, 3, 4, 6, 7, 8, 10, 15)
+        assert cert.candidates_examined == 6011
+        core = induce_hyper(cert.witness, 3).core_hypergraph
+        assert core.n == 7 and naive_hyper_isomorphic(7, core.edges, h.edges)
 
     def test_witness_reinduces_target(self):
         cert = search_hyper_sd(CHAIN_3)
@@ -464,8 +480,6 @@ class TestSearchHyperSd:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             search_hyper_sd(hypergraph(4, 3, [(0, 1, 2)]))
-        with pytest.raises(ValueError):
-            search_hyper_sd(hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)]))
         with pytest.raises(ValueError):
             search_hyper_sd(SINGLE_EDGE_3, max_range=17)
         with pytest.raises(TypeError):  # the search runs its windows one by one
