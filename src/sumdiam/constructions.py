@@ -1,9 +1,10 @@
 """Closed-form labelings, Sidon/B_k machinery, and labeling combinators.
 
-Every construction checks its output against the promised target and
-raises if it does not match, so a returned report is always self-verified.
-Each one states the label of every target vertex, and its output is checked
-by those exact labeled edges, counted rather than listed (_relabeled).
+Every construction returns one _report call: it states the label of every
+target vertex, its isolates and its range claim, and _report builds the
+labeling, proves it by those exact labeled edges, counted rather than
+listed (_relabeled), and refuses a range above the claim. So a returned
+report is always self-verified, by the count that construct --verify re-runs.
 """
 from __future__ import annotations
 
@@ -39,7 +40,9 @@ _BK_MAX_COEFFICIENT_BITS = 63
 @dataclass(frozen=True)
 class ConstructionReport:
     """A labeling, the graph it induces, its range accounting, and the
-    label of each target vertex as the builder proved it (None: no target)."""
+    label of each target vertex as the builder proved it. Every builder's
+    report comes from _report; vertex_label is None only in the report the
+    CLI wraps around translate's labeling, which has no vertex map to prove."""
 
     labeling: Labeling
     target: object
@@ -59,33 +62,6 @@ class SidonSet:
 
 class ConstructionError(RuntimeError):
     """A construction's self-verification failed (indicates an internal bug)."""
-
-
-def _report(
-    lab: Labeling, target: _EdgeSet, claimed: int, vertex_label
-) -> ConstructionReport:
-    achieved = label_range(lab)
-    if achieved > claimed:
-        raise ConstructionError("construction exceeded its claimed range bound")
-    return ConstructionReport(
-        labeling=lab,
-        target=target,
-        claimed_range_bound=claimed,
-        achieved_range=achieved,
-        valid=True,
-        vertex_label=tuple(vertex_label),
-    )
-
-
-def _family_report(
-    kind: FamilyKind, n: int, claimed: int, vertex_label, isolates=frozenset(),
-    domain: Domain = Domain.POSITIVE,
-) -> ConstructionReport:
-    """Report on a closed form: the label of each vertex of the family member
-    generate(FamilySpec(kind, n)) plus the isolates, proved by _relabeled."""
-    target = generate(FamilySpec(kind, n))
-    lab = _relabeled(target, vertex_label, isolates, domain)
-    return _report(lab, target, claimed, vertex_label)
 
 
 def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
@@ -129,6 +105,27 @@ def _relabeled(
     if not induces_as_labeled(lab, target, vertex_label):
         raise ConstructionError("construction output failed re-induction check")
     return lab
+
+
+def _report(
+    target: _EdgeSet, vertex_label, isolates, claimed: int,
+    domain: Domain = Domain.POSITIVE,
+) -> ConstructionReport:
+    """The one step that builds a report: the labeling with label
+    vertex_label[i] on target vertex i plus the isolates, proved by
+    _relabeled, with a range of at most claimed."""
+    lab = _relabeled(target, vertex_label, isolates, domain)
+    achieved = label_range(lab)
+    if achieved > claimed:
+        raise ConstructionError("construction exceeded its claimed range bound")
+    return ConstructionReport(
+        labeling=lab,
+        target=target,
+        claimed_range_bound=claimed,
+        achieved_range=achieved,
+        valid=True,
+        vertex_label=tuple(vertex_label),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +320,8 @@ def spum_path_even(n: int) -> ConstructionReport:
         raise ValueError("defined for even n >= 4")
     _check_label(2 * n, n + 1)
     tail = [2 * n - 3 - 2 * i if i % 2 else 1 + 2 * i for i in range(n - 1)]
-    return _family_report(FamilyKind.PATH, n, 2 * n - 1, [2 * n - 4] + tail, {2 * n})
+    target = generate(FamilySpec(FamilyKind.PATH, n))
+    return _report(target, [2 * n - 4] + tail, {2 * n}, 2 * n - 1)
 
 
 def sd_path(n: int) -> ConstructionReport:
@@ -333,13 +331,15 @@ def sd_path(n: int) -> ConstructionReport:
         raise ValueError("defined for n >= 3")
     _check_label(3 * n - 3, n + 2)
     order = [n - 1 + i // 2 if i % 2 else 2 * n - 2 - i // 2 for i in range(n)]
-    return _family_report(FamilyKind.PATH, n, 2 * n - 2, order, {3 * n - 4, 3 * n - 3})
+    target = generate(FamilySpec(FamilyKind.PATH, n))
+    return _report(target, order, {3 * n - 4, 3 * n - 3}, 2 * n - 2)
 
 
 def spum_cycle4() -> ConstructionReport:
     """The 4-cycle at its exact minimum: [3,6] + [8,10], range 7; vertices
     0..3 get 3, 5, 4, 6."""
-    return _family_report(FamilyKind.CYCLE, 4, 7, [3, 5, 4, 6], {8, 9, 10})
+    target = generate(FamilySpec(FamilyKind.CYCLE, 4))
+    return _report(target, [3, 5, 4, 6], {8, 9, 10}, 7)
 
 
 def ispum_cycle_odd(n: int) -> ConstructionReport:
@@ -352,7 +352,8 @@ def ispum_cycle_odd(n: int) -> ConstructionReport:
     _check_label(-8 * k, n)
     order = [a for i in range(k + 1) for a in (-8 * k + i, 5 * k - i)]
     order += [-7 * k + 1, -k - 1, 8 * k, -3 * k, -5 * k, -3 * k + 1, 7 * k - 1]
-    return _family_report(FamilyKind.CYCLE, n, 16 * k, order, domain=Domain.INTEGRAL)
+    target = generate(FamilySpec(FamilyKind.CYCLE, n))
+    return _report(target, order, set(), 16 * k, Domain.INTEGRAL)
 
 
 def spum_matching(p: int) -> ConstructionReport:
@@ -362,7 +363,8 @@ def spum_matching(p: int) -> ConstructionReport:
         raise ValueError("defined for p >= 1")
     _check_label(6 * p - 3, 2 * p + 1)
     order = [a for i in range(p) for a in (2 * p - 1 + i, 4 * p - 2 - i)]
-    return _family_report(FamilyKind.MATCHING, p, 4 * p - 2, order, {6 * p - 3})
+    target = generate(FamilySpec(FamilyKind.MATCHING, p))
+    return _report(target, order, {6 * p - 3}, 4 * p - 2)
 
 
 def ispum_matching(p: int) -> ConstructionReport:
@@ -373,9 +375,8 @@ def ispum_matching(p: int) -> ConstructionReport:
     _check_label(4 * p - 4, 2 * p)
     order = [-1, 4 * p - 4]
     order += [a for i in range(p - 1) for a in (1 + 2 * i, 4 * p - 5 - 2 * i)]
-    return _family_report(
-        FamilyKind.MATCHING, p, 4 * p - 3, order, domain=Domain.INTEGRAL
-    )
+    target = generate(FamilySpec(FamilyKind.MATCHING, p))
+    return _report(target, order, set(), 4 * p - 3, Domain.INTEGRAL)
 
 
 def sd_general(g: SimpleGraph) -> ConstructionReport:
@@ -393,9 +394,7 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
     edge_labels = {4 * s[u] + 4 * s[v] + 2 for u, v in g.edges}
     if len(set(vertex_label) | edge_labels) != g.n + len(g.edges):
         raise ConstructionError("label collision in Sidon construction")
-    claimed = 64 * g.n * g.n - 64 * g.n + 9
-    lab = _relabeled(g, vertex_label, edge_labels)
-    return _report(lab, g, claimed, vertex_label)
+    return _report(g, vertex_label, edge_labels, 64 * g.n * g.n - 64 * g.n + 9)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +450,7 @@ def disjoint_union_scaled(
     isolates = set(lab1.labels).difference(vl1)
     isolates |= {c * v for v in set(lab2.labels).difference(vl2)}
     claimed = 2 * (2 * r1 - 1) * (2 * r2 - 1) - 1
-    lab = _relabeled(target, vertex_label, isolates)
-    return _report(lab, target, claimed, vertex_label)
+    return _report(target, vertex_label, isolates, claimed)
 
 
 def disjoint_union_translated(
@@ -468,17 +466,17 @@ def disjoint_union_translated(
     target = disjoint_union_graph(g1, g2)
     vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
     isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
-    lab = _relabeled(target, vertex_label, isolates)
-    return _report(lab, target, 11 * r1 + r2 + 2, vertex_label)
+    return _report(target, vertex_label, isolates, 11 * r1 + r2 + 2)
 
 
 def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     """Guarantee at least k isolated vertices alongside g.
 
-    Already enough isolates: unchanged.  k <= 2: append the single label
-    4r-2, which never collides (pair sums stay below it).  k >= 3:
-    translate to separate vertex and sum labels, then fill the gap between
-    the blocks with fresh isolates; range stays within 2r + k - 3.
+    Already enough isolates: the input, proved like every other output.
+    k <= 2: append the single label 4r-2, which never collides (pair sums
+    stay below it).  k >= 3: translate to separate vertex and sum labels,
+    then fill the gap between the blocks with fresh isolates; range stays
+    within 2r + k - 3.
     """
     if k < 1:
         raise ValueError("isolate count must be >= 1")
@@ -486,11 +484,11 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     r = label_range(lab)
     mu = lab.labels[0]
     claimed = max(k, 4 * r) + k - 5
-    if len(lab) - g.n >= k:
-        return _report(lab, g, claimed, vertex_label)  # the input, validated above
+    isolates = set(lab.labels).difference(vertex_label)
+    if len(isolates) >= k:  # the input, unchanged
+        return _report(g, vertex_label, isolates, claimed)
     if k <= 2:
-        isolates = set(lab.labels).difference(vertex_label) | {4 * r - 2}
-        return _report(_relabeled(g, vertex_label, isolates), g, claimed, vertex_label)
+        return _report(g, vertex_label, isolates | {4 * r - 2}, claimed)
     sums = _sums(vertex_label, g)
     m = max(r - 1, k + r - 1 - len(sums))
     x = m - mu
@@ -498,8 +496,7 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     extreme = max(2 * m, max(sums, default=0) + 2 * x)
     _check_label(extreme, g.n + len(sums) + m - r + 1)
     isolates = {t + 2 * x for t in sums} | set(range(m + r, 2 * m + 1))
-    shifted = [a + x for a in vertex_label]
-    return _report(_relabeled(g, shifted, isolates), g, claimed, shifted)
+    return _report(g, [a + x for a in vertex_label], isolates, claimed)
 
 
 def _fresh_vertex(
@@ -516,9 +513,7 @@ def _fresh_vertex(
     b = 2 * r + 1
     doubled = [2 * (a + x) for a in vertex_label]
     isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in neighbors}
-    vertex_label = [doubled[w] for w in rest] + [b]
-    lab = _relabeled(target, vertex_label, isolates)
-    return _report(lab, target, 4 * r - 1, vertex_label)
+    return _report(target, [doubled[w] for w in rest] + [b], isolates, 4 * r - 1)
 
 
 def add_vertex(
@@ -541,9 +536,8 @@ def add_vertex(
 
 def join_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus every edge between the two sides."""
-    edges = set(g1.edges) | {(u + g1.n, v + g1.n) for u, v in g2.edges}
-    edges |= {(u, v + g1.n) for u in range(g1.n) for v in range(g2.n)}
-    return graph(g1.n + g2.n, edges)
+    cross = {(u, v + g1.n) for u in range(g1.n) for v in range(g2.n)}
+    return graph(g1.n + g2.n, disjoint_union_graph(g1, g2).edges | cross)
 
 
 def join(
@@ -560,8 +554,7 @@ def join(
     vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
     isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
     isolates |= set(range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3))
-    lab = _relabeled(target, vertex_label, isolates)
-    return _report(lab, target, 11 * r1 + 8 * r2 - 5, vertex_label)
+    return _report(target, vertex_label, isolates, 11 * r1 + 8 * r2 - 5)
 
 
 MODIFY_OPERATIONS = (
@@ -616,8 +609,7 @@ def modify(
         # the minimal translation making vertex and sum labels disjoint blocks
         x = r - 1 - lab.labels[0]
         kept = [vertex_label[v] + x for v in keep]
-        lab2 = _relabeled(target, kept, {t + 2 * x for t in sums})
-        return _report(lab2, target, 2 * r - 2, kept)
+        return _report(target, kept, {t + 2 * x for t in sums}, 2 * r - 2)
 
     if edge is None or len(edge) != 2:
         raise ValueError(f"{operation} needs an edge as two vertex ids")

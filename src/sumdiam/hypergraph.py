@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .constructions import ConstructionError, ConstructionReport, _relabeled, _report
-from .constructions import bk_set
+from .constructions import ConstructionError, ConstructionReport, _report, bk_set
 # labeling is not called here; it stays bound because perfbench/tracing.py
 # wraps hypergraph.labeling
 from .core import (
@@ -118,9 +117,10 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     exceeds j!, for each j <= k: its k-subset sums are distinct, so k vertex
     labels sum to an edge label only when they are that edge's.  That is all
     this needs; its k-multiset sums can collide, but no edge repeats a vertex.
-    The output is proved as the graph constructions prove theirs
-    (constructions._relabeled): distinct vertex labels, each edge's label
-    sum a label, and as many k-subsets summing to a label as h has edges.
+    The report comes from constructions._report, the one step that builds
+    and proves every construction's report: distinct vertex labels, each
+    edge's label sum a label, and as many k-subsets summing to a label as h
+    has edges.
     """
     if h.n == 0 or h.isolated_vertices():
         raise ValueError("target must be isolate-free and nonempty")
@@ -131,8 +131,7 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     if len(set(vertex_label) | edge_labels) != h.n + len(h.edges):
         raise ConstructionError("label collision in B_k construction")
     claimed = k**3 * s[-1] + k - (k * k * s[0] + 1)
-    lab = _relabeled(h, vertex_label, edge_labels)
-    return _report(lab, h, claimed, vertex_label)
+    return _report(h, vertex_label, edge_labels, claimed)
 
 
 def _incidence(h: Hypergraph) -> tuple[list[set[int]], list[int]]:

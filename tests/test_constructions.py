@@ -45,6 +45,7 @@ from sumdiam.core import (
     labeling,
 )
 from sumdiam.families import FamilyKind, FamilySpec, generate, identify, recognize
+from sumdiam.hypergraph import hyper_general, hypergraph
 
 K2 = graph(2, [(0, 1)])
 P3 = generate(FamilySpec(FamilyKind.PATH, 3))
@@ -1245,3 +1246,77 @@ class TestVerifyReport:
         vertex_label[0], vertex_label[1] = vertex_label[1], vertex_label[0]
         swapped = dataclasses.replace(report, vertex_label=tuple(vertex_label))
         assert not verify_report(swapped)
+
+
+LAB_C4 = labeling([3, 4, 5, 6, 8, 9, 10])  # spum_cycle4's labels
+
+# each builder on a fixed small input; every report comes from one
+# constructions._report call
+GRAPH_BUILDERS = {
+    "spum_path_even": lambda: spum_path_even(6),
+    "sd_path": lambda: sd_path(5),
+    "spum_cycle4": spum_cycle4,
+    "ispum_cycle_odd": lambda: ispum_cycle_odd(15),
+    "spum_matching": lambda: spum_matching(3),
+    "ispum_matching": lambda: ispum_matching(3),
+    "sd_general": lambda: sd_general(CHORDED_C13),
+    "add_isolated-unchanged": lambda: add_isolated(LAB_K2, K2, 1),
+    "add_isolated-k2": lambda: add_isolated(LAB_K2, K2, 2),
+    "add_isolated-k4": lambda: add_isolated(LAB_K2, K2, 4),
+    "add_vertex": lambda: add_vertex(LAB_P3, P3, [0]),
+    "delete-vertex": lambda: modify(LAB_C4, C4, "delete-vertex", vertex=0),
+    "induced-subgraph": lambda: modify(LAB_C4, C4, "induced-subgraph", vertices=[0, 1, 2]),
+    "delete-edge": lambda: modify(LAB_C4, C4, "delete-edge", edge=(0, 1)),
+    "contract-edge": lambda: modify(LAB_C4, C4, "contract-edge", edge=(0, 1)),
+    "add-edge": lambda: modify(LAB_C4, C4, "add-edge", edge=(0, 2)),
+    "union-scaled": lambda: disjoint_union_scaled(LAB_K2, K2, LAB_P3, P3),
+    "union-translated": lambda: disjoint_union_translated(LAB_K2, K2, LAB_P3, P3),
+    "join": lambda: join(LAB_K2, K2, LAB_P3, P3),
+}
+BUILDERS = {
+    **GRAPH_BUILDERS,
+    "hyper_general": lambda: hyper_general(hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])),
+}
+
+# the combinators' vertex maps on the inputs above
+COMBINATOR_VERTEX_LABELS = {
+    "add_isolated-unchanged": (1, 2),
+    "add_isolated-k2": (1, 2),
+    "add_isolated-k4": (4, 5),
+    "add_vertex": (8, 6, 10, 7),
+    "delete-vertex": (8, 7, 9),
+    "induced-subgraph": (6, 8, 7),
+    "delete-edge": (18, 16, 20, 15),
+    "contract-edge": (16, 20, 15),
+    "add-edge": (18, 16, 20, 15),
+    "union-scaled": (1, 2, 12, 6, 18),
+    "union-translated": (5, 4, 6, 20, 21),
+    "join": (5, 6, 23, 22, 24),
+}
+
+
+class TestOneReportStep:
+    """Every builder returns one _report call: one proof of its output, and
+    no range above its claim."""
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_each_builder_proves_its_output_once(self, monkeypatch, name):
+        calls = []
+        real = constructions.induces_as_labeled
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(constructions, "induces_as_labeled", counting)
+        report = BUILDERS[name]()
+        assert len(calls) == 1
+        assert induces_as_labeled(report.labeling, report.target, report.vertex_label)
+        if name in COMBINATOR_VERTEX_LABELS:
+            assert report.vertex_label == COMBINATOR_VERTEX_LABELS[name]
+
+    @pytest.mark.parametrize("name", GRAPH_BUILDERS)
+    def test_graph_builders_refuse_a_range_above_their_claim(self, monkeypatch, name):
+        monkeypatch.setattr(constructions, "_relabeled", lambda *a: labeling([1, 10**6]))
+        with pytest.raises(ConstructionError, match="exceeded its claimed range bound"):
+            GRAPH_BUILDERS[name]()

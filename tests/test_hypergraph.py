@@ -15,7 +15,7 @@ from oracles import (
     naive_hyper_window,
     residue_class_sets,
 )
-from sumdiam import core
+from sumdiam import constructions, core
 from sumdiam import hypergraph as hypergraph_module
 from sumdiam.constructions import ConstructionError, _relabeled
 from sumdiam.core import _induced_subsets, _refined_map, induce, labeling
@@ -350,7 +350,7 @@ class TestHyperGeneral:
 
     def test_failed_proof_is_reported(self, monkeypatch):
         # the message sd_general and the combinators raise
-        monkeypatch.setattr(hypergraph_module, "_relabeled", lambda *a: labeling([1, 10**6]))
+        monkeypatch.setattr(constructions, "_relabeled", lambda *a: labeling([1, 10**6]))
         with pytest.raises(ConstructionError, match="exceeded its claimed range bound"):
             hyper_general(SINGLE_EDGE_3)
 
