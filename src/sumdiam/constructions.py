@@ -385,10 +385,7 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
     Vertex v gets 4*s_v+1 and each edge uv the label 4*s_u+4*s_v+2; edge
     labels are exactly the isolates, and the range stays below 64n^2-64n+9.
     """
-    if g.n < 2:
-        raise ValueError("target needs at least two vertices")
-    if g.isolated_vertices():
-        raise ValueError("target must be isolate-free")
+    g.require_isolate_free()
     s = sidon_set(g.n).elements
     vertex_label = [4 * s[v] + 1 for v in range(g.n)]
     edge_labels = {4 * s[u] + 4 * s[v] + 2 for u, v in g.edges}
@@ -402,19 +399,35 @@ def sd_general(g: SimpleGraph) -> ConstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def _input_labels(lab: Labeling, g: SimpleGraph) -> tuple[int, ...]:
-    """Validate a caller's positive labeling of g; the label of each vertex."""
+@dataclass(frozen=True)
+class _Input:
+    """A caller's positive labeling of g, read once by _input."""
+
+    g: SimpleGraph
+    vertex_label: tuple[int, ...]  # the label of each vertex of g
+    sums: frozenset[int]  # the labels g's edges sum to
+    others: frozenset[int]  # the labels on no vertex: its isolates
+    r: int  # its range
+    low: int  # its least label
+
+    def placed(self, x: int) -> tuple[list[int], set[int]]:
+        """The translation step: vertex labels moved by x, edge sums by 2x.
+        For x >= r - 1 - low they induce g with the edge sums as the only
+        isolates."""
+        return [a + x for a in self.vertex_label], {t + 2 * x for t in self.sums}
+
+
+def _input(lab: Labeling, g: SimpleGraph) -> _Input:
+    """Validate a caller's positive labeling of g and read what every
+    combinator uses from it."""
     if lab.labels[0] < 1:
         raise ValueError("combinators require positive-domain labelings")
     vertex_label = induce_if_valid(lab, g)
     if vertex_label is None:
         raise ValueError("labeling does not induce the stated graph")
-    return vertex_label
-
-
-def _sums(vertex_label, g: SimpleGraph) -> set[int]:
-    """The labels summed over g's edges: the pair-sum labels of the input."""
-    return {vertex_label[u] + vertex_label[v] for u, v in g.edges}
+    sums = frozenset(vertex_label[u] + vertex_label[v] for u, v in g.edges)
+    others = frozenset(lab.labels).difference(vertex_label)
+    return _Input(g, vertex_label, sums, others, label_range(lab), lab.labels[0])
 
 
 def translate(lab: Labeling, g: SimpleGraph, x: int) -> Labeling:
@@ -423,13 +436,11 @@ def translate(lab: Labeling, g: SimpleGraph, x: int) -> Labeling:
     Requires x >= range - 1 - min(label); the image induces g again with the
     pair-sum labels as the only isolates.
     """
-    vertex_label = _input_labels(lab, g)
-    threshold = label_range(lab) - 1 - lab.labels[0]
+    a = _input(lab, g)
+    threshold = a.r - 1 - a.low
     if x < threshold:
         raise ValueError(f"translation needs x >= {threshold}")
-    return _relabeled(
-        g, [a + x for a in vertex_label], {t + 2 * x for t in _sums(vertex_label, g)}
-    )
+    return _relabeled(g, *a.placed(x))
 
 
 def disjoint_union_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -442,31 +453,25 @@ def disjoint_union_scaled(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """L1 together with (4*r1-2)*L2; the scale keeps the parts independent."""
-    vl1, vl2 = _input_labels(lab1, g1), _input_labels(lab2, g2)
-    r1, r2 = label_range(lab1), label_range(lab2)
-    c = 4 * r1 - 2
-    target = disjoint_union_graph(g1, g2)
-    vertex_label = list(vl1) + [c * a for a in vl2]
-    isolates = set(lab1.labels).difference(vl1)
-    isolates |= {c * v for v in set(lab2.labels).difference(vl2)}
-    claimed = 2 * (2 * r1 - 1) * (2 * r2 - 1) - 1
-    return _report(target, vertex_label, isolates, claimed)
+    a, b = _input(lab1, g1), _input(lab2, g2)
+    c = 4 * a.r - 2
+    vertex_label = list(a.vertex_label) + [c * v for v in b.vertex_label]
+    isolates = a.others | {c * v for v in b.others}
+    claimed = 2 * (2 * a.r - 1) * (2 * b.r - 1) - 1
+    return _report(disjoint_union_graph(g1, g2), vertex_label, isolates, claimed)
 
 
 def disjoint_union_translated(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """Both parts translated into disjoint blocks; range <= 11*r1 + r2 + 2."""
-    vl1, vl2 = _input_labels(lab1, g1), _input_labels(lab2, g2)
-    if label_range(lab2) > label_range(lab1):
-        lab1, g1, vl1, lab2, g2, vl2 = lab2, g2, vl2, lab1, g1, vl1
-    r1, r2 = label_range(lab1), label_range(lab2)
-    x1 = r1 + 1 - lab1.labels[0]
-    x2 = 6 * r1 + 2 - lab2.labels[0]
-    target = disjoint_union_graph(g1, g2)
-    vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
-    isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
-    return _report(target, vertex_label, isolates, 11 * r1 + r2 + 2)
+    a, b = _input(lab1, g1), _input(lab2, g2)
+    if b.r > a.r:
+        a, b = b, a
+    vertex1, sums1 = a.placed(a.r + 1 - a.low)
+    vertex2, sums2 = b.placed(6 * a.r + 2 - b.low)
+    target = disjoint_union_graph(a.g, b.g)
+    return _report(target, vertex1 + vertex2, sums1 | sums2, 11 * a.r + b.r + 2)
 
 
 def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
@@ -480,40 +485,34 @@ def add_isolated(lab: Labeling, g: SimpleGraph, k: int) -> ConstructionReport:
     """
     if k < 1:
         raise ValueError("isolate count must be >= 1")
-    vertex_label = _input_labels(lab, g)
-    r = label_range(lab)
-    mu = lab.labels[0]
+    a = _input(lab, g)
+    r = a.r
     claimed = max(k, 4 * r) + k - 5
-    isolates = set(lab.labels).difference(vertex_label)
-    if len(isolates) >= k:  # the input, unchanged
-        return _report(g, vertex_label, isolates, claimed)
+    if len(a.others) >= k:  # the input, unchanged
+        return _report(g, a.vertex_label, a.others, claimed)
     if k <= 2:
-        return _report(g, vertex_label, isolates | {4 * r - 2}, claimed)
-    sums = _sums(vertex_label, g)
-    m = max(r - 1, k + r - 1 - len(sums))
-    x = m - mu
+        return _report(g, a.vertex_label, a.others | {4 * r - 2}, claimed)
+    m = max(r - 1, k + r - 1 - len(a.sums))
+    x = m - a.low
     # vertex labels end at m + r - 1 <= 2m, the gap fill at 2m, the sums above
-    extreme = max(2 * m, max(sums, default=0) + 2 * x)
-    _check_label(extreme, g.n + len(sums) + m - r + 1)
-    isolates = {t + 2 * x for t in sums} | set(range(m + r, 2 * m + 1))
-    return _report(g, [a + x for a in vertex_label], isolates, claimed)
+    extreme = max(2 * m, max(a.sums, default=0) + 2 * x)
+    _check_label(extreme, g.n + len(a.sums) + m - r + 1)
+    vertex_label, sums = a.placed(x)
+    return _report(g, vertex_label, sums | set(range(m + r, 2 * m + 1)), claimed)
 
 
-def _fresh_vertex(
-    lab: Labeling, vertex_label, sums, rest, neighbors, target: SimpleGraph
-) -> ConstructionReport:
+def _fresh_vertex(a: _Input, rest, neighbors, target: SimpleGraph) -> ConstructionReport:
     """Input vertices rest plus a fresh last vertex adjacent to neighbors.
 
     Labels are translated by r - min label and doubled, so all are even; the
     fresh vertex gets the odd label b = 2r + 1 and each neighbor w the odd
     isolate b + doubled[w], onto which nothing sums. Range <= 4r - 1.
     """
-    r = label_range(lab)
-    x = r - lab.labels[0]
-    b = 2 * r + 1
-    doubled = [2 * (a + x) for a in vertex_label]
-    isolates = {2 * (t + 2 * x) for t in sums} | {b + doubled[w] for w in neighbors}
-    return _report(target, [doubled[w] for w in rest] + [b], isolates, 4 * r - 1)
+    b = 2 * a.r + 1
+    vertex_label, sums = a.placed(a.r - a.low)
+    doubled = [2 * v for v in vertex_label]
+    isolates = {2 * t for t in sums} | {b + doubled[w] for w in neighbors}
+    return _report(target, [doubled[w] for w in rest] + [b], isolates, 4 * a.r - 1)
 
 
 def add_vertex(
@@ -528,10 +527,9 @@ def add_vertex(
     neighbors = sorted(set(neighbors))
     if any(not 0 <= u < g.n for u in neighbors):
         raise ValueError("neighbor ids must be vertices of the graph")
-    vertex_label = _input_labels(lab, g)
+    a = _input(lab, g)
     target = graph(g.n + 1, set(g.edges) | {(u, g.n) for u in neighbors})
-    sums = _sums(vertex_label, g)
-    return _fresh_vertex(lab, vertex_label, sums, range(g.n), neighbors, target)
+    return _fresh_vertex(a, range(g.n), neighbors, target)
 
 
 def join_graph(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -544,17 +542,20 @@ def join(
     lab1: Labeling, g1: SimpleGraph, lab2: Labeling, g2: SimpleGraph
 ) -> ConstructionReport:
     """Join labeling: two translated blocks plus a full interval of cross sums."""
-    vl1, vl2 = _input_labels(lab1, g1), _input_labels(lab2, g2)
-    if label_range(lab1) > label_range(lab2):
-        lab1, g1, vl1, lab2, g2, vl2 = lab2, g2, vl2, lab1, g1, vl1
-    r1, r2 = label_range(lab1), label_range(lab2)
-    x1 = r1 + r2 - lab1.labels[0]
-    x2 = 6 * r1 + 4 * r2 - 2 - lab2.labels[0]
-    target = join_graph(g1, g2)
-    vertex_label = [a + x1 for a in vl1] + [a + x2 for a in vl2]
-    isolates = {t + 2 * x1 for t in _sums(vl1, g1)} | {t + 2 * x2 for t in _sums(vl2, g2)}
-    isolates |= set(range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3))
-    return _report(target, vertex_label, isolates, 11 * r1 + 8 * r2 - 5)
+    a, b = _input(lab1, g1), _input(lab2, g2)
+    if a.r > b.r:
+        a, b = b, a
+    r1, r2 = a.r, b.r
+    claimed = 11 * r1 + 8 * r2 - 5
+    cross = range(7 * r1 + 5 * r2 - 2, 8 * r1 + 6 * r2 - 3)
+    # the second block's sums end at 12*r1 + 9*r2 - 5 at most, and the
+    # cross sums fill r1 + r2 - 1 labels
+    count = a.g.n + b.g.n + len(a.sums) + len(b.sums) + len(cross)
+    _check_label(12 * r1 + 9 * r2 - 5, count)
+    vertex1, sums1 = a.placed(r1 + r2 - a.low)
+    vertex2, sums2 = b.placed(6 * r1 + 4 * r2 - 2 - b.low)
+    target = join_graph(a.g, b.g)
+    return _report(target, vertex1 + vertex2, sums1 | sums2 | set(cross), claimed)
 
 
 MODIFY_OPERATIONS = (
@@ -568,8 +569,7 @@ MODIFY_OPERATIONS = (
 
 def _checked_target(n: int, edges) -> SimpleGraph:
     target = graph(n, edges)
-    if target.n < 2 or target.isolated_vertices():
-        raise ValueError("modified graph would contain isolated vertices")
+    target.require_isolate_free()
     return target
 
 
@@ -585,9 +585,7 @@ def modify(
     """Derive a labeling for g after a small edit; see MODIFY_OPERATIONS."""
     if operation not in MODIFY_OPERATIONS:
         raise ValueError(f"unknown modify operation {operation!r}")
-    vertex_label = _input_labels(lab, g)
-    sums = _sums(vertex_label, g)
-    r = label_range(lab)
+    a = _input(lab, g)
     adjacency = g.adjacency()
 
     if operation in ("delete-vertex", "induced-subgraph"):
@@ -607,9 +605,8 @@ def modify(
         ]
         target = _checked_target(len(keep), kept_edges)
         # the minimal translation making vertex and sum labels disjoint blocks
-        x = r - 1 - lab.labels[0]
-        kept = [vertex_label[v] + x for v in keep]
-        return _report(target, kept, {t + 2 * x for t in sums}, 2 * r - 2)
+        vertex_label, sums = a.placed(a.r - 1 - a.low)
+        return _report(target, [vertex_label[v] for v in keep], sums, 2 * a.r - 2)
 
     if edge is None or len(edge) != 2:
         raise ValueError(f"{operation} needs an edge as two vertex ids")
@@ -643,4 +640,4 @@ def modify(
         (remap[a], remap[b]) for a, b in g.edges if a in remap and b in remap
     } | {(remap[w], new_id) for w in new_neighbors}
     target = _checked_target(len(rest) + 1, target_edges)
-    return _fresh_vertex(lab, vertex_label, sums, rest, new_neighbors, target)
+    return _fresh_vertex(a, rest, new_neighbors, target)

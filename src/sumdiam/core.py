@@ -186,6 +186,13 @@ class _EdgeSet:
         deg = self.degrees()
         return tuple(v for v in range(self.n) if deg[v] == 0)
 
+    def require_isolate_free(self) -> None:
+        """Refuse a target with no vertex or an isolated vertex, the one rule
+        of every invariant, bound, search and construction; a one-vertex
+        graph has an isolated vertex."""
+        if not self.n or 0 in self.degrees():
+            raise ValueError("target must have a vertex and no isolated vertex")
+
     def edge_list(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.edges))
 
@@ -707,11 +714,8 @@ def induce_if_valid(
     find_isomorphism directly. A search leaf's kept pair count is not read
     here; is_valid_labeling rejects on it first.
     """
-    if g.n == 0:
-        raise ValueError("target graph must have at least one vertex")
+    g.require_isolate_free()
     target_deg = g.degrees()
-    if 0 in target_deg:
-        raise ValueError("target graph must not contain isolated vertices")
     pairs = _induced_pairs(lab, len(g.edges))
     if pairs is None:
         return None
@@ -743,6 +747,8 @@ def is_valid_labeling(
     which induce_if_valid raises, goes on to induce_if_valid.
     """
     kept = lab.__dict__.get("_counted_pairs")
+    # the test of _EdgeSet.require_isolate_free, inline: calling it here, on
+    # every search leaf, read slower on random-graphs
     if kept is not None and kept != len(g.edges) and g.n and 0 not in g.degrees():
         return False
     return induce_if_valid(lab, g, exact_isolates) is not None
@@ -750,20 +756,14 @@ def is_valid_labeling(
 
 def sd_lower_bound(g: SimpleGraph) -> int:
     """Degree-based lower bound 2n - (max deg - min deg) - 2 for any domain."""
-    if g.n < 2:
-        raise ValueError("bound requires at least two vertices")
-    if g.isolated_vertices():
-        raise ValueError("bound requires a graph without isolated vertices")
+    g.require_isolate_free()
     deg = g.degrees()
     return 2 * g.n - (max(deg) - min(deg)) - 2
 
 
 def isd_lower_bound(g: SimpleGraph) -> int:
     """Integral-domain lower bound 2n - max deg - 3."""
-    if g.n < 2:
-        raise ValueError("bound requires at least two vertices")
-    if g.isolated_vertices():
-        raise ValueError("bound requires a graph without isolated vertices")
+    g.require_isolate_free()
     return 2 * g.n - max(g.degrees()) - 3
 
 

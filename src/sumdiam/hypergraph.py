@@ -102,8 +102,7 @@ def induce_hyper(lab: Labeling, k: int) -> InducedHyperResult:
 
 def hyper_sd_lower_bound(h: Hypergraph) -> int:
     """Degree-forced floor n + k(k-1)/2 - 1 on the minimum labeling range."""
-    if h.n == 0 or h.isolated_vertices():
-        raise ValueError("lower bound needs an isolate-free nonempty hypergraph")
+    h.require_isolate_free()
     return h.n + h.k * (h.k - 1) // 2 - 1
 
 
@@ -122,8 +121,7 @@ def hyper_general(h: Hypergraph) -> ConstructionReport:
     edge's label sum a label, and as many k-subsets summing to a label as h
     has edges.
     """
-    if h.n == 0 or h.isolated_vertices():
-        raise ValueError("target must be isolate-free and nonempty")
+    h.require_isolate_free()
     k = h.k
     s = bk_set(h.n, k).elements
     vertex_label = [k * k * s[v] + 1 for v in range(h.n)]
@@ -259,8 +257,7 @@ def search_hyper_sd(
 ) -> SearchCertificate:
     """Minimum range over positive labelings inducing h plus free isolates."""
     check_limits(1, budget)
-    if h.n == 0 or h.isolated_vertices():
-        raise ValueError("search targets must be isolate-free and nonempty")
+    h.require_isolate_free()
     if max_range > SEARCH_MAX_RANGE:
         raise ValueError(f"max_range is capped at {SEARCH_MAX_RANGE}")
     k, n = h.k, h.n

@@ -389,11 +389,6 @@ def _theorem_floor(g: SimpleGraph, invariant: Invariant) -> int:
     return floor
 
 
-def _require_searchable(g: SimpleGraph) -> None:
-    if g.n < 2 or g.isolated_vertices():
-        raise ValueError("search targets must be isolate-free with an edge")
-
-
 def check_limits(jobs: int, budget: int) -> None:
     """Reject a jobs count outside 1..sys.maxsize or a negative budget."""
     if not 1 <= jobs <= sys.maxsize:
@@ -529,7 +524,7 @@ def search_spum(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
     """Minimum range over positive labelings of g with exactly sigma isolates."""
-    _require_searchable(g)
+    g.require_isolate_free()
     if sigma < 1:
         raise ValueError("positive labelings isolate their maximum; sigma >= 1")
     return _search(
@@ -546,7 +541,7 @@ def search_ispum(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
     """Minimum range over integral labelings of g with exactly zeta isolates."""
-    _require_searchable(g)
+    g.require_isolate_free()
     if zeta < 0:
         raise ValueError("zeta must be non-negative")
     return _search(
@@ -562,7 +557,7 @@ def search_sd(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
     """Minimum range over positive labelings of g with any isolate count."""
-    _require_searchable(g)
+    g.require_isolate_free()
     return _search(
         g, Invariant.SD, None, max_range=max_range, jobs=jobs, budget=budget
     )
@@ -576,7 +571,7 @@ def search_isd(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchCertificate:
     """Minimum range over integral labelings of g with any isolate count."""
-    _require_searchable(g)
+    g.require_isolate_free()
     return _search(
         g, Invariant.ISD, None, max_range=max_range, jobs=jobs, budget=budget
     )

@@ -487,7 +487,19 @@ class TestBounds:
         path.write_text('{"n": 0, "edges": []}')
         out, err = run(capsys, "bounds", "--graph", str(path), expect=1)
         assert out == ""
-        assert err.startswith("error: bound requires at least two vertices\n")
+        assert err.startswith("error: target must have a vertex and no isolated vertex\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds",),
+        ("search", "--invariant", "sd"),
+        ("construct", "--name", "sd-general"),
+    ], ids=["bounds", "search", "construct"])
+    def test_isolated_vertex_states_the_one_rule(self, capsys, tmp_path, argv):
+        path = tmp_path / "isolated.json"
+        path.write_text('{"n": 3, "edges": [[0, 1]]}')
+        out, err = run(capsys, *argv, "--graph", str(path), expect=1)
+        assert out == ""
+        assert err.startswith("error: target must have a vertex and no isolated vertex\n")
 
     def test_family_json_bytes(self, capsys):
         out, _ = run(capsys, "bounds", "--target", "cycle:5", "--format", "json")
@@ -589,6 +601,18 @@ class TestCombine:
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
         assert message in done.stderr
+
+    @pytest.mark.parametrize("top", [2**20 + 16, 2**40], ids=["2^20+16", "2^40"])
+    def test_join_past_the_cap_exits_one(self, top):
+        # the cross sums alone fill an interval of r1 + r2 - 1 labels
+        done = run_bounded(
+            "combine", "--name", "join", "--labels", "1,2,3", "--target", "path:2",
+            "--labels", f"1,{top},{top + 1}", "--target", "path:2",
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert "labels exceed the cap of 1048576" in done.stderr
 
     def test_add_vertex_with_neighbors(self, capsys):
         out, _ = run(

@@ -785,6 +785,7 @@ class TestBuildCap:
             (spum_matching, (25,), 51),
             (ispum_matching, (25,), 50),
             (add_isolated, (LAB_K2, K2, 48), 50),
+            (join, (LAB_K2, K2, LAB_K2, K2), 9),
         ]
     ])
     def test_admits_the_cap_and_refuses_one_more(self, monkeypatch, build, args, count):
@@ -1320,3 +1321,64 @@ class TestOneReportStep:
         monkeypatch.setattr(constructions, "_relabeled", lambda *a: labeling([1, 10**6]))
         with pytest.raises(ConstructionError, match="exceeded its claimed range bound"):
             GRAPH_BUILDERS[name]()
+
+
+# every combinator on the inputs above, and the ones that take two inputs
+COMBINATORS = {
+    "translate": lambda: translate(LAB_P3, P3, 2),
+    **{name: GRAPH_BUILDERS[name] for name in COMBINATOR_VERTEX_LABELS},
+}
+BINARY_COMBINATORS = ("union-scaled", "union-translated", "join")
+
+
+def _positive_reports(seed):
+    """Reports of the positive closed forms, and of sd_general on small
+    seeded random isolate-free graphs."""
+    reports = [spum_path_even(n) for n in (4, 6, 8)]
+    reports += [sd_path(n) for n in range(3, 9)]
+    reports += [spum_cycle4()] + [spum_matching(p) for p in range(1, 5)]
+    rng = random.Random(seed)
+    while len(reports) < 28:
+        n = rng.randint(2, 7)
+        g = graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        if 0 not in g.degrees():
+            reports.append(sd_general(g))
+    return reports
+
+
+class TestOneRead:
+    """A combinator reads each input once (constructions._input) and moves
+    it with _Input.placed."""
+
+    @pytest.mark.parametrize("name", COMBINATORS)
+    def test_each_input_is_validated_once(self, monkeypatch, name):
+        calls = []
+        real = constructions.induce_if_valid
+
+        def counting(lab, g, *rest):
+            calls.append(lab.labels)
+            return real(lab, g, *rest)
+
+        monkeypatch.setattr(constructions, "induce_if_valid", counting)
+        COMBINATORS[name]()
+        assert len(calls) == (2 if name in BINARY_COMBINATORS else 1)
+
+    def test_what_is_read(self):
+        a = constructions._input(LAB_P3, P3)  # the path 2-1-3 plus the isolate 4
+        assert a.g is P3
+        assert sorted(a.vertex_label) == [1, 2, 3] and a.vertex_label[1] == 1
+        assert (a.sums, a.others, a.r, a.low) == ({3, 4}, {4}, 3, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_placed_induces_the_input_graph(self, seed):
+        # from the threshold r - 1 - low on, the moved vertex labels induce g
+        # with the moved edge sums as the only isolates
+        for report in _positive_reports(seed):
+            g = report.target
+            a = constructions._input(report.labeling, g)
+            threshold = a.r - 1 - a.low
+            for x in range(threshold, threshold + 41):
+                vertex_label, sums = a.placed(x)
+                lab = labeling(sorted(set(vertex_label) | sums))
+                assert len(lab) == g.n + len(sums)
+                assert induces_as_labeled(lab, g, vertex_label), (report, x)

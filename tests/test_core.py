@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_edges, naive_induce, naive_isomorphic, residue_class_sets
-from sumdiam import core, search
+from sumdiam import constructions, core, hypergraph, search
 from sumdiam.core import (
     Domain,
     SimpleGraph,
@@ -35,6 +35,9 @@ from sumdiam.core import (
     structure_matches,
 )
 from sumdiam.families import FamilyKind, FamilySpec, generate, identify
+
+# the one message of _EdgeSet.require_isolate_free, as a regular expression
+TARGET_RULE = "target must have a vertex and no isolated vertex"
 
 
 def path_graph(n):
@@ -913,11 +916,9 @@ class TestValidity:
         # for the path 2-1-3 plus the isolate 4) already rules it out
         leaf = core._labeling_unchecked(1, Domain.POSITIVE, 0b1111, 5)
         for lab in (labeling([1, 2, 3, 4]), leaf):
-            with pytest.raises(ValueError, match="^target graph must have at least one vertex$"):
+            with pytest.raises(ValueError, match=f"^{TARGET_RULE}$"):
                 is_valid_labeling(lab, graph(0, []))
-            with pytest.raises(
-                ValueError, match="^target graph must not contain isolated vertices$"
-            ):
+            with pytest.raises(ValueError, match=f"^{TARGET_RULE}$"):
                 is_valid_labeling(lab, graph(3, [(0, 1)]))
 
     def test_kept_count_rejects_in_one_call(self, monkeypatch):
@@ -1012,6 +1013,80 @@ class TestBounds:
             sd_lower_bound(graph(3, [(0, 1)]))
         with pytest.raises(ValueError):
             isd_lower_bound(graph(1, []))
+
+
+# every entry point that refuses a target without a vertex or with an
+# isolated vertex, as a call on the target
+_LABEL = labeling([1, 2, 3, 4])
+GRAPH_ENTRY_POINTS = {
+    "induce_if_valid": lambda g: induce_if_valid(_LABEL, g),
+    "is_valid_labeling": lambda g: is_valid_labeling(_LABEL, g),
+    # a search leaf whose kept pair count (5) already rules it out
+    "is_valid_labeling-leaf": lambda g: is_valid_labeling(
+        core._labeling_unchecked(1, Domain.POSITIVE, 0b1111, 5), g
+    ),
+    "sd_lower_bound": sd_lower_bound,
+    "isd_lower_bound": isd_lower_bound,
+    "search_spum": lambda g: search.search_spum(g, 1),
+    "search_ispum": lambda g: search.search_ispum(g, 0),
+    "search_sd": search.search_sd,
+    "search_isd": search.search_isd,
+    "sd_general": constructions.sd_general,
+    "_checked_target": lambda g: constructions._checked_target(g.n, g.edges),
+}
+HYPER_ENTRY_POINTS = {
+    "hyper_sd_lower_bound": hypergraph.hyper_sd_lower_bound,
+    "hyper_general": hypergraph.hyper_general,
+    "search_hyper_sd": hypergraph.search_hyper_sd,
+}
+GRAPHS_REFUSED = {
+    "no-vertex": graph(0, []),
+    "one-vertex": graph(1, []),
+    "isolated": graph(3, [(0, 1)]),
+}
+HYPERGRAPHS_REFUSED = {
+    "no-vertex": hypergraph.hypergraph(0, 3, []),
+    "one-vertex": hypergraph.hypergraph(1, 3, []),
+    "isolated": hypergraph.hypergraph(4, 3, [(0, 1, 2)]),
+}
+
+
+class TestTargetRule:
+    """One rule, one message: a target has a vertex and no isolated vertex."""
+
+    @pytest.mark.parametrize("target", GRAPHS_REFUSED.values(), ids=GRAPHS_REFUSED)
+    @pytest.mark.parametrize(
+        "call", GRAPH_ENTRY_POINTS.values(), ids=GRAPH_ENTRY_POINTS
+    )
+    def test_graph_entry_points(self, call, target):
+        with pytest.raises(ValueError, match=f"^{TARGET_RULE}$"):
+            call(target)
+
+    @pytest.mark.parametrize(
+        "target", HYPERGRAPHS_REFUSED.values(), ids=HYPERGRAPHS_REFUSED
+    )
+    @pytest.mark.parametrize(
+        "call", HYPER_ENTRY_POINTS.values(), ids=HYPER_ENTRY_POINTS
+    )
+    def test_hypergraph_entry_points(self, call, target):
+        with pytest.raises(ValueError, match=f"^{TARGET_RULE}$"):
+            call(target)
+
+    def test_isolate_free_targets_pass(self):
+        assert graph(2, [(0, 1)]).require_isolate_free() is None
+        assert hypergraph.hypergraph(3, 3, [(0, 1, 2)]).require_isolate_free() is None
+
+    def test_each_check_keeps_its_place(self):
+        # a graph search states the rule before its limits, the hypergraph
+        # search after them and before its range cap
+        bad_graph = GRAPHS_REFUSED["isolated"]
+        bad_hyper = HYPERGRAPHS_REFUSED["isolated"]
+        with pytest.raises(ValueError, match=f"^{TARGET_RULE}$"):
+            search.search_sd(bad_graph, budget=-1)
+        with pytest.raises(ValueError, match="^budget must be non-negative$"):
+            hypergraph.search_hyper_sd(bad_hyper, budget=-1)
+        with pytest.raises(ValueError, match=f"^{TARGET_RULE}$"):
+            hypergraph.search_hyper_sd(bad_hyper, max_range=99)
 
 
 class TestOptimalityWitness:
