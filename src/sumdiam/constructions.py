@@ -155,6 +155,12 @@ def _smallest_prime_at_least(n: int) -> int:
     return candidate
 
 
+def _refuse_overflow(n: int, k: int) -> None:
+    """Refuse n**k >= 2**63, without the power from k = 63 on when n >= 2."""
+    if n >= 2 and (k >= _BK_MAX_COEFFICIENT_BITS or n**k >= 2**_BK_MAX_COEFFICIENT_BITS):
+        raise ValueError("coefficient fields could overflow for this input size")
+
+
 def _field_width(n: int, k: int) -> int:
     """Bits per coefficient field for powers up to k of an n-term 0/1 polynomial.
 
@@ -202,8 +208,7 @@ def is_bk_set(elements, k: int) -> bool:
         return True
     if len(set(elements)) != len(elements) or elements[0] < 1:
         raise ValueError("B_k sets contain distinct positive integers")
-    if len(elements) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
-        raise ValueError("coefficient fields could overflow for this input size")
+    _refuse_overflow(len(elements), k)
     if k == 2:
         n = len(elements)
         sums = {a + b for i, a in enumerate(elements) for b in elements[i:]}
@@ -237,8 +242,7 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
     output has no coefficient of P^j above j!, for each j <= k: its j-subset
     sums are distinct, its k-multiset sums need not be.
     """
-    if (n + 1) ** k >= 2**_BK_MAX_COEFFICIENT_BITS:
-        raise ValueError("coefficient fields could overflow for this input size")
+    _refuse_overflow(n + 1, k)
     width = _field_width(n + 1, k)
     limits = [math.factorial(j) for j in range(k + 1)]
     binoms = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]

@@ -220,13 +220,38 @@ class SimpleGraph(_EdgeSet):
         """Neighbor set of each vertex; computed once, then kept."""
         return self._kept("_adjacency", _neighbor_sets)
 
+    def component_facts(self) -> tuple[int, bool]:
+        """(component count, bipartite) from one BFS 2-coloring; computed once, then kept."""
+        return self._kept("_component_facts", _two_coloring)
+
 
 def _neighbor_sets(g: SimpleGraph) -> tuple[frozenset[int], ...]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
+    # lists, each frozen once: cheaper than growing one set per vertex
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return tuple(frozenset(s) for s in adj)
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(frozenset, adj))
+
+
+def _two_coloring(g: SimpleGraph) -> tuple[int, bool]:
+    adj = g.adjacency()
+    side = [-1] * g.n
+    components, bipartite = 0, True
+    for root in range(g.n):
+        if side[root] < 0:
+            components += 1
+            side[root] = 0
+            queue = [root]
+            for u in queue:  # the loop reaches what it appends: breadth first
+                other = 1 - side[u]
+                for w in adj[u]:
+                    if side[w] < 0:
+                        side[w] = other
+                        queue.append(w)
+                    elif side[w] != other:
+                        bipartite = False
+    return components, bipartite
 
 
 def graph(n: int, edges) -> SimpleGraph:
@@ -468,117 +493,6 @@ def induce(lab: Labeling) -> InducedResult:
 
 
 # ---------------------------------------------------------------------------
-# family structure predicates (string-keyed so other modules can delegate)
-# ---------------------------------------------------------------------------
-
-
-def _is_connected(g: SimpleGraph) -> bool:
-    if g.n == 0:
-        return True
-    adj = g.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
-def _matches_path(g: SimpleGraph, n: int) -> bool:
-    if g.n != n or len(g.edges) != n - 1:
-        return False
-    if n == 1:
-        return True
-    counts = sorted(g.degrees())
-    if counts[:2] != [1, 1] or any(d != 2 for d in counts[2:]):
-        return False
-    return _is_connected(g)
-
-
-def _matches_cycle(g: SimpleGraph, n: int) -> bool:
-    if n < 3 or g.n != n or len(g.edges) != n:
-        return False
-    if any(d != 2 for d in g.degrees()):
-        return False
-    return _is_connected(g)
-
-
-def _matches_complete(g: SimpleGraph, n: int) -> bool:
-    return g.n == n and len(g.edges) == n * (n - 1) // 2
-
-
-def _matches_matching(g: SimpleGraph, n: int) -> bool:
-    return g.n == 2 * n and len(g.edges) == n and all(d == 1 for d in g.degrees())
-
-
-def _matches_star(g: SimpleGraph, n: int) -> bool:
-    if n < 1 or g.n != n + 1 or len(g.edges) != n:
-        return False
-    counts = sorted(g.degrees())
-    return counts == [1] * n + [n] if n > 1 else counts == [1, 1]
-
-
-def _matches_complete_bipartite_balanced(g: SimpleGraph, n: int) -> bool:
-    if n < 1 or g.n != 2 * n or len(g.edges) != n * n:
-        return False
-    if any(d != n for d in g.degrees()):
-        return False
-    adj = g.adjacency()
-    side_b = adj[0]
-    side_a = frozenset(range(g.n)) - side_b
-    if len(side_a) != n or len(side_b) != n:
-        return False
-    return all(adj[a] == side_b for a in side_a)
-
-
-def _matches_empty(g: SimpleGraph, n: int) -> bool:
-    return g.n == n and not g.edges
-
-
-# kind -> (predicate, parameter of a member on n vertices), in canonical
-# identification order; every predicate is isomorphism-invariant, so
-# isomorphic graphs always identify identically. A parameter below 1
-# identifies nothing, and the predicate refuses an n no member has
-_STRUCTURES = {
-    "empty": (_matches_empty, lambda n: n),
-    "complete": (_matches_complete, lambda n: n),
-    "cycle": (_matches_cycle, lambda n: n),
-    "path": (_matches_path, lambda n: n),
-    "matching": (_matches_matching, lambda n: n // 2),
-    "star": (_matches_star, lambda n: n - 1),
-    "complete_bipartite_balanced": (
-        _matches_complete_bipartite_balanced, lambda n: n // 2
-    ),
-}
-
-
-def structure_matches(g: SimpleGraph, kind: str, n: int) -> bool:
-    """Does g match the named family structure with parameter n, up to iso?"""
-    try:
-        predicate, _ = _STRUCTURES[kind]
-    except KeyError:
-        raise ValueError(f"unknown family kind {kind!r}") from None
-    return predicate(g, n)
-
-
-def identify_structure(g: SimpleGraph) -> tuple[str, int] | None:
-    """Canonical (kind, parameter) for recognized families, else None;
-    computed once per graph, then kept."""
-    return g._kept("_structure", _first_structure)
-
-
-def _first_structure(g: SimpleGraph) -> tuple[str, int] | None:
-    for kind, (predicate, parameter) in _STRUCTURES.items():
-        p = parameter(g.n)
-        if p >= 1 and predicate(g, p):
-            return (kind, p)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # isomorphism
 # ---------------------------------------------------------------------------
 
@@ -669,26 +583,21 @@ def _bfs_order(g: SimpleGraph) -> list[int]:
 def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> dict[int, int] | None:
     """Vertex map g -> h witnessing isomorphism, or None, at any size.
 
-    Two members of one recognized family pair up along their breadth-first
-    orders, and that map is returned once it carries every edge onto an
-    edge. Other graphs go to individualization and refinement
-    (_refined_map), with their degrees as start colors.
+    Graphs of different size, sorted degrees or component facts have no
+    map. Otherwise the pairing of their breadth-first orders is returned
+    once it carries every edge onto an edge, as it does for two members of
+    one family; other pairs go to _refined_map, with degrees as start colors.
     """
     if g.n != h.n or len(g.edges) != len(h.edges):
         return None
-    if sorted(g.degrees()) != sorted(h.degrees()):
+    if sorted(g.degrees()) != sorted(h.degrees()) or g.component_facts() != h.component_facts():
         return None
-    gid = identify_structure(g)
-    hid = identify_structure(h)
-    if gid != hid:
-        return None
-    if gid is not None:
-        paired = dict(zip(_bfs_order(g), _bfs_order(h)))
-        if all(
-            (paired[u], paired[v]) in h.edges or (paired[v], paired[u]) in h.edges
-            for u, v in g.edges
-        ):
-            return paired
+    paired = dict(zip(_bfs_order(g), _bfs_order(h)))
+    if all(
+        (paired[u], paired[v]) in h.edges or (paired[v], paired[u]) in h.edges
+        for u, v in g.edges
+    ):
+        return paired
     return _refined_map(g.adjacency(), g.degrees(), h.adjacency(), h.degrees())
 
 

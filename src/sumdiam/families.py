@@ -1,17 +1,13 @@
 """Named graph families: generators, recognizers, and published invariants."""
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
+from typing import NamedTuple
 
-from .core import (
-    MAX_BUILD_SIZE,
-    SimpleGraph,
-    graph,
-    identify_structure,
-    parse_int,
-    structure_matches,
-)
+from .core import MAX_BUILD_SIZE, SimpleGraph, graph, parse_int
 
 
 class FamilyKind(Enum):
@@ -56,43 +52,84 @@ def parse_spec(text: str) -> FamilySpec:
     return FamilySpec(kind, parse_int(n_text, "family parameter"))
 
 
+class _Family(NamedTuple):
+    """A kind's member with parameter p: vertices(p), edge_count(p), edges(p); a
+    member on n vertices has parameter(n). member(g, p) decides membership of a
+    graph with the member's counts from its degrees and component facts alone."""
+
+    vertices: Callable[[int], int]
+    edge_count: Callable[[int], int]
+    edges: Callable[[int], Iterable[tuple[int, int]]]
+    parameter: Callable[[int], int]
+    member: Callable[[SimpleGraph, int], bool]
+
+
+# one row per kind, in identification order: identify names a graph by the first
+# row that recognizes it, so C3 = K3 gets one name. The comment above a row shows
+# that its membership test is exact on a graph with the member's counts
+_FAMILIES = {
+    # no edges on p vertices is the empty graph
+    FamilyKind.EMPTY: _Family(
+        lambda p: p, lambda p: 0, lambda p: (), lambda n: n, lambda g, p: True),
+    # all p(p - 1)/2 pairs of p vertices are edges
+    FamilyKind.COMPLETE: _Family(
+        lambda p: p, lambda p: p * (p - 1) // 2, lambda p: combinations(range(p), 2), lambda n: n,
+        lambda g, p: True),
+    # p edges at degrees <= 2 make every degree 2, so cycles; one if connected
+    FamilyKind.CYCLE: _Family(
+        lambda p: p, lambda p: p, lambda p: ((i, (i + 1) % p) for i in range(p)), lambda n: n,
+        lambda g, p: max(g.degrees()) == 2 and g.component_facts()[0] == 1),
+    # connected with p - 1 edges is a tree, and a tree of degrees <= 2 a path
+    FamilyKind.PATH: _Family(
+        lambda p: p, lambda p: p - 1, lambda p: ((i, i + 1) for i in range(p - 1)), lambda n: n,
+        lambda g, p: max(g.degrees()) <= 2 and g.component_facts()[0] == 1),
+    # p edges on 2p vertices with no shared endpoint cover every vertex once
+    FamilyKind.MATCHING: _Family(
+        lambda p: 2 * p, lambda p: p, lambda p: ((2 * i, 2 * i + 1) for i in range(p)),
+        lambda n: n // 2, lambda g, p: max(g.degrees()) == 1),
+    # a vertex of degree p meets all p other vertices, on all p edges
+    FamilyKind.STAR: _Family(
+        lambda p: p + 1, lambda p: p, lambda p: ((0, i) for i in range(1, p + 1)),
+        lambda n: n - 1, lambda g, p: p in g.degrees()),
+    # degree sum 2p^2 at min degree p is p-regular; each side then meets p^2
+    # edges at p a vertex, so has p vertices, each adjacent to the other p
+    FamilyKind.COMPLETE_BIPARTITE_BALANCED: _Family(
+        lambda p: 2 * p, lambda p: p * p,
+        lambda p: ((i, p + j) for i in range(p) for j in range(p)), lambda n: n // 2,
+        lambda g, p: min(g.degrees()) == p and g.component_facts()[1]),
+}
+
+
+def _is_member(row: _Family, g: SimpleGraph, p: int) -> bool:
+    return g.n == row.vertices(p) and len(g.edges) == row.edge_count(p) and row.member(g, p)
+
+
 def generate(spec: FamilySpec) -> SimpleGraph:
     """Member of the family on vertices 0..n-1, refused before it is built
     when it has more than MAX_BUILD_SIZE vertices or edges."""
-    kind, n = spec.kind, spec.n
-    balanced = FamilyKind.COMPLETE_BIPARTITE_BALANCED
-    vertices = {FamilyKind.MATCHING: 2 * n, FamilyKind.STAR: n + 1, balanced: 2 * n}
-    # the other kinds have at most as many edges as vertices
-    edges = {FamilyKind.COMPLETE: n * (n - 1) // 2, balanced: n * n}
-    if max(vertices.get(kind, n), edges.get(kind, 0)) > MAX_BUILD_SIZE:
+    row = _FAMILIES[spec.kind]
+    n = row.vertices(spec.n)
+    if max(n, row.edge_count(spec.n)) > MAX_BUILD_SIZE:
         raise ValueError(f"{spec.text()} has over {MAX_BUILD_SIZE} vertices or edges")
-    if kind is FamilyKind.PATH:
-        return graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind is FamilyKind.CYCLE:
-        return graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind is FamilyKind.COMPLETE:
-        return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind is FamilyKind.MATCHING:
-        return graph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
-    if kind is FamilyKind.STAR:
-        return graph(n + 1, [(0, i) for i in range(1, n + 1)])
-    if kind is FamilyKind.COMPLETE_BIPARTITE_BALANCED:
-        return graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
-    return graph(n, [])
+    return graph(n, row.edges(spec.n))
 
 
 def recognize(g: SimpleGraph, spec: FamilySpec) -> bool:
     """Is g isomorphic to the family member (structural, any size)?"""
-    return structure_matches(g, spec.kind.value, spec.n)
+    return _is_member(_FAMILIES[spec.kind], g, spec.n)
 
 
 def identify(g: SimpleGraph) -> FamilySpec | None:
-    """Canonical FamilySpec for a recognized graph, else None."""
-    found = identify_structure(g)
-    if found is None:
-        return None
-    kind, n = found
-    return FamilySpec(FamilyKind(kind), n)
+    """Canonical FamilySpec for a recognized graph, else None; kept per graph."""
+    return g._kept("_family", _first_family)
+
+
+def _first_family(g: SimpleGraph) -> FamilySpec | None:
+    for kind, row in _FAMILIES.items():
+        p = row.parameter(g.n)
+        if p >= 1 and _is_member(row, g, p):
+            return FamilySpec(kind, p)
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,18 @@ class TestBkSets:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             is_bk_set(range(1, 65540), 4)
+
+    def test_overflow_guard_decides_huge_orders_without_the_power(self):
+        # a base of at least 2 overflows from k = 63 on, so 3**(10**7) is
+        # never computed (that took seconds); the boundary stays at 2**63
+        for call in (lambda: bk_set(2, 10**7), lambda: is_bk_set((1, 2, 5), 10**7)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^coefficient fields could overflow"):
+                call()
+            assert time.perf_counter() - start < 0.5
+        assert is_bk_set((1, 2), 62)
+        with pytest.raises(ValueError, match="^coefficient fields could overflow"):
+            is_bk_set((1, 2), 63)
 
     def test_order_two_input_errors(self, monkeypatch):
         with pytest.raises(ValueError, match="^B_k sets contain distinct positive integers$"):

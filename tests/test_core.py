@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_edges, naive_induce, naive_isomorphic, residue_class_sets
-from sumdiam import constructions, core, hypergraph, search
+from sumdiam import constructions, core, families, hypergraph, search
 from sumdiam.core import (
     Domain,
     SimpleGraph,
@@ -20,7 +20,6 @@ from sumdiam.core import (
     graph,
     graph_from_json,
     graph_to_json,
-    identify_structure,
     induce,
     induce_if_valid,
     is_valid_labeling,
@@ -32,7 +31,6 @@ from sumdiam.core import (
     optimality_witness_check,
     parse_labels,
     sd_lower_bound,
-    structure_matches,
 )
 from sumdiam.families import FamilyKind, FamilySpec, generate, identify
 
@@ -54,31 +52,6 @@ def complete_graph(n):
 
 def matching_graph(p):
     return graph(2 * p, [(2 * i, 2 * i + 1) for i in range(p)])
-
-
-# (kind, first parameter, member with parameter p as (vertex count, edges)),
-# in canonical identification order; the members are written here, apart
-# from families.generate
-ORACLE_MEMBERS = (
-    ("empty", 1, lambda p: (p, [])),
-    ("complete", 1, lambda p: (p, list(combinations(range(p), 2)))),
-    ("cycle", 3, lambda p: (p, [(i, (i + 1) % p) for i in range(p)])),
-    ("path", 1, lambda p: (p, [(i, i + 1) for i in range(p - 1)])),
-    ("matching", 1, lambda p: (2 * p, [(i, p + i) for i in range(p)])),
-    ("star", 1, lambda p: (p + 1, [(p, i) for i in range(p)])),
-    ("complete_bipartite_balanced", 1,
-     lambda p: (2 * p, [(i, j) for i in range(p) for j in range(p, 2 * p)])),
-)
-
-
-def oracle_identify(n, edges):
-    """First (kind, p) in canonical order whose member is isomorphic to the graph."""
-    for kind, first, member in ORACLE_MEMBERS:
-        for p in range(first, n + 1):
-            vertices, member_edges = member(p)
-            if vertices == n and naive_isomorphic(n, edges, vertices, member_edges):
-                return (kind, p)
-    return None
 
 
 label_sets = st.lists(
@@ -220,22 +193,21 @@ class TestKeptFacts:
         graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (5, 6)]),
     ]
 
-    def test_structure_predicates_run_once_per_graph(self, monkeypatch):
+    def test_membership_tests_run_once_per_graph(self, monkeypatch):
         calls = []
-        for kind, (predicate, parameter) in list(core._STRUCTURES.items()):
+        for kind, row in list(families._FAMILIES.items()):
             monkeypatch.setitem(
-                core._STRUCTURES, kind, (_recorder(calls, kind, predicate), parameter)
+                families._FAMILIES, kind, row._replace(member=_recorder(calls, kind, row.member))
             )
         for g in self.GRAPHS:
             calls.clear()
-            found = identify_structure(g)
+            found = identify(g)
             first = list(calls)
-            assert first  # the predicates ran on the first call
-            assert identify_structure(g) == found
-            identify(g)
+            assert first  # a membership test ran on the first call
+            assert identify(g) == found
             assert calls == first
             fresh = graph(g.n, g.edges)
-            assert identify_structure(fresh) == found
+            assert identify(fresh) == found
             assert calls == first * 2
 
     def test_profile_built_once_per_target(self, monkeypatch):
@@ -269,12 +241,14 @@ class TestKeptFacts:
         for g in self.GRAPHS:
             want = identify(graph(g.n, g.edges))
             g = graph(g.n, g.edges)
-            search.search_sd(g)  # capacity, degrees, profile, structure
+            search.search_sd(g)  # capacity, degrees, profile, family, component facts
             g.adjacency()
             kept = {name: value for name, value in vars(g).items() if name.startswith("_")}
-            assert set(kept) == {"_degrees", "_adjacency", "_structure", "_profile", "_capacity"}
+            assert set(kept) == {
+                "_degrees", "_adjacency", "_family", "_component_facts", "_profile", "_capacity"
+            }
             for value in kept.values():
-                assert value is None or isinstance(value, (tuple, frozenset))
+                assert value is None or isinstance(value, (tuple, frozenset, FamilySpec))
                 hash(value)  # immutable all the way down
             fresh = graph(g.n, g.edges)
             assert g == fresh and fresh == g and hash(g) == hash(fresh)
@@ -544,74 +518,6 @@ class TestKernelLeaf:
         assert lab.labels == (2, 4)
 
 
-class TestStructurePredicates:
-    def test_path(self):
-        assert structure_matches(path_graph(5), "path", 5)
-        assert not structure_matches(cycle_graph(5), "path", 5)
-        assert structure_matches(graph(1, []), "path", 1)
-        # disjoint P2+P3 has the right degrees but is disconnected
-        g = graph(5, [(0, 1), (2, 3), (3, 4)])
-        assert not structure_matches(g, "path", 5)
-
-    def test_cycle(self):
-        assert structure_matches(cycle_graph(6), "cycle", 6)
-        two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not structure_matches(two_triangles, "cycle", 6)
-
-    def test_complete(self):
-        assert structure_matches(complete_graph(4), "complete", 4)
-        assert not structure_matches(cycle_graph(4), "complete", 4)
-
-    def test_matching(self):
-        assert structure_matches(matching_graph(3), "matching", 3)
-        assert not structure_matches(path_graph(6), "matching", 3)
-
-    def test_star(self):
-        star = graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert structure_matches(star, "star", 3)
-        assert not structure_matches(path_graph(4), "star", 3)
-
-    def test_balanced_bipartite(self):
-        k33 = graph(6, [(i, j + 3) for i in range(3) for j in range(3)])
-        assert structure_matches(k33, "complete_bipartite_balanced", 3)
-        assert not structure_matches(cycle_graph(6), "complete_bipartite_balanced", 3)
-
-    def test_empty(self):
-        assert structure_matches(graph(3, []), "empty", 3)
-        assert not structure_matches(graph(3, [(0, 1)]), "empty", 3)
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            structure_matches(path_graph(2), "wheel", 2)
-
-    def test_identify_canonical_overlaps(self):
-        assert identify_structure(graph(2, [(0, 1)])) == ("complete", 2)
-        assert identify_structure(complete_graph(3)) == ("complete", 3)
-        assert identify_structure(cycle_graph(3)) == ("complete", 3)
-        assert identify_structure(graph(3, [(0, 1), (0, 2)])) == ("path", 3)
-        assert identify_structure(cycle_graph(4)) == ("cycle", 4)
-        k22 = graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        assert identify_structure(k22) == ("cycle", 4)
-        assert identify_structure(matching_graph(2)) == ("matching", 2)
-        assert identify_structure(graph(5, [(0, i) for i in range(1, 5)])) == ("star", 4)
-        paw = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert identify_structure(paw) is None
-
-    def test_zero_vertex_graph_is_no_family(self):
-        assert identify_structure(graph(0, [])) is None
-
-    def test_identify_agrees_with_oracle_on_every_small_graph(self):
-        checked = 0
-        for n in range(1, 6):
-            pairs = list(combinations(range(n), 2))
-            for bits in range(1 << len(pairs)):
-                edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
-                g = graph(n, edges)
-                assert identify_structure(g) == oracle_identify(n, edges), (n, edges)
-                checked += 1
-        assert checked == 1099
-
-
 small_graphs = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -681,7 +587,7 @@ class TestIsomorphism:
         # 25 vertices and no family: the generic search once refused more
         # than 24
         g = graph(25, [(i, i + 1) for i in range(24)] + [(0, 2)])
-        assert identify_structure(g) is None
+        assert identify(g) is None
         h = relabeled(g, random.Random(25))
         assert carries_edges(find_isomorphism(g, h), g, h)
         assert carries_edges(find_isomorphism(h, g), h, g)
@@ -702,7 +608,7 @@ class TestIsomorphism:
         ])
         for g in (shrikhande, rook):
             assert len(g.edges) == 48 and set(g.degrees()) == {6}
-            assert identify_structure(g) is None
+            assert identify(g) is None
             # g beside a copy of itself, as find_isomorphism refines them
             joint = list(g.adjacency()) + [{w + 16 for w in s} for s in g.adjacency()]
             assert core._refine(joint, [6] * 32, 16) == [0] * 32
@@ -722,6 +628,43 @@ class TestIsomorphism:
         two_halves = graph(n, [(i, (i + 1) % 5000) for i in range(5000)]
                            + [(5000 + i, 5000 + (i + 1) % 5000) for i in range(5000)])
         assert find_isomorphism(g, two_halves) is None
+
+    @pytest.mark.parametrize("text", [
+        "empty:20000", "complete:150", "cycle:20000", "path:20000",
+        "matching:10000", "star:20000", "complete_bipartite_balanced:100",
+    ])
+    def test_every_kind_at_scale_without_refinement(self, text, monkeypatch):
+        # a relabeled member identifies as the member and pairs along its
+        # breadth-first order; refinement raises, so it is never reached
+        monkeypatch.setattr(core, "_refined_map", generic_search_raises)
+        spec = families.parse_spec(text)
+        g = generate(spec)
+        h = relabeled(g, random.Random(text))
+        assert identify(h) == spec
+        assert carries_edges(find_isomorphism(g, h), g, h)
+
+    def test_component_facts_reject_degree_twins_at_scale(self, monkeypatch):
+        # equal n, m and degrees (all 2), no family member on either side;
+        # refinement raises, so each answer comes from the component facts
+        monkeypatch.setattr(core, "_refined_map", generic_search_raises)
+
+        def cycles(*lengths):
+            edges, start = [], 0
+            for length in lengths:
+                edges += [(start + i, start + (i + 1) % length) for i in range(length)]
+                start += length
+            return graph(start, edges)
+
+        two = cycles(10000, 10000)
+        three = cycles(4000, 6000, 10000)  # bipartite like two, one more component
+        odd = cycles(9999, 10001)  # two components like two, not bipartite
+        assert two.component_facts() == (2, True)
+        assert three.component_facts() == (3, True)
+        assert odd.component_facts() == (2, False)
+        assert identify(two) is identify(three) is identify(odd) is None
+        for g, h in ((two, three), (two, odd)):
+            assert find_isomorphism(g, h) is None
+            assert find_isomorphism(h, g) is None
 
     @pytest.mark.parametrize("spec", FAMILY_MEMBERS, ids=FamilySpec.text)
     def test_family_members_map_without_backtracking(self, spec, monkeypatch):
@@ -746,7 +689,7 @@ class TestIsomorphism:
         for members in by_size.values():
             for g in members:
                 for h in members:
-                    if identify_structure(g) != identify_structure(h):
+                    if identify(g) != identify(h):
                         assert find_isomorphism(g, h) is None
         # same size, edge count and degrees as a family member, but no member
         two_triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

@@ -1,8 +1,11 @@
 """Family generators, recognizers, and published-value tables."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
+from oracles import naive_isomorphic
 from sumdiam import core, families
 from sumdiam.families import (
     ISPUM_CYCLE_TABLE,
@@ -20,6 +23,47 @@ from sumdiam.families import (
 
 def spec(text):
     return parse_spec(text)
+
+
+def path_graph(n):
+    return core.graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    return core.graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n):
+    return core.graph(n, list(combinations(range(n), 2)))
+
+
+def matching_graph(p):
+    return core.graph(2 * p, [(2 * i, 2 * i + 1) for i in range(p)])
+
+
+# (kind, first parameter, member with parameter p as (vertex count, edges)),
+# in canonical identification order; the members are written here, apart
+# from families.generate
+ORACLE_MEMBERS = (
+    ("empty", 1, lambda p: (p, [])),
+    ("complete", 1, lambda p: (p, list(combinations(range(p), 2)))),
+    ("cycle", 3, lambda p: (p, [(i, (i + 1) % p) for i in range(p)])),
+    ("path", 1, lambda p: (p, [(i, i + 1) for i in range(p - 1)])),
+    ("matching", 1, lambda p: (2 * p, [(i, p + i) for i in range(p)])),
+    ("star", 1, lambda p: (p + 1, [(p, i) for i in range(p)])),
+    ("complete_bipartite_balanced", 1,
+     lambda p: (2 * p, [(i, j) for i in range(p) for j in range(p, 2 * p)])),
+)
+
+
+def oracle_identify(n, edges):
+    """First (kind, p) in canonical order whose member is isomorphic to the graph."""
+    for kind, first, member in ORACLE_MEMBERS:
+        for p in range(first, n + 1):
+            vertices, member_edges = member(p)
+            if vertices == n and naive_isomorphic(n, edges, vertices, member_edges):
+                return (kind, p)
+    return None
 
 
 class TestSpec:
@@ -109,6 +153,77 @@ class TestGenerate:
             generate(spec(f"{kind}:{largest + 1}"))
 
 
+class TestStructurePredicates:
+    """Each row's membership test, through recognize and identify."""
+
+    def test_path(self):
+        assert recognize(path_graph(5), spec("path:5"))
+        assert not recognize(cycle_graph(5), spec("path:5"))
+        assert recognize(core.graph(1, []), spec("path:1"))
+        # disjoint P2+P3 has the right degrees but is disconnected
+        g = core.graph(5, [(0, 1), (2, 3), (3, 4)])
+        assert not recognize(g, spec("path:5"))
+
+    def test_cycle(self):
+        assert recognize(cycle_graph(6), spec("cycle:6"))
+        two_triangles = core.graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not recognize(two_triangles, spec("cycle:6"))
+
+    def test_complete(self):
+        assert recognize(complete_graph(4), spec("complete:4"))
+        assert not recognize(cycle_graph(4), spec("complete:4"))
+
+    def test_matching(self):
+        assert recognize(matching_graph(3), spec("matching:3"))
+        assert not recognize(path_graph(6), spec("matching:3"))
+
+    def test_star(self):
+        star = core.graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert recognize(star, spec("star:3"))
+        assert not recognize(path_graph(4), spec("star:3"))
+
+    def test_balanced_bipartite(self):
+        k33 = core.graph(6, [(i, j + 3) for i in range(3) for j in range(3)])
+        assert recognize(k33, spec("complete_bipartite_balanced:3"))
+        assert not recognize(cycle_graph(6), spec("complete_bipartite_balanced:3"))
+
+    def test_empty(self):
+        assert recognize(core.graph(3, []), spec("empty:3"))
+        assert not recognize(core.graph(3, [(0, 1)]), spec("empty:3"))
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="^unknown family 'wheel'; expected one of: "):
+            parse_spec("wheel:2")
+
+    def test_identify_canonical_overlaps(self):
+        assert identify(core.graph(2, [(0, 1)])) == spec("complete:2")
+        assert identify(complete_graph(3)) == spec("complete:3")
+        assert identify(cycle_graph(3)) == spec("complete:3")
+        assert identify(core.graph(3, [(0, 1), (0, 2)])) == spec("path:3")
+        assert identify(cycle_graph(4)) == spec("cycle:4")
+        k22 = core.graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        assert identify(k22) == spec("cycle:4")
+        assert identify(matching_graph(2)) == spec("matching:2")
+        assert identify(core.graph(5, [(0, i) for i in range(1, 5)])) == spec("star:4")
+        paw = core.graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert identify(paw) is None
+
+    def test_zero_vertex_graph_is_no_family(self):
+        assert identify(core.graph(0, [])) is None
+
+    def test_identify_agrees_with_oracle_on_every_small_graph(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+                found = identify(core.graph(n, edges))
+                named = None if found is None else (found.kind.value, found.n)
+                assert named == oracle_identify(n, edges), (n, edges)
+                checked += 1
+        assert checked == 1099
+
+
 def accepted_specs(n_max):
     for kind in FamilyKind:
         for n in range(1, n_max + 1):
@@ -123,6 +238,10 @@ class TestKnownValues:
     def test_identify_keeps_known_values(self, s):
         # search.run_search takes a graph and reads its counts through identify
         assert known_values(identify(generate(s))) == known_values(s)
+        # a delegation joins two specs whose members are one graph
+        target = families._DELEGATIONS.get((s.kind, s.n))
+        if target is not None:
+            assert identify(generate(s)) == identify(generate(FamilySpec(*target)))
 
     def test_path_10_documented(self):
         kv = known_values(spec("path:10"))
