@@ -156,68 +156,82 @@ def _smallest_prime_at_least(n: int) -> int:
 
 
 def _refuse_overflow(n: int, k: int) -> None:
-    """Refuse n**k >= 2**63, without the power from k = 63 on when n >= 2."""
+    """Refuse n**k >= 2**63, without the power from k = 63 on when n >= 2.
+
+    Exact counts cannot overflow, so this is a cap on library input, kept
+    at its old boundary and message: each element added to a B_k count
+    walks every power of the set up to P**k, O(k**2) passes over up to n**j
+    sums each, so an order of 10**7 is refused at once rather than counted
+    for hours.
+    """
     if n >= 2 and (k >= _BK_MAX_COEFFICIENT_BITS or n**k >= 2**_BK_MAX_COEFFICIENT_BITS):
         raise ValueError("coefficient fields could overflow for this input size")
 
 
-def _field_width(n: int, k: int) -> int:
-    """Bits per coefficient field for powers up to k of an n-term 0/1 polynomial.
+def _add_counted(powers: list[dict[int, int]], c: int, limits) -> bool:
+    """Add c to P if no coefficient of (P + z^c)^j passes limits[j], j >= 1.
 
-    A coefficient of P**j counts ordered j-tuples, so it is at most n**j, and
-    the field check adds 2**(width - 1) - 1 - j!; both stay below
-    2**(width - 1) when width is one more than the larger one's bit length.
+    powers[j] holds P^j exactly as {sum: count}, powers[0] = {0: 1}.
+    (P + z^c)^j adds binom(j, i) * P^(j - i) shifted by i * c for
+    i = 1..j.  The new counts at the sums this touches are gathered order
+    by order, highest first, since it refuses the most candidates, and the
+    first count that passes its order's limit refuses c, leaving powers as
+    they were.  Counts only grow as elements are added, so a refused c
+    stays refused for any superset of P.
     """
-    return max(n**k, math.factorial(k)).bit_length() + 1
-
-
-def _field_masks(fields: int, limit: int, width: int) -> tuple[int, int]:
-    """(bias, top bits) that test the low `fields` width-bit fields against limit.
-
-    Adding 2**(width - 1) - 1 - limit to a field sets its top bit exactly when
-    the field exceeds limit.  The caller sizes width so that every field and
-    limit stay below 2**(width - 1), so the sum never carries into the next
-    field.  A field above value's highest one reads 0 + bias, below its top
-    bit, so masks with more fields than value needs give the same answer.
-    """
-    ones = ((1 << (width * fields)) - 1) // ((1 << width) - 1)
-    return ((1 << (width - 1)) - 1 - limit) * ones, ones << (width - 1)
-
-
-def _fields_within(value: int, max_index: int, limit: int, width: int) -> bool:
-    """Check that every width-bit little-endian field of value stays <= limit."""
-    bias, top_bits = _field_masks(max_index + 1, limit, width)
-    return (value + bias) & top_bits == 0
+    changed = []
+    for j in range(len(powers) - 1, 0, -1):
+        old = powers[j].get
+        limit = limits[j]
+        new: dict[int, int] = {}
+        get = new.get
+        for i in range(1, j + 1):
+            weight, shift = math.comb(j, i), i * c
+            for s, count in powers[j - i].items():
+                t = s + shift
+                total = (get(t) or old(t, 0)) + weight * count
+                if total > limit:
+                    return False
+                new[t] = total
+        changed.append((powers[j], new))
+    for power, new in changed:
+        power.update(new)
+    return True
 
 
 def is_bk_set(elements, k: int) -> bool:
     """Certify the B_k property: coefficients of the k-th power stay <= k!.
 
-    At k = 2 that says the n(n+1)/2 sums a + b with a <= b are distinct,
-    which is checked directly; higher orders take the packed power.  For
-    k >= 3 True means that no coefficient of P^k, P the sum of z^a over the
-    elements, exceeds k!; the orders below k are not tested.  That makes
+    At most one element is B_k for every k: its powers all have coefficient
+    1.  At k = 2 the property says the n(n+1)/2 sums a + b with a <= b are
+    distinct, which is checked directly.  For k >= 3 the elements are added
+    in order to exact counts of the coefficients of P^j, P the sum of z^a
+    over the elements (_add_counted), and True means that no coefficient of
+    P^k exceeds k!; the orders below k are not tested.  That makes
     every k-subset sum distinct (two k-subsets with one sum would give it
     2 * k! ordered tuples) but not every k-multiset sum:
     is_bk_set((1, 2, 4, 8), 3) is True although 1 + 1 + 8 = 2 + 4 + 4.
     """
-    if k < 2:
-        raise ValueError("B_k order must be >= 2")
-    elements = tuple(sorted(elements))
-    if not elements:
-        return True
-    if len(set(elements)) != len(elements) or elements[0] < 1:
+    if type(k) is not int or k < 2:
+        raise ValueError("B_k order must be an integer >= 2")
+    elements = tuple(elements)
+    if (
+        any(type(a) is not int for a in elements)
+        or len(set(elements)) != len(elements)
+        or min(elements, default=1) < 1
+    ):
         raise ValueError("B_k sets contain distinct positive integers")
+    elements = sorted(elements)
+    if len(elements) <= 1:
+        return True
     _refuse_overflow(len(elements), k)
     if k == 2:
         n = len(elements)
         sums = {a + b for i, a in enumerate(elements) for b in elements[i:]}
         return len(sums) == n * (n + 1) // 2
-    width = _field_width(len(elements), k)
-    packed = 0
-    for a in elements:
-        packed += 1 << (width * a)
-    return _fields_within(packed**k, k * elements[-1], math.factorial(k), width)
+    powers = [{0: 1}] + [{} for _ in range(k)]
+    limits = [math.inf] * k + [math.factorial(k)]
+    return all(_add_counted(powers, a, limits) for a in elements)
 
 
 def is_sidon_set(elements) -> bool:
@@ -237,52 +251,32 @@ def _greedy_bk_elements(n: int, k: int) -> tuple[int, ...]:
 
     Order 2 is tested on the prefix's pairwise sums: the prefix is B_2, so
     adding c keeps it B_2 exactly when no new sum c + a (a chosen) is already
-    one; 2c exceeds every old sum.  Orders 3 to k take packed powers of the
-    prefix, and only for candidates that pass order 2.  So for k >= 3 the
-    output has no coefficient of P^j above j!, for each j <= k: its j-subset
-    sums are distinct, its k-multiset sums need not be.
+    one; 2c exceeds every old sum.  For k >= 3 a candidate that passes order
+    2 is added to exact counts of the prefix's powers with limit j! at each
+    order j (_add_counted).  So the output has no coefficient of P^j above
+    j!, for each j <= k: its j-subset sums are distinct, its k-multiset sums
+    need not be.
     """
     _refuse_overflow(n + 1, k)
-    width = _field_width(n + 1, k)
     limits = [math.factorial(j) for j in range(k + 1)]
-    binoms = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
+    powers = [{0: 1}] + [{} for _ in range(k)]  # used for k >= 3
     chosen: list[int] = []
     pair_sums: set[int] = set()  # a + b over chosen a <= b
-    packed = 0
-    powers = [1] + [0] * k  # powers[j] = prefix polynomial ** j, kept for k >= 3
-    # masks[j] = (fields, bias, top bits) for order j, rebuilt at twice the
-    # fields needed once (P + z^c)^j, of degree j * c, outgrows them
-    masks = [(0, 0, 0)] * (k + 1)
     candidate = 1
     while len(chosen) < n:
-        if pair_sums.isdisjoint(candidate + a for a in chosen):
-            for j in range(3, k + 1):
-                # (P + z^c)^j expanded binomially from cached powers of P
-                total = powers[j]
-                for i in range(1, j + 1):
-                    total += (binoms[j][i] * powers[j - i]) << (width * i * candidate)
-                fields, bias, top_bits = masks[j]
-                if j * candidate >= fields:
-                    fields = 2 * j * candidate + 1
-                    bias, top_bits = _field_masks(fields, limits[j], width)
-                    masks[j] = fields, bias, top_bits
-                if (total + bias) & top_bits:
-                    break
-            else:  # every order passed
-                chosen.append(candidate)
-                pair_sums.update(candidate + a for a in chosen)
-                if k > 2:
-                    packed += 1 << (width * candidate)
-                    for j in range(1, k + 1):
-                        powers[j] = powers[j - 1] * packed
+        if pair_sums.isdisjoint(candidate + a for a in chosen) and (
+            k == 2 or _add_counted(powers, candidate, limits)
+        ):
+            chosen.append(candidate)
+            pair_sums.update(candidate + a for a in chosen)
         candidate += 1
     return tuple(chosen)
 
 
 def sidon_set(n: int) -> SidonSet:
     """Sidon set of size n inside [1, 2p^2], p the smallest prime >= n."""
-    if n < 1:
-        raise ValueError("Sidon set size must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("Sidon set size must be an integer >= 1")
     p = _smallest_prime_at_least(n)
     elements = tuple(sorted(2 * p * i + (i * i) % p for i in range(1, p + 1)))[:n]
     if not is_bk_set(elements, 2):
@@ -291,16 +285,17 @@ def sidon_set(n: int) -> SidonSet:
 
 
 def bk_set(n: int, k: int) -> SidonSet:
-    """Greedy-from-1 B_k set of size n, certified element by element.
+    """Greedy-from-1 B_k set of size n, certified element by element:
+    order 2 on pairwise sums, orders 3..k on exact coefficient counts.
 
     For k >= 3 the certificate is that no coefficient of P^j exceeds j!,
     for each j <= k.  Every k-subset sum is then distinct, but k-multiset
     sums can collide: bk_set(4, 3) is (1, 2, 4, 8), and 1 + 1 + 8 = 2 + 4 + 4.
     """
-    if n < 1:
-        raise ValueError("B_k set size must be >= 1")
-    if k < 2:
-        raise ValueError("B_k order must be >= 2")
+    if type(n) is not int or n < 1:
+        raise ValueError("B_k set size must be an integer >= 1")
+    if type(k) is not int or k < 2:
+        raise ValueError("B_k order must be an integer >= 2")
     return SidonSet(_greedy_bk_elements(n, k), k)
 
 

@@ -175,8 +175,8 @@ class TestBkSets:
             assert bk_set(size, k).elements == tuple(chosen[:size]), size
 
     def test_benchmark_sizes_pinned(self):
-        # the greedy reuses its field masks across candidates; these are the
-        # sets it built when it rebuilt them for every candidate
+        # the sets the greedy built when it tested orders 3..k on packed
+        # big-integer powers
         assert bk_set(10, 4).elements == (1, 2, 4, 8, 20, 56, 131, 281, 581, 1055)
         assert bk_set(12, 3).elements == (
             1, 2, 4, 8, 16, 32, 64, 128, 201, 347, 511, 785,
@@ -276,51 +276,64 @@ class TestBkSets:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
-    def test_field_check_matches_per_field_reference(self):
-        rng = random.Random(20211)
-        for width in range(2, 65):
-            top = 2 ** (width - 1) - 1
-            for _ in range(200):
-                count = rng.randint(1, 6)
-                limit = rng.choice(
-                    [v for v in (0, 1, 2, 6, 24, 120, 255, 256, 720) if v <= top]
-                    + [rng.randint(0, top)]
-                )
-                fields = [
-                    min(
-                        rng.choice(
-                            [0, limit, limit + 1, max(limit - 1, 0), 255, 256, top]
-                            + [rng.randint(0, top)]
-                        ),
-                        top,
-                    )
-                    for _ in range(count)
-                ]
-                value = sum(f << (width * i) for i, f in enumerate(fields))
-                want = all(f <= limit for f in fields)
-                got = constructions._fields_within(value, count - 1, limit, width)
-                assert got == want, (width, limit, fields)
-                # masks for more fields than the value needs: each extra
-                # field reads 0 + bias, below its top bit
-                bias, top_bits = constructions._field_masks(
-                    count + rng.randint(1, 4), limit, width
-                )
-                assert ((value + bias) & top_bits == 0) == want, (width, limit, fields)
-
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_certifier_matches_oracle_on_all_small_subsets(self, k):
-        # sizes below 4 at k = 5 have n**k < k!, where k! sets the field width
+        # sizes below 4 at k = 5 have n**k < k!
         for size in range(5):
             for elements in itertools.combinations(range(1, 13), size):
                 assert is_bk_set(elements, k) == is_bk_oracle(elements, k), elements
 
-    def test_field_width_rule(self):
-        assert constructions._field_width(1, 2) == 3
-        assert constructions._field_width(2, 5) == 8  # 5! = 120 > 2**5
-        assert constructions._field_width(10, 4) == 15  # 10**4 < 2**14
-        # the largest size the overflow guard admits at k = 4 packs 64-bit fields
-        assert 55108**4 < 2**63 <= 55109**4
-        assert constructions._field_width(55108, 4) == 64
+    def test_at_most_one_element_is_bk_for_every_order(self):
+        # one term's powers all have coefficient 1: no count, no cap
+        for k in (2000, 10**9):
+            start = time.perf_counter()
+            assert is_bk_set((5,), k)
+            assert time.perf_counter() - start < 0.5
+        assert is_bk_set((), 10**9)
+        with pytest.raises(ValueError, match="^B_k sets contain distinct positive integers$"):
+            is_bk_set((0,), 10**9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_integer_input_is_refused(self, k):
+        for bad in ([1.5, 2], [True, 2], [1, 2.0], ["1", 2], [None, 3]):
+            with pytest.raises(ValueError, match="^B_k sets contain distinct positive integers$"):
+                is_bk_set(bad, k)
+        for call in (
+            lambda: is_bk_set([1, 2], float(k)),
+            lambda: bk_set(2.5, k),
+            lambda: bk_set(True, k),
+            lambda: bk_set(3, float(k)),
+            lambda: sidon_set(2.5),
+            lambda: sidon_set(True),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_greedy_outputs_pinned_by_digest(self):
+        # the sets the greedy built when it tested orders 3..k on packed
+        # big-integer powers
+        text = ";".join(
+            f"{n},{k}:" + ",".join(map(str, bk_set(n, k).elements))
+            for k, top in ((3, 20), (4, 13), (5, 9))
+            for n in range(1, top + 1)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "9d28e294912bcce6e0af6d5d9bd1f2b2c6be3e09741e5308c0ccad5f835dc529"
+
+    @pytest.mark.parametrize("k, top", [(3, 20), (4, 13), (5, 9)])
+    def test_greedy_outputs_pass_the_oracle_at_every_order(self, k, top):
+        for n in range(1, top + 1):
+            elements = bk_set(n, k).elements
+            for j in range(2, k + 1):
+                assert is_bk_oracle(elements, j), (n, k, j)
+
+    def test_certificate_does_not_grow_with_the_span(self):
+        dilated = [100000 * a + 1 for a in bk_set(8, 3).elements]
+        start = time.perf_counter()
+        assert is_bk_set(dilated, 3)
+        assert time.perf_counter() - start < 0.5
+        assert is_bk_set([1, 2**70], 3)
+        assert not is_bk_set([1, 2, 2**70, 2**70 + 1], 3)
 
 
 class TestBenchmarkSets:
