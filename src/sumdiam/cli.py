@@ -243,7 +243,9 @@ def _cmd_verify(args) -> Output:
         "labels": list(lab.labels),
         "target": echo,
         "valid": valid,
-        "isolate_count": induce(lab).isolate_count,
+        # validation matched the core's vertex count to g's, so a valid
+        # labeling's isolates are the other labels
+        "isolate_count": len(lab.labels) - g.n if valid else induce(lab).isolate_count,
         "range": label_range(lab),
     }
     return _record(fields, tuple(fields), EXIT_OK if valid else EXIT_DOMAIN)

@@ -74,13 +74,14 @@ def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
     labels per target edge, and each such set is in the induced edge set I
     when its sum is a label. So E is a subset of I, and an induced edge
     count equal to len(target.edges) makes the two sets equal. Pairs are
-    counted, never listed (_pair_count), k-subsets for k >= 3 listed only
-    where they sum to a label (_induced_subsets); it checks the builder's
-    own vertex map, so it searches for no isomorphism. Both counts try as a
-    summand only the labels whose residue class mod k^2 can hold one
-    (core._summand_classes, on label sets past its size rule): for the
-    outputs of sd_general and hyper_general, whose edge labels sit in a
-    class no k labels sum into, that is the vertex labels alone.
+    counted as they stream, never listed or kept (_pair_count), k-subsets
+    for k >= 3 listed only where they sum to a label (_induced_subsets); it
+    checks the builder's own vertex map, so it searches for no isomorphism.
+    Both counts try as a summand only the labels whose residue class mod
+    k^2 can hold one (core._summand_classes, on label sets past its size
+    rule): for the outputs of sd_general and hyper_general, whose edge
+    labels sit in a class no k labels sum into, that is the vertex labels
+    alone.
     """
     members = set(lab.labels)
     distinct = set(vertex_label)
@@ -91,7 +92,7 @@ def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
         and members.issuperset(distinct)
         and members.issuperset(sums)
         and len(target.edges) == (
-            _pair_count(lab)[0] if pairs else len(_induced_subsets(lab.labels, target.k))
+            _pair_count(lab) if pairs else len(_induced_subsets(lab.labels, target.k))
         )
     )
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 MAX_LABEL = 2**63 - 1  # labels must fit in a signed 64-bit integer
@@ -135,8 +135,9 @@ def _labeling_unchecked(
     a + b is included, since the other two are chosen by then; its edge-cap
     prune rests on that same count. is_valid_labeling rejects a labeling
     whose kept count differs from the edge count it is asked for before the
-    labels are listed, and a labeling with a matching count is counted
-    again, so the kept count can reject a labeling but never accept one.
+    labels are listed, and the pairs of a labeling with a matching count
+    are listed again, so the kept count can reject a labeling but never
+    accept one.
     """
     lab = object.__new__(Labeling)
     # the instance dict assigned whole, in place of four object.__setattr__
@@ -322,8 +323,8 @@ def _summand_classes(labels: Sequence[int], k: int) -> int | None:
     return None if live == present else live
 
 
-def _pairwise_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """All index pairs i<j with labels[i]+labels[j] in the label set.
+def _pairwise_pairs(labels: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Each index pair i<j with labels[i]+labels[j] in the label set.
 
     A hit makes both labels summands, so under the size rule of
     _summand_classes only labels of a class mod 4 that can hold one are
@@ -332,22 +333,21 @@ def _pairwise_pairs(labels: tuple[int, ...]) -> list[tuple[int, int]]:
     members = set(labels)
     top = labels[-1]
     live = _summand_classes(labels, 2)
-    index = None
+    index: Sequence[int] = range(len(labels))
     if live is not None:
         index = [i for i, v in enumerate(labels) if live >> (v & 3) & 1]
         labels = [labels[i] for i in index]
-    out = []
     for i, a in enumerate(labels):
         if 2 * a + 1 > top:
             break  # a + b > top for every later b
         for j in range(i + 1, bisect_right(labels, top - a)):
             if a + labels[j] in members:
-                out.append((i, j))
-    return out if index is None else [(index[i], index[j]) for i, j in out]
+                yield index[i], index[j]
 
 
-def _hit_masks(labels: tuple[int, ...], indicator: int) -> list[int]:
-    """Partner mask of each label a up to the last with 2a + 1 <= max.
+def _hit_masks(labels: tuple[int, ...], indicator: int) -> Iterator[int]:
+    """The partner mask of each label a up to the last with 2a + 1 <= max,
+    one at a time, so no more than one mask is held.
 
     Bit q of a's mask is set when b = a + 1 + q and a + b are both labels;
     the indicator ANDed with itself shifted by a marks every such b, and one
@@ -357,65 +357,57 @@ def _hit_masks(labels: tuple[int, ...], indicator: int) -> list[int]:
     """
     low, top = labels[0], labels[-1]
     live = _summand_classes(labels, 2)
-    masks = []
     for a in labels:
         if 2 * a + 1 > top:
             break  # a + b > top for every later b
         if live is not None and not live >> (a & 3) & 1:
-            masks.append(0)
+            yield 0
             continue
         sums = indicator >> a if a >= 0 else indicator << -a
-        masks.append((indicator & sums) >> (a + 1 - low))
-    return masks
+        yield (indicator & sums) >> (a + 1 - low)
 
 
-def _masked_pairs(labels: tuple[int, ...], masks: list[int]) -> list[tuple[int, int]]:
-    """The index pairs the masks of _hit_masks mark."""
+def _masked_pairs(labels: tuple[int, ...], masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Each index pair the masks of _hit_masks mark."""
     index = {v: i for i, v in enumerate(labels)}
-    out = []
     for i, mask in enumerate(masks):
         base = labels[i] + 1
         while mask:  # peel the top bit, so the mask shrinks as it goes
             q = mask.bit_length() - 1
-            out.append((i, index[base + q]))
+            yield i, index[base + q]
             mask ^= 1 << q
-    return out
 
 
-def _pair_count(
-    lab: Labeling,
-) -> tuple[int, Callable[[], list[tuple[int, int]]]]:
-    """How many index pairs i<j of lab's labels sum to a label, and a
-    function that lists them.
+def _sparse(labels: tuple[int, ...]) -> bool:
+    """The span rule: the pairwise path for a label span above
+    _BITSET_SPAN_PER_LABEL times the label count, the bitset path otherwise."""
+    return labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels)
 
-    The span rule picks the path. The bitset path counts its masks' bits and
-    lists pairs only when asked; the pairwise path lists as it counts. Both
-    skip the labels of a class mod 4 that cannot hold a summand, under the
-    size rule of _summand_classes, so only an sd_general output's vertex
-    labels are tried as summands; every count is the same as without the
-    skip.
+
+def _pair_count(lab: Labeling) -> int:
+    """How many index pairs i<j of lab's labels sum to a label.
+
+    The span rule picks the path: the bitset path adds up the popcounts of
+    the masks as _hit_masks streams them, the pairwise path counts the pairs
+    as they stream. Both skip the labels of a class mod 4 that cannot hold a
+    summand, under the size rule of _summand_classes, so only an sd_general
+    output's vertex labels are tried as summands; every count is the same as
+    without the skip. Memory stays linear in the label count.
     """
     labels = lab.labels
-    if labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels):
-        pairs = _pairwise_pairs(labels)
-        return len(pairs), lambda: pairs
-    masks = _hit_masks(labels, lab.indicator())
-    return sum(map(int.bit_count, masks)), lambda: _masked_pairs(labels, masks)
+    if _sparse(labels):
+        return sum(1 for _ in _pairwise_pairs(labels))
+    return sum(map(int.bit_count, _hit_masks(labels, lab.indicator())))
 
 
-def _induced_pairs(
-    lab: Labeling, edge_count: int | None = None
-) -> list[tuple[int, int]] | None:
-    """Index pairs i<j of lab's sorted labels whose sum is a label.
-
-    Given edge_count, None unless there are exactly that many pairs, known
-    once the pairs are counted; the bitset path counts its masks' bits
-    before it lists any pair.
-    """
-    count, listed = _pair_count(lab)
-    if edge_count is not None and count != edge_count:
-        return None
-    return listed()
+def _induced_pairs(lab: Labeling) -> Iterator[tuple[int, int]]:
+    """Each index pair i<j of lab's sorted labels whose sum is a label, from
+    the path the span rule picks; a caller that needs only the first few
+    pairs stops there, and no mask is kept past its own pairs."""
+    labels = lab.labels
+    if _sparse(labels):
+        return _pairwise_pairs(labels)
+    return _masked_pairs(labels, _hit_masks(labels, lab.indicator()))
 
 
 def _induced_subsets(labels: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -488,7 +480,7 @@ def _split_induced(labels: tuple[int, ...], edges, build=SimpleGraph):
 def induce(lab: Labeling) -> InducedResult:
     """Induced sum graph: vertex per label, edge when the pair sum is a label."""
     labels = lab.labels
-    full, isolated, core, core_labels = _split_induced(labels, _induced_pairs(lab))
+    full, isolated, core, core_labels = _split_induced(labels, list(_induced_pairs(lab)))
     return InducedResult(full, labels, isolated, core, core_labels, len(isolated))
 
 
@@ -616,17 +608,19 @@ def induce_if_valid(
 ) -> tuple[int, ...] | None:
     """The label of each vertex of g if lab induces g with the isolate count.
 
-    The edge count is compared before any pair is listed, then on the
-    induced pairs the core size, isolate count, degree sequence and degree
-    profile (_degree_profile, kept on g) before any graph is built. Each is
-    an isomorphism invariant, so the result is the same as running
-    find_isomorphism directly. A search leaf's kept pair count is not read
-    here; is_valid_labeling rejects on it first.
+    The induced pairs are listed as they stream, and a labeling with more
+    pairs than g has edges is rejected one pair past the edge count, with
+    the rest never found; one with fewer is rejected once they run out.
+    Then on the induced pairs come the core size, isolate count, degree
+    sequence and degree profile (_degree_profile, kept on g) before any
+    graph is built. Each is an isomorphism invariant, so the result is the
+    same as running find_isomorphism directly. A search leaf's kept pair
+    count is not read here; is_valid_labeling rejects on it first.
     """
     g.require_isolate_free()
     target_deg = g.degrees()
-    pairs = _induced_pairs(lab, len(g.edges))
-    if pairs is None:
+    pairs = list(islice(_induced_pairs(lab), len(g.edges) + 1))
+    if len(pairs) != len(g.edges):
         return None
     labels = lab.labels
     deg = _pair_degrees(pairs, len(labels))
@@ -651,9 +645,11 @@ def is_valid_labeling(
     """Does lab induce g (as the core) with the required isolate count?
 
     A search leaf (_labeling_unchecked) whose kept pair count differs from
-    g's edge count is rejected here, in one call that lists no label. Any
-    other labeling, and a target with no vertex or an isolated vertex, for
-    which induce_if_valid raises, goes on to induce_if_valid.
+    g's edge count is rejected here, in one call that lists no label or
+    pair. Any other labeling, a leaf whose kept count matches included, and
+    a target with no vertex or an isolated vertex, for which
+    induce_if_valid raises, goes on to induce_if_valid, which lists the
+    pairs afresh.
     """
     kept = lab.__dict__.get("_counted_pairs")
     # the test of _EdgeSet.require_isolate_free, inline: calling it here, on

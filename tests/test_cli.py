@@ -138,6 +138,31 @@ class TestVerify:
         assert data["isolate_count"] == 91
         assert data["range"] == 14401
 
+    def test_isolate_count_induces_only_an_invalid_labeling(self, capsys, monkeypatch):
+        # a valid labeling's core matched the target's vertex count, so its
+        # isolates are the other labels; only an invalid one is induced again
+        induced = []
+        real = cli.induce
+
+        def counted(lab):
+            induced.append(lab.labels)
+            return real(lab)
+
+        monkeypatch.setattr(cli, "induce", counted)
+        out, _ = run(
+            capsys, "verify", "--labels", "1,2,3,4", "--target", "path:3",
+            "--format", "json",
+        )
+        assert json.loads(out)["isolate_count"] == 1
+        assert induced == []
+        # 1+2, 1+3, 1+4 and 2+3 are labels: four edges, and 5 is isolated
+        out, _ = run(
+            capsys, "verify", "--labels", "1,2,3,4,5", "--target", "path:3",
+            "--format", "json", expect=1,
+        )
+        assert json.loads(out)["isolate_count"] == 1
+        assert induced == [(1, 2, 3, 4, 5)]
+
     def test_target_and_graph_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "c4.json"
         path.write_text(C4_JSON)

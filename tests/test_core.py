@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from enum import IntEnum
 from itertools import combinations
 from math import comb
@@ -313,7 +314,7 @@ class TestInduce:
         monkeypatch.setattr(core, "_pairwise_pairs", None)
         for values in (tuple(range(2000, 4002)), tuple(range(-300, 301))):
             lo, hi = values[0], values[-1]
-            pairs = core._induced_pairs(labeling(values))
+            pairs = list(core._induced_pairs(labeling(values)))
             expected = sum(
                 1 for i, a in enumerate(values) for b in values[i + 1 :] if lo <= a + b <= hi
             )
@@ -369,10 +370,9 @@ class TestSpanRule:
             at_bound += span == bound * len(values)
             edges, _ = naive_induce(values)
             lab = labeling(values)
-            pairs = core._induced_pairs(lab)
+            pairs = list(core._induced_pairs(lab))
             assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
-            assert core._induced_pairs(lab, len(edges)) == pairs
-            assert core._induced_pairs(lab, len(edges) + 1) is None
+            assert core._pair_count(lab) == len(edges), values
         assert sides[True] > 100 and sides[False] > 50 and at_bound >= 30
 
     def test_bound_itself_takes_the_bitset(self, monkeypatch):
@@ -386,23 +386,34 @@ class TestSpanRule:
         core._induced_pairs(labeling((1, 2, 2 + 3 * bound)))
         assert calls == ["bitset", "pairwise"]
 
-    def test_count_comes_before_listing(self, monkeypatch):
-        listed = []
-        monkeypatch.setattr(core, "_masked_pairs", _recorder(listed, "list", core._masked_pairs))
+    def test_listing_stops_one_pair_past_the_edge_count(self, monkeypatch):
+        drawn = []
+        real = core._induced_pairs
+
+        def counted(lab):
+            for pair in real(lab):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(core, "_induced_pairs", counted)
+        # 1..2000 induces about a million pairs; P3 has two edges, so the
+        # third pair drawn rejects it
+        assert induce_if_valid(labeling(range(1, 2001)), path_graph(3)) is None
+        assert len(drawn) == 3
         lab = labeling([1, 2, 3, 4])  # the path 2-1-3 plus the isolate 4
-        assert induce_if_valid(lab, complete_graph(3)) is None
-        assert induce_if_valid(lab, path_graph(2)) is None
-        assert listed == []
+        drawn.clear()
+        assert induce_if_valid(lab, complete_graph(3)) is None  # too few pairs
+        assert induce_if_valid(lab, path_graph(2)) is None  # one too many
+        assert len(drawn) == 4
         assert induce_if_valid(lab, path_graph(3)) == (2, 1, 3)
-        assert listed == ["list"]
 
     def test_kept_count_can_only_reject(self, monkeypatch):
         # a search leaf keeps the kernel's pair count, and is_valid_labeling
         # rejects on it: a count unlike the edge count rejects before any
-        # pair is counted or any label is listed, and an equal one is
-        # counted again, so even a wrong kept count accepts nothing
-        counted = []
-        monkeypatch.setattr(core, "_pair_count", _recorder(counted, "count", core._pair_count))
+        # pair or label is listed, and with an equal one the pairs are
+        # listed again, so even a wrong kept count accepts nothing
+        listed = []
+        monkeypatch.setattr(core, "_induced_pairs", _recorder(listed, "list", core._induced_pairs))
         labels = (1, 2, 3, 4)  # the path 2-1-3 plus the isolate 4
         indicator = labeling(labels).indicator()
 
@@ -413,14 +424,43 @@ class TestSpanRule:
             lab = leaf(2)
             assert not is_valid_labeling(lab, target)
             assert "labels" not in lab.__dict__
-        assert counted == []
+        assert listed == []
         # three kept pairs, as many as the triangle has edges, but two induced
         assert not is_valid_labeling(leaf(3), complete_graph(3))
-        assert counted == ["count"]
+        assert listed == ["list"]
         lab = leaf(2)
         assert is_valid_labeling(lab, path_graph(3))
-        assert counted == ["count", "count"]
+        assert listed == ["list", "list"]
         assert lab.__dict__["labels"] == labels
+
+
+def _traced_peak(call):
+    """call() and the peak of memory allocated while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """The pair counters hold one label's partner mask at a time, not one
+    span-wide mask per label, so memory stays linear in the label count."""
+
+    def test_dense_count_holds_no_mask_per_label(self):
+        # 20,000 vertices and 39,999 labels over a span of 39,998: a mask per
+        # label would be some 25 MB
+        lab = constructions.spum_path_even(20000).labeling
+        count, peak = _traced_peak(lambda: core._pair_count(lab))
+        assert count == 19999
+        assert peak < 2**20, peak
+
+    def test_rejection_lists_no_pair_past_the_edge_count(self):
+        lab = labeling(range(1, 20001))
+        result, peak = _traced_peak(lambda: induce_if_valid(lab, path_graph(3)))
+        assert result is None
+        assert peak < 4 * 2**20, peak
 
 
 class TestResidueFilter:
@@ -436,7 +476,7 @@ class TestResidueFilter:
         for values in residue_class_sets(random.Random(20261020), 2, sizes):
             edges, _ = naive_induce(values)
             lab = labeling(values)
-            pairs = core._induced_pairs(lab)
+            pairs = list(core._induced_pairs(lab))
             assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
             masks = core._hit_masks(values, lab.indicator())
             assert sorted(core._masked_pairs(values, masks)) == sorted(edges), values
