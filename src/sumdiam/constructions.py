@@ -73,20 +73,25 @@ def induces_as_labeled(lab: Labeling, target: _EdgeSet, vertex_label) -> bool:
     labels in lab, the image E of target's edges has one set of distinct
     labels per target edge, and each such set is in the induced edge set I
     when its sum is a label. So E is a subset of I, and an induced edge
-    count equal to len(target.edges) makes the two sets equal. Pairs are
-    counted as they stream, never listed or kept (_pair_count), k-subsets
-    for k >= 3 listed only where they sum to a label (_induced_subsets); it
-    checks the builder's own vertex map, so it searches for no isomorphism.
-    Both counts try as a summand only the labels whose residue class mod
-    k^2 can hold one (core._summand_classes, on label sets past its size
-    rule): for the outputs of sd_general and hyper_general, whose edge
-    labels sit in a class no k labels sum into, that is the vertex labels
-    alone.
+    count equal to len(target.edges) makes the two sets equal. A graph's
+    edge sums are formed pair by pair. Pairs are counted as they stream,
+    never listed or kept (_pair_count), k-subsets for k >= 3 listed only
+    where they sum to a label (_induced_subsets); it checks the builder's
+    own vertex map, so it searches for no isomorphism. Both counts try as a
+    summand only the labels whose residue class mod k^2 can hold one
+    (core._summand_classes, on label sets past its size rule): for the
+    outputs of sd_general and hyper_general, whose edge labels sit in a
+    class no k labels sum into, that is the vertex labels alone, and the
+    pair count picks its path by comparing the span with their number, so
+    an sd_general proof takes the pairwise path over its vertex labels.
     """
     members = set(lab.labels)
     distinct = set(vertex_label)
-    sums = {sum(map(vertex_label.__getitem__, e)) for e in target.edges}
     pairs = isinstance(target, SimpleGraph)
+    if pairs:
+        sums = {vertex_label[u] + vertex_label[v] for u, v in target.edges}
+    else:
+        sums = {sum(map(vertex_label.__getitem__, e)) for e in target.edges}
     return (
         len(distinct) == target.n
         and members.issuperset(distinct)
@@ -160,13 +165,15 @@ def _refuse_overflow(n: int, k: int) -> None:
     """Refuse n**k >= 2**63, without the power from k = 63 on when n >= 2.
 
     Exact counts cannot overflow, so this is a cap on library input, kept
-    at its old boundary and message: each element added to a B_k count
-    walks every power of the set up to P**k, O(k**2) passes over up to n**j
-    sums each, so an order of 10**7 is refused at once rather than counted
-    for hours.
+    at its old boundary: each element added to a B_k count walks every
+    power of the set up to P**k, O(k**2) passes over up to n**j sums each,
+    so an order of 10**7 is refused at once rather than counted for hours.
     """
     if n >= 2 and (k >= _BK_MAX_COEFFICIENT_BITS or n**k >= 2**_BK_MAX_COEFFICIENT_BITS):
-        raise ValueError("coefficient fields could overflow for this input size")
+        raise ValueError(
+            f"B_k certification refused: n**k is at least 2**{_BK_MAX_COEFFICIENT_BITS}, "
+            "which caps the work of the exact counts"
+        )
 
 
 def _add_counted(powers: list[dict[int, int]], c: int, limits) -> bool:

@@ -23,17 +23,19 @@ MAX_BUILD_SIZE = 2**20
 # picks no induce path; perfbench/tracing.py files inductions of more labels
 # than this under core.induce.big_*
 _BIG_INDUCE_THRESHOLD = 1024
-# induce by bitset when the label span is at most this many times the label
-# count, pairwise otherwise: the bitset costs about k * span / 64 word
-# operations, the pairwise loop about k**2 / 2 set lookups
+# induce by bitset when the label span is at most this many times the
+# summand count (the labels the residue filter keeps, _summands), pairwise
+# otherwise: for s summands the bitset costs about s * span / 64 word
+# operations, the pairwise loop about s**2 / 2 set lookups
 _BITSET_SPAN_PER_LABEL = 200
 # the induced-edge counters leave out the labels of residue classes mod k**2
 # that cannot hold a summand (_summand_classes) only on label sets with at
 # least this many k-subsets. A counter's work grows with that number (pair
 # lookups, or mask words under the span rule, or k-subsets), the filter's
 # with the label count: about 1.5 us plus 0.06 us a label (Python 3.11.7),
-# and on sd_general outputs it breaks even near 70 to 80 labels, where
-# C(n, 2) is 2,300 to 3,200. The rule reads n >= 92 for pairs, 31 for
+# and on sd_general outputs, whose count then takes the pairwise path over
+# the vertex labels, it breaks even near 60 to 75 labels, where C(n, 2) is
+# 1,800 to 2,700. The rule reads n >= 92 for pairs, 31 for
 # triples and 20 for 4-subsets, so no hypergraph search leaf (17 labels at
 # most) runs it
 _RESIDUE_MIN_SUBSETS = 4096
@@ -323,91 +325,107 @@ def _summand_classes(labels: Sequence[int], k: int) -> int | None:
     return None if live == present else live
 
 
-def _pairwise_pairs(labels: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Each index pair i<j with labels[i]+labels[j] in the label set.
+def _summands(labels: tuple[int, ...]) -> Sequence[int]:
+    """The labels that can be a summand of a pair summing to a label: those
+    of a class mod 4 that _summand_classes keeps, under its size rule, or
+    all of them when it rules no class out. Each pair count and listing
+    makes this list once and hands it to the span rule and to its path."""
+    live = _summand_classes(labels, 2)
+    if live is None:
+        return labels
+    keep = [live >> r & 1 for r in range(4)]
+    return [v for v in labels if keep[v & 3]]
 
-    A hit makes both labels summands, so under the size rule of
-    _summand_classes only labels of a class mod 4 that can hold one are
-    tried, as a and as its partner b.
-    """
+
+def _hit_lists(labels: tuple[int, ...], summands: Sequence[int]) -> Iterator[list[int]]:
+    """The partner list of each summand a up to the last with 2a + 1 <= max,
+    one at a time: the later summands b with a + b a label, ascending."""
     members = set(labels)
     top = labels[-1]
-    live = _summand_classes(labels, 2)
-    index: Sequence[int] = range(len(labels))
-    if live is not None:
-        index = [i for i, v in enumerate(labels) if live >> (v & 3) & 1]
-        labels = [labels[i] for i in index]
-    for i, a in enumerate(labels):
+    for i, a in enumerate(summands):
         if 2 * a + 1 > top:
             break  # a + b > top for every later b
-        for j in range(i + 1, bisect_right(labels, top - a)):
-            if a + labels[j] in members:
-                yield index[i], index[j]
+        yield [b for b in summands[i + 1 : bisect_right(summands, top - a)] if a + b in members]
 
 
-def _hit_masks(labels: tuple[int, ...], indicator: int) -> Iterator[int]:
-    """The partner mask of each label a up to the last with 2a + 1 <= max,
+def _hit_masks(labels: tuple[int, ...], summands: Sequence[int], indicator: int) -> Iterator[int]:
+    """The partner mask of each summand a up to the last with 2a + 1 <= max,
     one at a time, so no more than one mask is held.
 
     Bit q of a's mask is set when b = a + 1 + q and a + b are both labels;
     the indicator ANDed with itself shifted by a marks every such b, and one
-    more shift brings b = a + 1 to bit 0. Under the size rule of
-    _summand_classes, a label of a class mod 4 that cannot hold a summand
-    gets the mask 0 without either shift.
+    more shift brings b = a + 1 to bit 0. A label b left out of the summands
+    sets no bit: no label is then a + b.
     """
     low, top = labels[0], labels[-1]
-    live = _summand_classes(labels, 2)
-    for a in labels:
+    for a in summands:
         if 2 * a + 1 > top:
             break  # a + b > top for every later b
-        if live is not None and not live >> (a & 3) & 1:
-            yield 0
-            continue
         sums = indicator >> a if a >= 0 else indicator << -a
         yield (indicator & sums) >> (a + 1 - low)
 
 
-def _masked_pairs(labels: tuple[int, ...], masks: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Each index pair the masks of _hit_masks mark."""
+def _listed_pairs(
+    labels: tuple[int, ...], summands: Sequence[int], lists: Iterable[list[int]]
+) -> Iterator[tuple[int, int]]:
+    """Each index pair the partner lists of _hit_lists name."""
     index = {v: i for i, v in enumerate(labels)}
-    for i, mask in enumerate(masks):
-        base = labels[i] + 1
+    for a, partners in zip(summands, lists):
+        i = index[a]
+        for b in partners:
+            yield i, index[b]
+
+
+def _masked_pairs(
+    labels: tuple[int, ...], summands: Sequence[int], masks: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """Each index pair the partner masks of _hit_masks mark."""
+    index = {v: i for i, v in enumerate(labels)}
+    for a, mask in zip(summands, masks):
+        i = index[a]
+        base = a + 1
         while mask:  # peel the top bit, so the mask shrinks as it goes
             q = mask.bit_length() - 1
             yield i, index[base + q]
             mask ^= 1 << q
 
 
-def _sparse(labels: tuple[int, ...]) -> bool:
+def _sparse(labels: tuple[int, ...], summands: Sequence[int]) -> bool:
     """The span rule: the pairwise path for a label span above
-    _BITSET_SPAN_PER_LABEL times the label count, the bitset path otherwise."""
-    return labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(labels)
+    _BITSET_SPAN_PER_LABEL times the summand count, the bitset path
+    otherwise."""
+    return labels[-1] - labels[0] > _BITSET_SPAN_PER_LABEL * len(summands)
 
 
 def _pair_count(lab: Labeling) -> int:
     """How many index pairs i<j of lab's labels sum to a label.
 
-    The span rule picks the path: the bitset path adds up the popcounts of
-    the masks as _hit_masks streams them, the pairwise path counts the pairs
-    as they stream. Both skip the labels of a class mod 4 that cannot hold a
-    summand, under the size rule of _summand_classes, so only an sd_general
-    output's vertex labels are tried as summands; every count is the same as
-    without the skip. Memory stays linear in the label count.
+    The residue filter runs first (_summands), and the span rule compares
+    the span with the number of summands it keeps, not of labels. The
+    pairwise path adds up the lengths of the summands' partner lists, the
+    bitset path the popcounts of their partner masks, as they stream, and
+    no index pair is built. An sd_general output's summands are its vertex
+    labels, so its proof counts over them alone; every count is the same
+    as without the filter. Memory stays linear in the label count.
     """
     labels = lab.labels
-    if _sparse(labels):
-        return sum(1 for _ in _pairwise_pairs(labels))
-    return sum(map(int.bit_count, _hit_masks(labels, lab.indicator())))
+    summands = _summands(labels)
+    if _sparse(labels, summands):
+        return sum(map(len, _hit_lists(labels, summands)))
+    return sum(map(int.bit_count, _hit_masks(labels, summands, lab.indicator())))
 
 
 def _induced_pairs(lab: Labeling) -> Iterator[tuple[int, int]]:
     """Each index pair i<j of lab's sorted labels whose sum is a label, from
-    the path the span rule picks; a caller that needs only the first few
-    pairs stops there, and no mask is kept past its own pairs."""
+    the path the span rule picks by the summand count, as for _pair_count;
+    the partner lists or masks are expanded as they stream, so a caller
+    that needs only the first few pairs stops there, and no list or mask is
+    kept past its own pairs."""
     labels = lab.labels
-    if _sparse(labels):
-        return _pairwise_pairs(labels)
-    return _masked_pairs(labels, _hit_masks(labels, lab.indicator()))
+    summands = _summands(labels)
+    if _sparse(labels, summands):
+        return _listed_pairs(labels, summands, _hit_lists(labels, summands))
+    return _masked_pairs(labels, summands, _hit_masks(labels, summands, lab.indicator()))
 
 
 def _induced_subsets(labels: Sequence[int], k: int) -> list[tuple[int, ...]]:

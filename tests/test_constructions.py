@@ -54,6 +54,8 @@ P4 = generate(FamilySpec(FamilyKind.PATH, 4))
 C4 = generate(FamilySpec(FamilyKind.CYCLE, 4))
 LAB_K2 = labeling([1, 2, 3])
 LAB_P3 = labeling([1, 2, 3, 4])
+# the B_k input cap's message, with its power-of-two boundary to format in
+BK_CAP = r"^B_k certification refused: n\*\*k is at least 2\*\*{},"
 
 
 def oracle_core(labels):
@@ -243,11 +245,11 @@ class TestBkSets:
         # never computed (that took seconds); the boundary stays at 2**63
         for call in (lambda: bk_set(2, 10**7), lambda: is_bk_set((1, 2, 5), 10**7)):
             start = time.perf_counter()
-            with pytest.raises(ValueError, match="^coefficient fields could overflow"):
+            with pytest.raises(ValueError, match=BK_CAP.format(63)):
                 call()
             assert time.perf_counter() - start < 0.5
         assert is_bk_set((1, 2), 62)
-        with pytest.raises(ValueError, match="^coefficient fields could overflow"):
+        with pytest.raises(ValueError, match=BK_CAP.format(63)):
             is_bk_set((1, 2), 63)
 
     def test_order_two_input_errors(self, monkeypatch):
@@ -259,7 +261,7 @@ class TestBkSets:
         # n**2 >= 2**63 needs three billion elements; a lower limit shows the guard
         monkeypatch.setattr(constructions, "_BK_MAX_COEFFICIENT_BITS", 10)
         assert is_bk_set(sidon_set(31).elements, 2)
-        with pytest.raises(ValueError, match="^coefficient fields could overflow"):
+        with pytest.raises(ValueError, match=BK_CAP.format(10)):
             is_bk_set(sidon_set(32).elements, 2)
 
     def test_order_two_matches_oracle_near_sidon_sets(self):
@@ -581,37 +583,62 @@ class TestSdGeneral:
 
 
 class TestInducePath:
-    """The induce path core's span rule takes on dense and sparse outputs."""
+    """The induce path core's span rule takes on dense and sparse outputs:
+    it compares the span with the summands the residue filter keeps."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
         calls = []
-        for name, tag in (("_hit_masks", "bitset"), ("_pairwise_pairs", "pairwise")):
+        for name, tag in (("_hit_masks", "bitset"), ("_hit_lists", "pairwise")):
             real = getattr(core, name)
 
-            def record(labels, *rest, real=real, tag=tag):
-                calls.append((tag, len(labels), labels[-1] - labels[0]))
-                return real(labels, *rest)
+            def record(labels, summands, *rest, real=real, tag=tag):
+                calls.append((tag, len(labels), len(summands), labels[-1] - labels[0]))
+                return real(labels, summands, *rest)
 
             monkeypatch.setattr(core, name, record)
         return calls
 
-    def test_dense_sd_general_goes_bitset(self, paths):
-        # the circulant C_64(1..14): 64 vertices, 896 edges
-        g = graph(64, [(i, (i + d) % 64) for i in range(64) for d in range(1, 15)])
-        sd_general(g)
-        assert paths == [("bitset", 960, 67633)]
+    def test_dense_sd_general_counts_over_its_vertex_labels(self, paths, monkeypatch):
+        # 1,590 labels over a span of about 86 times their count, so a rule
+        # on the label count would take the bitset path; the residue filter
+        # keeps the 90 vertex labels, and the span is some 1,500 times that
+        rng = random.Random(35)
+        g = graph(90, rng.sample(list(itertools.combinations(range(90), 2)), 1500))
+        assert 0 not in g.degrees()
+        built = []
+        real_indicator = core.Labeling.indicator
+
+        def indicator(lab):
+            built.append(len(lab))
+            return real_indicator(lab)
+
+        monkeypatch.setattr(core.Labeling, "indicator", indicator)
+        report = sd_general(g)
+        labels = report.labeling.labels
+        assert paths == [("pairwise", 1590, 90, 136089)]
+        assert built == []
+        assert core._pair_count(report.labeling) == len(naive_induce(labels)[0]) == 1500
+
+    def test_dense_closed_form_goes_bitset(self, paths):
+        # every residue class mod 4 holds a summand, so the filter keeps
+        # every label and the span is about the label count
+        spum_path_even(2000)
+        assert paths == [("bitset", 2001, 2001, 3999)]
 
     def test_edge_labels_get_no_mask(self):
         # an edge label 4(s_u + s_v) + 2 is 2 mod 4, and 2 plus a partner's
-        # class 1 or 2 is no label's class, so _hit_masks shifts the
-        # indicator only by the vertex labels a with 2a + 1 <= max
+        # class 1 or 2 is no label's class, so the residue filter leaves it
+        # out of the summands and _hit_masks shifts the indicator only by
+        # the vertex labels a with 2a + 1 <= max
         g = graph(30, [(i, (i + d) % 30) for i in range(30) for d in (1, 2, 3)])
         report = sd_general(g)
         labels = report.labeling.labels
         edge_labels = set(labels) - set(report.vertex_label)
         in_range = {a for a in labels if 2 * a + 1 <= labels[-1]}
         assert len(labels) == 120 and edge_labels & in_range
+        summands = core._summands(labels)
+        assert sorted(summands) == sorted(report.vertex_label)
         shifted = []
 
         class Indicator(int):
@@ -619,9 +646,11 @@ class TestInducePath:
                 shifted.append(a)
                 return int(self) >> a
 
-        masks = list(core._hit_masks(labels, Indicator(report.labeling.indicator())))
+        indicator = Indicator(report.labeling.indicator())
+        masks = list(core._hit_masks(labels, summands, indicator))
         assert sorted(shifted) == sorted(in_range - edge_labels)
-        assert sorted(core._masked_pairs(labels, masks)) == sorted(naive_induce(labels)[0])
+        pairs = core._masked_pairs(labels, summands, masks)
+        assert sorted(pairs) == sorted(naive_induce(labels)[0])
 
     def test_sparse_scaled_union_goes_pairwise(self, paths):
         chords = [(0, 5), (1, 8), (2, 10), (3, 7), (4, 11), (6, 12)]
@@ -631,9 +660,9 @@ class TestInducePath:
         disjoint_union_scaled(lab, g, lab, g)
         # both inputs are validated, then the output is checked
         assert paths == [
-            ("bitset", 32, 2497),
-            ("bitset", 32, 2497),
-            ("pairwise", 64, 26023407),
+            ("bitset", 32, 32, 2497),
+            ("bitset", 32, 32, 2497),
+            ("pairwise", 64, 64, 26023407),
         ]
 
 

@@ -304,14 +304,17 @@ class TestInduce:
     def test_bitset_path_agrees_with_pairwise_path(self, values):
         lab = labeling(values)
         values = lab.labels
-        masks = core._hit_masks(values, lab.indicator())
-        assert sorted(core._masked_pairs(values, masks)) == sorted(
-            core._pairwise_pairs(values)
+        summands = core._summands(values)
+        masks = list(core._hit_masks(values, summands, lab.indicator()))
+        lists = list(core._hit_lists(values, summands))
+        assert list(map(int.bit_count, masks)) == list(map(len, lists))
+        assert sorted(core._masked_pairs(values, summands, masks)) == sorted(
+            core._listed_pairs(values, summands, lists)
         )
 
     def test_dense_runs_induce_by_bitset(self, monkeypatch):
         # [n, 2n+1] joins only n and n+1; around zero i~j iff |i+j| <= 300
-        monkeypatch.setattr(core, "_pairwise_pairs", None)
+        monkeypatch.setattr(core, "_hit_lists", None)
         for values in (tuple(range(2000, 4002)), tuple(range(-300, 301))):
             lo, hi = values[0], values[-1]
             pairs = list(core._induced_pairs(labeling(values)))
@@ -349,6 +352,33 @@ def _span_rule_sets(rng):
     return sets
 
 
+def _moved_sets(rng):
+    """Seeded label sets in the pattern of sd_general's outputs, past the
+    residue filter's size rule: vertex labels 4x + 1 and labels 2 mod 4,
+    most of them sums of two vertex labels. Only the vertex labels are
+    summands, and a span between _BITSET_SPAN_PER_LABEL times their count
+    and as many times the label count puts a set on the pairwise side of
+    the span rule, where a rule on the label count would take the bitset.
+    Each comes positive, mixed-sign and negated (summands 3 mod 4)."""
+    bound = core._BITSET_SPAN_PER_LABEL
+    sets = []
+    for _ in range(15):
+        vertices = rng.randint(12, 40)
+        n = rng.randint(100, 180)
+        span = rng.randint(bound * vertices + 8 * n, bound * n)
+        xs = rng.sample(range(span // 8), vertices)
+        values = {4 * x + 1 for x in xs}
+        while len(values) < n:
+            if rng.random() < 0.7:
+                values.add(4 * sum(rng.sample(xs, 2)) + 2)
+            else:
+                values.add(4 * rng.randrange(span // 4) + 2)
+        shift = 4 * rng.randint(-span // 4, 0)
+        for labels in (values, {v + shift for v in values}, {-v for v in values}):
+            sets.append(tuple(sorted(labels)))
+    return sets
+
+
 def _recorder(calls, tag, real):
     def record(*args, **kwargs):
         calls.append(tag)
@@ -358,29 +388,42 @@ def _recorder(calls, tag, real):
 
 
 class TestSpanRule:
-    """core._induced_pairs picks the bitset or the pairwise path by label span."""
+    """core._induced_pairs picks the bitset or the pairwise path by label
+    span against the summand count."""
 
     def test_agrees_with_oracle_on_both_sides(self):
+        # the rule compares the span with the summand count; where a rule on
+        # the label count would pick the other path, both paths are checked
         bound = core._BITSET_SPAN_PER_LABEL
         sides = {True: 0, False: 0}
-        at_bound = 0
-        for values in _span_rule_sets(random.Random(20261019)):
+        at_bound = moved = 0
+        label_sets = _span_rule_sets(random.Random(20261019))
+        label_sets += _moved_sets(random.Random(20261022))
+        for values in label_sets:
             span = values[-1] - values[0]
-            sides[span <= bound * len(values)] += 1
-            at_bound += span == bound * len(values)
+            summands = core._summands(values)
+            sides[span <= bound * len(summands)] += 1
+            at_bound += span == bound * len(summands)
             edges, _ = naive_induce(values)
             lab = labeling(values)
             pairs = list(core._induced_pairs(lab))
             assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
             assert core._pair_count(lab) == len(edges), values
+            if bound * len(summands) < span <= bound * len(values):
+                moved += 1
+                masks = list(core._hit_masks(values, summands, lab.indicator()))
+                lists = list(core._hit_lists(values, summands))
+                assert sum(map(int.bit_count, masks)) == len(edges), values
+                assert sum(map(len, lists)) == len(edges), values
+                assert sorted(core._masked_pairs(values, summands, masks)) == sorted(edges)
+                assert sorted(core._listed_pairs(values, summands, lists)) == sorted(edges)
         assert sides[True] > 100 and sides[False] > 50 and at_bound >= 30
+        assert moved >= 40, moved
 
     def test_bound_itself_takes_the_bitset(self, monkeypatch):
         calls = []
         monkeypatch.setattr(core, "_hit_masks", _recorder(calls, "bitset", core._hit_masks))
-        monkeypatch.setattr(
-            core, "_pairwise_pairs", _recorder(calls, "pairwise", core._pairwise_pairs)
-        )
+        monkeypatch.setattr(core, "_hit_lists", _recorder(calls, "pairwise", core._hit_lists))
         bound = core._BITSET_SPAN_PER_LABEL
         core._induced_pairs(labeling((1, 2, 1 + 3 * bound)))
         core._induced_pairs(labeling((1, 2, 2 + 3 * bound)))
@@ -478,9 +521,13 @@ class TestResidueFilter:
             lab = labeling(values)
             pairs = list(core._induced_pairs(lab))
             assert len(pairs) == len(set(pairs)) and set(pairs) == edges, values
-            masks = core._hit_masks(values, lab.indicator())
-            assert sorted(core._masked_pairs(values, masks)) == sorted(edges), values
-            assert sorted(core._pairwise_pairs(values)) == sorted(edges), values
+            summands = core._summands(values)
+            masks = core._hit_masks(values, summands, lab.indicator())
+            lists = core._hit_lists(values, summands)
+            assert sorted(core._masked_pairs(values, summands, masks)) == sorted(edges), values
+            assert sorted(core._listed_pairs(values, summands, lists)) == sorted(edges), values
+            # every label in an induced pair is a summand
+            assert {values[i] for e in edges for i in e} <= set(summands), values
             live = core._summand_classes(values, 2)
             if comb(len(values), 2) < rule:
                 assert live is None
